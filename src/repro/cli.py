@@ -397,6 +397,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 PREDICT_LADDER = ("tts", "aggressive", "delayed", "iqolb", "qolb")
 
 
+def _processor_count(text: str) -> int:
+    """argparse type for a machine size: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_grid(spec: str) -> List[int]:
     """``procs=1..128`` -> doubling processor counts [1, 2, ..., 128]."""
     try:
@@ -711,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--fabric", nargs="+", metavar="FABRIC",
                     choices=interconnect_names(),
                     help="coherence fabrics (default: bus and directory)")
-    pp.add_argument("-p", "--processors", type=int, default=16)
+    pp.add_argument("-p", "--processors", type=_processor_count, default=16)
     pp.add_argument("--grid", metavar="procs=LO..HI",
                     help="sweep machine size in doubling steps, e.g. "
                          "procs=1..128")

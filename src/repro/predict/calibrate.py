@@ -43,7 +43,9 @@ from repro.predict.model import (
     CalibrationParams,
     CostCurve,
     Saturation,
+    _app_cycles,
     _derived_transfer,
+    equilibrium,
     predict,
     primitive_class,
 )
@@ -131,6 +133,29 @@ def _group_score(
     score = 0.0
     for cell in cells:
         predicted = predict(cell.signature, params).cycles
+        rel = (predicted - cell.observed_cycles) / cell.observed_cycles
+        score += rel * rel
+    return score
+
+
+def _app_rates(
+    apps: Sequence[ObservedCell], params: CalibrationParams
+) -> List[float]:
+    """Each parallel app cell's equilibrium rate under ``params``."""
+    return [equilibrium(cell.signature, params).x_items for cell in apps]
+
+
+def _app_score(
+    apps: Sequence[ObservedCell],
+    params: CalibrationParams,
+    rates: Sequence[float],
+) -> float:
+    """:func:`_group_score` of parallel app cells whose equilibria
+    (``rates``, from :func:`_app_rates`) are already solved: the same
+    cycles as :func:`predict`, without re-running the MVA."""
+    score = 0.0
+    for cell, x_items in zip(apps, rates):
+        predicted = _app_cycles(cell.signature, params, x_items)[0]
         rel = (predicted - cell.observed_cycles) / cell.observed_cycles
         score += rel * rel
     return score
@@ -251,6 +276,11 @@ def _fit_app_globals(
     (the 16-processor fig1 cells pin the storm curves at one contention
     level only; the 32-processor app cells are the sole bus evidence
     beyond it).
+
+    The exponent and the coupling shape the equilibrium; ``straggle``
+    and ``barrier_per_proc`` are added after it.  So the equilibria are
+    solved once per (exponent, coupling) pair and the phase-term grid is
+    scored on top of them with arithmetic only.
     """
     if not apps:
         return params.straggle, params.barrier_per_proc, params.storm_couple
@@ -267,13 +297,14 @@ def _fit_app_globals(
             params.lock_curves[key] = _retarget_exponent(curve, p_storm)
         for couple_step in range(0, 11):
             couple = 0.1 * couple_step
+            params.storm_couple = couple
+            rates = _app_rates(apps, params)
             for straggle_step in range(0, 11):
                 straggle = 0.2 * straggle_step
                 for barrier in (0.0, 4.0, 8.0, 16.0, 32.0):
-                    params.storm_couple = couple
                     params.straggle = straggle
                     params.barrier_per_proc = barrier
-                    score = _group_score(apps, params)
+                    score = _app_score(apps, params, rates)
                     if best is None or score < best[0]:
                         best = (score, straggle, barrier, couple, p_storm)
     assert best is not None
@@ -282,12 +313,13 @@ def _fit_app_globals(
         params.lock_curves[key] = _retarget_exponent(curve, p_storm)
     params.storm_couple = couple
     # Fine pass on the additive phase terms with the shape fixed.
+    rates = _app_rates(apps, params)
     for straggle_step in range(0, 41):
         fine_straggle = 0.05 * straggle_step
         for fine_barrier in (0.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0):
             params.straggle = fine_straggle
             params.barrier_per_proc = fine_barrier
-            score = _group_score(apps, params)
+            score = _app_score(apps, params, rates)
             if score < best[0]:
                 best = (score, fine_straggle, fine_barrier, couple, p_storm)
     return best[1], best[2], best[3]

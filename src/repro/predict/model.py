@@ -63,6 +63,7 @@ __all__ = [
     "Prediction",
     "PRIMITIVE_CLASS",
     "default_params",
+    "equilibrium",
     "predict",
     "predict_speedups",
 ]
@@ -282,11 +283,10 @@ def derived_curve(
     plain RMW.  Growth: the class multiplier times the fabric transfer
     cost per additional competitor, raised to the class exponent.
     """
-    config = SystemConfig()
     transfer = (
         params.transfer_for(fabric)
         if params is not None
-        else _derived_transfer(fabric, config)
+        else _derived_transfer(fabric, SystemConfig())
     )
     klass = primitive_class(primitive)
     transfers = 1.0 if kind == KIND_RMW else 2.0
@@ -369,12 +369,23 @@ class _Equilibrium:
     utilization: float  # bottleneck utilization (X * f0 * s_hot)
 
 
+def _think(sig: WorkloadSignature, params: CalibrationParams) -> float:
+    """Per-item cycle time outside the lock: compute, body, bookkeeping."""
+    return (
+        params.gamma * sig.local_compute
+        + _cs_body(sig, params)
+        + params.uni_overhead
+    )
+
+
 def _mva(
     n: int,
     think: float,
     f0: float,
     n_locks: int,
-    cost: Any,
+    curve: CostCurve,
+    sat_mult: float,
+    delta: float,
     couple: float,
 ) -> _Equilibrium:
     """Approximate Mean Value Analysis with state-dependent service.
@@ -388,28 +399,37 @@ def _mva(
     time is ``S * (1 + Q)``.
 
     The twist over textbook MVA is that the per-acquire service ``S``
-    itself depends on the queue: ``cost(w)`` is the fitted contended
-    hand-off cost with ``w`` processors competing.  For storm-class
-    primitives on the bus, ``couple`` of the queue at *other* locks is
-    added to ``w`` — an invalidation storm occupies the one shared
-    broadcast medium, so waiters at unrelated locks still pay part of
-    its cost.  Queued and deferred primitives, and everything on the
-    directory, see only their own lock's queue (``couple = 0``).
+    itself depends on the queue: ``S(w) = C(w) * sat_mult + delta``,
+    where ``C`` is the fitted contended hand-off ``curve`` with ``w``
+    processors competing, ``sat_mult`` the fabric's saturation
+    multiplier and ``delta`` this critical section's cost over the
+    null one.  ``C`` is evaluated inline, with the same expression as
+    :meth:`CostCurve.cost`.  For storm-class primitives on the bus,
+    ``couple`` of the queue at *other* locks is added to ``w`` — an
+    invalidation storm occupies the one shared broadcast medium, so
+    waiters at unrelated locks still pay part of its cost.  Queued and
+    deferred primitives, and everything on the directory, see only
+    their own lock's queue (``couple = 0``).
     """
+    c0, a, p = curve.c0, curve.a, curve.p
     think = max(1.0, think)
     rest_locks = max(0, n_locks - 1)
     f_rest = max(0.0, 1.0 - f0) if rest_locks else 0.0
     q_hot = 0.0
     q_rest = 0.0
     x = 1.0 / think
-    s_hot = cost(1.0)
+    s_hot = (c0 + a * 0.0 ** p) * sat_mult + delta  # S(1)
     for m in range(1, n + 1):
         w_hot = q_hot + 1.0 + couple * q_rest
-        s_hot = cost(w_hot)
+        s_hot = (c0 + a * max(0.0, w_hot - 1.0) ** p) * sat_mult + delta
         r_hot = s_hot * (1.0 + q_hot)
         if f_rest > 0:
             per_lock = q_rest / rest_locks
-            r_rest = cost(per_lock + 1.0) * (1.0 + per_lock)
+            # S(per_lock + 1): (x + 1.0) - 1.0 need not round back to x
+            s_rest = (
+                c0 + a * max(0.0, (per_lock + 1.0) - 1.0) ** p
+            ) * sat_mult + delta
+            r_rest = s_rest * (1.0 + per_lock)
         else:
             r_rest = 0.0
         r_cycle = think + f0 * r_hot + f_rest * r_rest
@@ -429,29 +449,87 @@ def _storm_coupled(sig: WorkloadSignature) -> bool:
     return sig.fabric == "bus" and primitive_class(sig.primitive) == "storm"
 
 
+def equilibrium(
+    sig: WorkloadSignature, params: CalibrationParams
+) -> _Equilibrium:
+    """The closed network's steady state for ``sig`` (see :func:`_mva`).
+
+    This is the expensive half of :func:`predict`.  It reads the cost
+    curves, the saturation, the compute globals and ``storm_couple``,
+    never ``straggle`` or ``barrier_per_proc``: those enter only in
+    :func:`_app_cycles`, after the equilibrium.
+    """
+    n = sig.n_processors
+    sat = params.saturation_for(sig.fabric)
+    sat_mult = sat.multiplier(n) if sat is not None else 1.0
+    f0 = max(sig.hot_lock_fraction, 1.0 / max(1, sig.n_locks))
+    couple = params.storm_couple if _storm_coupled(sig) else 0.0
+    return _mva(
+        n,
+        _think(sig, params),
+        f0,
+        sig.n_locks,
+        params.curve_for(sig),
+        sat_mult,
+        _lock_delta(sig),
+        couple,
+    )
+
+
+def _app_cycles(
+    sig: WorkloadSignature, params: CalibrationParams, x_items: float
+) -> Tuple[float, Dict[str, float]]:
+    """Cycles and term breakdown of an application at rate ``x_items``.
+
+    Each of the ``phases`` barrier phases runs its share of the items at
+    the equilibrium rate, then waits for the slowest processor: the
+    expected-maximum excess of ``n`` iid sums of ``k`` exponential
+    compute draws (Gumbel tail), overlapped against the serial fraction,
+    plus a barrier episode per processor.
+    """
+    n = sig.n_processors
+    ops_phase = sig.total_ops / sig.phases
+    parallel = ops_phase / x_items
+    k = max(1.0, ops_phase / n)
+    straggle = (
+        params.straggle
+        * params.gamma
+        * sig.local_compute
+        * math.sqrt(2.0 * k * math.log(max(2, n)))
+    )
+    barrier = params.barrier_per_proc * n
+    phase = max(sig.serial_compute + parallel, parallel + straggle) + barrier
+    terms = {
+        "parallel": parallel,
+        "serial": float(sig.serial_compute),
+        "straggle": straggle,
+        "barrier": barrier,
+    }
+    return sig.phases * phase, terms
+
+
 def predict(
     sig: WorkloadSignature, params: Optional[CalibrationParams] = None
 ) -> Prediction:
     """Predicted throughput/latency for one workload signature.
 
-    Pure arithmetic — never invokes the simulator.
+    Pure arithmetic — never invokes the simulator.  Raises
+    :class:`ValueError` for a machine without processors or a workload
+    without phases.
     """
+    if sig.n_processors < 1:
+        raise ValueError(
+            f"n_processors must be at least 1, got {sig.n_processors}"
+        )
+    if sig.phases < 1:
+        raise ValueError(f"phases must be at least 1, got {sig.phases}")
     if params is None:
         params = default_params()
-    n = sig.n_processors
-    curve = params.curve_for(sig)
-    sat = params.saturation_for(sig.fabric)
-    sat_mult = sat.multiplier(n) if sat is not None else 1.0
-    delta = _lock_delta(sig)
-    body = _cs_body(sig, params)
-    think = params.gamma * sig.local_compute + body + params.uni_overhead
 
-    def contended_cost(w: float) -> float:
-        return curve.cost(w) * sat_mult + delta
-
-    if n <= 1:
+    if sig.n_processors == 1:
         # Uncontended: every primitive converges to the same rate — the
         # critical section is private, the hand-off machinery idle.
+        think = _think(sig, params)
         per_op = max(1.0, think)
         cycles = sig.total_ops * per_op + sig.phases * sig.serial_compute
         return Prediction(
@@ -465,49 +543,26 @@ def predict(
             terms={"think": think, "serial": float(sig.serial_compute)},
         )
 
-    f0 = max(sig.hot_lock_fraction, 1.0 / max(1, sig.n_locks))
-    couple = params.storm_couple if _storm_coupled(sig) else 0.0
-    eq = _mva(n, think, f0, sig.n_locks, contended_cost, couple)
+    eq = equilibrium(sig, params)
     x_items = eq.x_items
-    regime = "lock-bound" if eq.utilization >= 0.9 else "compute-bound"
-
     per_op = 1.0 / x_items
-    ops_phase = sig.total_ops / sig.phases
-    parallel = ops_phase / x_items
-    terms: Dict[str, float] = {
-        "parallel": parallel,
-        "serial": float(sig.serial_compute),
-    }
-
     if sig.kind == KIND_APP:
-        # Barrier phases wait for the slowest processor: add the
-        # expected-maximum excess of n iid sums of k exponential compute
-        # draws (Gumbel tail), overlapped against the serial fraction.
-        k = max(1.0, ops_phase / n)
-        straggle = (
-            params.straggle
-            * params.gamma
-            * sig.local_compute
-            * math.sqrt(2.0 * k * math.log(max(2, n)))
-        )
-        barrier = params.barrier_per_proc * n
-        phase = (
-            max(sig.serial_compute + parallel, parallel + straggle) + barrier
-        )
-        cycles = sig.phases * phase
-        terms["straggle"] = straggle
-        terms["barrier"] = barrier
+        cycles, terms = _app_cycles(sig, params, x_items)
     else:
         cycles = sig.total_ops * per_op
+        terms = {
+            "parallel": sig.total_ops / sig.phases / x_items,
+            "serial": float(sig.serial_compute),
+        }
 
     return Prediction(
         signature=sig,
         throughput=1000.0 * x_items,
         cycles=cycles,
         per_op_cycles=per_op,
-        handoff_cycles=max(0.0, eq.s_hot - body),
+        handoff_cycles=max(0.0, eq.s_hot - _cs_body(sig, params)),
         effective_waiters=eq.q_hot,
-        regime=regime,
+        regime="lock-bound" if eq.utilization >= 0.9 else "compute-bound",
         terms=terms,
     )
 

@@ -113,3 +113,10 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("procs", ["0", "-3"])
+    def test_predict_rejects_impossible_machines(self, procs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--processors", procs])
+        assert exc.value.code == 2
+        assert "-p/--processors: must be at least 1" in capsys.readouterr().err

@@ -11,11 +11,22 @@ arithmetic, so these run in milliseconds with no simulator.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+import dataclasses
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.harness.signature import KIND_LOCK, WorkloadSignature
 from repro.predict import CalibrationParams, default_params, predict
-from repro.predict.model import PRIMITIVE_CLASS, CostCurve
+from repro.predict.model import (
+    PRIMITIVE_CLASS,
+    CostCurve,
+    _app_cycles,
+    _Equilibrium,
+    _mva,
+    equilibrium,
+)
+from repro.workloads.splash import APP_MODELS, APP_ORDER
 
 #: model arithmetic is fast — allow more examples than the simulator suite
 model_settings = settings(max_examples=60, deadline=None)
@@ -138,3 +149,118 @@ class TestParamsPlumbing:
         elapsed = time.perf_counter() - start
         assert count == 80
         assert elapsed < 5.0
+
+
+def reference_mva(n, think, f0, n_locks, cost, couple):
+    """The MVA loop with the service time as a callable ``cost(w)``.
+
+    The straightforward form of :func:`repro.predict.model._mva`, which
+    evaluates the cost curve inline; the two must agree bit for bit.
+    """
+    think = max(1.0, think)
+    rest_locks = max(0, n_locks - 1)
+    f_rest = max(0.0, 1.0 - f0) if rest_locks else 0.0
+    q_hot = 0.0
+    q_rest = 0.0
+    x = 1.0 / think
+    s_hot = cost(1.0)
+    for m in range(1, n + 1):
+        w_hot = q_hot + 1.0 + couple * q_rest
+        s_hot = cost(w_hot)
+        r_hot = s_hot * (1.0 + q_hot)
+        if f_rest > 0:
+            per_lock = q_rest / rest_locks
+            r_rest = cost(per_lock + 1.0) * (1.0 + per_lock)
+        else:
+            r_rest = 0.0
+        r_cycle = think + f0 * r_hot + f_rest * r_rest
+        x = m / r_cycle
+        q_hot = x * f0 * r_hot
+        q_rest = x * f_rest * r_rest
+    return _Equilibrium(
+        x_items=x,
+        q_hot=q_hot,
+        s_hot=s_hot,
+        utilization=min(1.0, x * f0 * s_hot),
+    )
+
+
+def app_signature(app, primitive, fabric, n):
+    return WorkloadSignature.from_app_model(
+        APP_MODELS[app], primitive, fabric, n
+    )
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+class TestSolverAgainstReference:
+    # A last-bit slip in the inlined cost is mostly absorbed by the larger
+    # terms it is added to, so the search is wide and the example below
+    # is one where writing ``per_lock`` for ``(per_lock + 1.0) - 1.0``
+    # shows in the result.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c0=st.floats(0.0, 2000.0, **finite),
+        a=st.floats(0.0, 500.0, **finite),
+        p=st.floats(0.05, 2.0, **finite),
+        sat_mult=st.floats(1.0, 100.0, **finite),
+        delta=st.floats(0.0, 500.0, **finite),
+        n=st.integers(1, 128),
+        n_locks=st.integers(1, 64),
+        f0=st.floats(0.0, 1.0, **finite),
+        think=st.floats(0.0, 5000.0, **finite),
+        couple=st.floats(0.0, 1.0, **finite),
+    )
+    @example(
+        c0=10.0, a=20.0, p=1.3, sat_mult=1.0, delta=0.0,
+        n=8, n_locks=4, f0=0.1, think=200.0, couple=0.5,
+    )
+    def test_inlined_cost_matches_reference(
+        self, c0, a, p, sat_mult, delta, n, n_locks, f0, think, couple
+    ):
+        curve = CostCurve(c0, a, p)
+
+        def cost(w):
+            return curve.cost(w) * sat_mult + delta
+
+        expected = reference_mva(n, think, f0, n_locks, cost, couple)
+        got = _mva(n, think, f0, n_locks, curve, sat_mult, delta, couple)
+        assert dataclasses.astuple(got) == dataclasses.astuple(expected)
+
+    @model_settings
+    @given(
+        app=st.sampled_from(APP_ORDER),
+        primitive=st.sampled_from(PRIMITIVES),
+        fabric=st.sampled_from(FABRICS),
+        n=st.integers(2, 128),
+        straggle=st.floats(0.0, 2.0, **finite),
+        barrier=st.floats(0.0, 64.0, **finite),
+        couple=st.floats(0.0, 1.0, **finite),
+    )
+    def test_app_cycles_on_equilibrium_is_predict(
+        self, app, primitive, fabric, n, straggle, barrier, couple
+    ):
+        """Calibration scores app cells as ``_app_cycles`` on a solved
+        equilibrium; that must be exactly what ``predict`` returns."""
+        params = default_params()
+        params.straggle = straggle
+        params.barrier_per_proc = barrier
+        params.storm_couple = couple
+        sig = app_signature(app, primitive, fabric, n)
+        x_items = equilibrium(sig, params).x_items
+        cycles = _app_cycles(sig, params, x_items)[0]
+        assert cycles == predict(sig, params).cycles
+
+
+class TestImpossibleMachines:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_processors_is_rejected(self, n):
+        with pytest.raises(ValueError, match="n_processors"):
+            predict(lock_signature("tts", "bus", n))
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_no_phases_is_rejected(self, n):
+        sig = app_signature("barnes", "iqolb", "bus", n).with_(phases=0)
+        with pytest.raises(ValueError, match="phases"):
+            predict(sig)

@@ -128,6 +128,13 @@ class TestArtifact:
 
 
 class TestCalibration:
+    def test_committed_calibration_is_current(self, params):
+        """A fresh fit must reproduce the committed calibration exactly:
+        a parameter that drifts by one ulp fails here, not just once the
+        error summary moves."""
+        committed = ROOT / "results" / "PREDICT_calibration.json"
+        assert params.to_dict() == json.loads(committed.read_text())
+
     def test_save_load_roundtrip(self, tmp_path, params):
         path = tmp_path / "calibration.json"
         save_calibration(params, path)
