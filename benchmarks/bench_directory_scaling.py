@@ -36,14 +36,14 @@ factory = functools.partial(
 )
 
 
-def measure(sizes, n_jobs=1, cache=None, engine="fast"):
+def measure(sizes, n_jobs=1, cache=None):
     """Per-hand-off cost grids: the taxonomy on the directory, and
     IQOLB on both fabrics."""
     dir_grid = sweep(
         factory,
         DIR_PRIMS,
         sizes,
-        config_overrides={"interconnect": "directory", "engine": engine},
+        config_overrides={"interconnect": "directory"},
         n_jobs=n_jobs,
         cache=cache,
     )
@@ -51,7 +51,7 @@ def measure(sizes, n_jobs=1, cache=None, engine="fast"):
         factory,
         ["iqolb"],
         sizes,
-        config_overrides={"interconnect": "bus", "engine": engine},
+        config_overrides={"interconnect": "bus"},
         n_jobs=n_jobs,
         cache=cache,
     )
@@ -76,23 +76,20 @@ def measure(sizes, n_jobs=1, cache=None, engine="fast"):
     return results, export
 
 
-def test_directory_scaling(benchmark, smoke, jobs, result_cache, engine):
+def test_directory_scaling(benchmark, smoke, jobs, result_cache):
     sizes = SMOKE_SIZES if smoke else SIZES
     results, export = once(
-        benchmark, measure, sizes, n_jobs=jobs, cache=result_cache, engine=engine
+        benchmark, measure, sizes, n_jobs=jobs, cache=result_cache
     )
     # The full grid is ~700KB of per-node counters at paper scale: too
     # big to commit raw, so publish the compact digest + gzipped full.
-    # A non-default engine gets its own artefact name so the CI
-    # perf-smoke lane can diff the fast and reference summaries.
-    name = "directory_scaling" if engine == "fast" else f"directory_scaling_{engine}"
-    publish_metrics(name, export, archive=True)
+    publish_metrics("directory_scaling", export, archive=True)
     rows = [
         [name] + [f"{c:.0f}" for c in cycles]
         for name, cycles in results.items()
     ]
     publish(
-        name,
+        "directory_scaling",
         render_table(
             ["fabric/primitive"] + [f"{s}p" for s in sizes],
             rows,

@@ -45,7 +45,7 @@ factory = functools.partial(
 )
 
 
-def measure(sizes, n_jobs=1, cache=None, engine="fast"):
+def measure(sizes, n_jobs=1, cache=None):
     """Per-hand-off cost for the widened ladder on both fabrics."""
     results = {}
     export = {}
@@ -54,7 +54,7 @@ def measure(sizes, n_jobs=1, cache=None, engine="fast"):
             factory,
             PRIMS,
             sizes,
-            config_overrides={"interconnect": fabric, "engine": engine},
+            config_overrides={"interconnect": fabric},
             n_jobs=n_jobs,
             cache=cache,
         )
@@ -68,11 +68,10 @@ def measure(sizes, n_jobs=1, cache=None, engine="fast"):
     return results, export
 
 
-def test_lock_ladder(benchmark, smoke, jobs, result_cache, engine):
+def test_lock_ladder(benchmark, smoke, jobs, result_cache):
     sizes = SMOKE_SIZES if smoke else SIZES
     results, export = once(
-        benchmark, measure, sizes, n_jobs=jobs, cache=result_cache,
-        engine=engine,
+        benchmark, measure, sizes, n_jobs=jobs, cache=result_cache
     )
     publish_metrics("lock_ladder", export, archive=True)
     rows = [

@@ -15,12 +15,10 @@ Harness options (also used by the CI smoke step):
 ``--jobs N``
     Worker processes for sweep cells (default 1, serial).
 ``--no-cache``
-    Ignore the on-disk result cache and re-simulate every cell.
-``--engine {fast,reference}``
-    Simulation kernel for every cell (default ``fast``).  The CI
-    perf-smoke lane runs the same bench under both engines and asserts
-    the artefacts agree (the engines are bit-identical by contract;
-    see DESIGN.md "Two-engine architecture").
+    Ignore the on-disk result cache and re-simulate every cell.  CI runs
+    the directory-scaling bench this way and gates its per-cell cycles,
+    bus transactions and event counts against golden values with
+    ``tools/perf_gate.py`` (see docs/harness.md "Golden cycles").
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import pathlib
 
 import pytest
 
-from repro.engine.simulator import ENGINES
 from repro.harness.cache import ResultCache
 from repro.telemetry import (
     ChromeTraceSink,
@@ -69,12 +66,6 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="bypass the on-disk result cache",
-    )
-    group.addoption(
-        "--engine",
-        choices=list(ENGINES),
-        default="fast",
-        help="simulation kernel for every cell (default: fast)",
     )
 
 
@@ -134,11 +125,6 @@ def smoke(request) -> bool:
 @pytest.fixture
 def jobs(request) -> int:
     return request.config.getoption("--jobs")
-
-
-@pytest.fixture
-def engine(request) -> str:
-    return request.config.getoption("--engine")
 
 
 @pytest.fixture

@@ -97,10 +97,6 @@ class RunSpec:
     acquires_per_proc: int = 2
     timeout_cycles: Optional[int] = 400
     max_cycles: int = 2_000_000
-    #: simulation kernel ("fast" or "reference"); the explorer drives
-    #: the queue through the same candidates/extract contract on both,
-    #: so fingerprints are engine-independent (tests assert this).
-    engine: str = "fast"
     mutation: Optional[str] = None
     fault_plan: Optional[FaultPlan] = None
 
@@ -120,6 +116,13 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
+        valid = [field.name for field in dataclasses.fields(cls)]
+        unknown = sorted(set(data) - set(valid))
+        if unknown:
+            raise ValueError(
+                f"unknown RunSpec field(s) {', '.join(map(repr, unknown))}; "
+                f"valid fields: {', '.join(valid)}"
+            )
         data = dict(data)
         if data.get("fault_plan") is not None:
             data["fault_plan"] = FaultPlan.from_dict(data["fault_plan"])
@@ -320,7 +323,6 @@ def run_once(
         spec.acquires_per_proc,
         spec.timeout_cycles,
         spec.max_cycles,
-        engine=spec.engine,
     )
     system = built.system
     install_mutation(spec.mutation, system, built.workload)

@@ -604,7 +604,6 @@ def make_config(
     n_processors: int,
     timeout_cycles: Optional[int],
     max_cycles: int,
-    engine: str = "fast",
 ) -> SystemConfig:
     policy, _lock_kind = PRIMITIVES[primitive]
     return SystemConfig(
@@ -613,7 +612,6 @@ def make_config(
         interconnect=interconnect,
         timeout_cycles=timeout_cycles,
         max_cycles=max_cycles,
-        engine=engine,
     )
 
 
@@ -676,7 +674,6 @@ def build_scenario(
     acquires_per_proc: int,
     timeout_cycles: Optional[int],
     max_cycles: int,
-    engine: str = "fast",
 ) -> BuiltScenario:
     """Construct system + workload for one checker cell (not yet run)."""
     try:
@@ -686,7 +683,7 @@ def build_scenario(
             "scenario", scenario, scenario_names()
         ) from None
     config = make_config(
-        primitive, interconnect, n_processors, timeout_cycles, max_cycles, engine
+        primitive, interconnect, n_processors, timeout_cycles, max_cycles
     )
     workload = factory(primitive, acquires_per_proc)
     system = System(config)

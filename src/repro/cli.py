@@ -269,7 +269,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check.report import from_explore_violation
 
     if args.replay:
-        counterexample = Counterexample.load(args.replay)
+        try:
+            counterexample = Counterexample.load(args.replay)
+        except ValueError as exc:
+            print(f"cannot replay {args.replay}: {exc}", file=sys.stderr)
+            return 1
         print(f"replaying: {counterexample.describe()}", file=sys.stderr)
         outcome = replay(counterexample, trace_out=args.trace)
         if args.trace:

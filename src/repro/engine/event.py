@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from sys import intern as _intern
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 
 def _brief(value: object, width: int = 32) -> str:
@@ -54,43 +54,13 @@ def _event_seq(event: "Event") -> int:
     return event.seq
 
 
-def _signature(events: Iterable["Event"], now: int) -> tuple:
-    return tuple(
-        sorted(
-            (
-                event.time - now,
-                event.priority,
-                callback_label(event.callback),
-                len(event.args),
-            )
-            for event in events
-            if not event.cancelled
-        )
-    )
-
-
-def _summarize(events: Iterable["Event"], n_live: int, limit: int) -> str:
-    live = sorted(
-        (event for event in events if not event.cancelled),
-        key=lambda event: (event.time, event.priority, event.seq),
-    )
-    lines = [f"{n_live} pending event(s)"]
-    for event in live[:limit]:
-        callback = event.callback
-        name = getattr(callback, "__qualname__", repr(callback))
-        args = ", ".join(_brief(arg) for arg in event.args)
-        lines.append(f"  t={event.time} {name}({args})")
-    if len(live) > limit:
-        lines.append(f"  ... and {len(live) - limit} more")
-    return "\n".join(lines)
-
-
 class Event:
     """A single scheduled callback.
 
-    Events support cancellation: a cancelled event stays in the heap but is
-    skipped when popped.  This is O(1) cancellation at the cost of a little
-    heap garbage, which the kernel tolerates happily.
+    Events support cancellation: a cancelled event stays in its calendar
+    bucket but is skipped when the bucket drains.  This is O(1)
+    cancellation at the cost of a little bucket garbage, which the kernel
+    tolerates happily.
     """
 
     __slots__ = (
@@ -161,141 +131,20 @@ class Event:
             self._footprint = (node, tuple(addrs), label)
         return self._footprint
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time} p={self.priority} #{self.seq}{state}>"
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects.
-
-    This is the *reference* scheduler: the bit-identical oracle the fast
-    calendar queue is checked against.  Keep its semantics frozen.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._seq = 0
-        self._live = 0
-        #: deepest the live-event count has ever been; maintained here (one
-        #: integer compare per push) so the kernel needs no per-push probe.
-        self.high_water = 0
-
-    def push(
-        self,
-        time: int,
-        callback: Callable[..., None],
-        args: tuple = (),
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``callback(*args)`` at absolute ``time``."""
-        event = Event(time, priority, self._seq, callback, args)
-        self._seq += 1
-        live = self._live + 1
-        self._live = live
-        if live > self.high_water:
-            self.high_water = live
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._live -= 1
-            return event
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Return the firing time of the next live event without popping it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if self._heap:
-            return self._heap[0].time
-        return None
-
-    def candidates(self) -> List[Event]:
-        """Every live event tied for the head of the queue.
-
-        "Tied" means equal ``(time, priority)`` to the next event the
-        kernel would pop: exactly the set whose relative order is decided
-        only by scheduling sequence, i.e. the same-cycle tie-breaking a
-        model checker may legally permute.  Returned in sequence order
-        (the default firing order), deterministically.
-        """
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return []
-        head = self._heap[0]
-        ties = [
-            event
-            for event in self._heap
-            if not event.cancelled
-            and event.time == head.time
-            and event.priority == head.priority
-        ]
-        ties.sort(key=lambda event: event.seq)
-        return ties
-
-    def extract(self, event: Event) -> Event:
-        """Remove a specific live event so the caller can fire it.
-
-        Used by the tie-break hook to pop a chosen candidate out of
-        order.  The heap entry is lazily discarded via the cancellation
-        marker; the caller owns firing the callback.
-        """
-        if event.cancelled:
-            raise ValueError(f"cannot extract dead event {event!r}")
-        event.cancelled = True
-        self._live -= 1
-        return event
-
-    def signature(self, now: int) -> tuple:
-        """A hashable digest of the live queue, relative to ``now``.
-
-        Part of the model checker's state fingerprint: two simulations
-        whose pending work has the same shape (same callbacks at the same
-        relative offsets) are exploring the same future.
-        """
-        return _signature(self._heap, now)
-
-    def summarize(self, limit: int = 8) -> str:
-        """A human-readable digest of the pending events (diagnostics)."""
-        return _summarize(self._heap, self._live, limit)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously pushed event."""
-        if not event.cancelled:
-            event.cancelled = True
-            self._live -= 1
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-
-class CalendarEventQueue:
-    """A bucketed (calendar) scheduler, bit-identical to :class:`EventQueue`.
+    """The kernel's deterministic bucketed (calendar) scheduler.
 
     Events land in per-cycle buckets keyed by absolute firing time; a
     small min-heap orders only the *distinct* times.  Draining a cycle is
-    then a list walk — no per-event re-heapify, no ``Event.__lt__`` calls
-    — which is the entire win: the reference heap spends ~40% of a dense
-    run comparing ``(time, priority, seq)`` tuples.
+    then a list walk, with no per-event re-heapify and no per-event
+    ``(time, priority, seq)`` tuple comparisons.
 
-    Ordering contract (identical to the reference heap):
+    Ordering contract:
 
     * events fire in ``(time, priority, seq)`` order.  A bucket is kept
       in push order (= seq order) and stably sorted by priority when it
@@ -306,12 +155,14 @@ class CalendarEventQueue:
       lookup re-sorts the undrained tail (stable, so seq order within a
       priority is preserved).
     * ``candidates()`` / ``extract()`` / ``signature()`` / ``summarize()``
-      observe exactly the same live-event sets as the reference queue, so
-      the checker's tie-break hooks and fingerprints are unchanged.
+      observe the live (pushed, not fired, not cancelled) events only.
+
+    ``tests/test_engine_fastpath.py`` holds the queue to this contract
+    against a sorted-list model keyed on ``(time, priority, seq)``.
 
     The kernel's fast loop reaches into ``_head_bucket``/``_head_pos``
-    directly to drain same-cycle batches; both classes live in this
-    module and evolve together.
+    directly to drain same-cycle batches; it lives in
+    :mod:`repro.engine.simulator` and evolves with this class.
     """
 
     def __init__(self) -> None:
@@ -449,8 +300,11 @@ class CalendarEventQueue:
     def candidates(self) -> List[Event]:
         """Every live event tied for the head of the queue.
 
-        Same contract as :meth:`EventQueue.candidates`: the set of live
-        events sharing the head's ``(time, priority)``, in seq order.
+        "Tied" means equal ``(time, priority)`` to the next event the
+        kernel would pop: exactly the set whose relative order is decided
+        only by scheduling sequence, i.e. the same-cycle tie-breaking a
+        model checker may legally permute.  Returned in sequence order
+        (the default firing order), deterministically.
         """
         event = self._head()
         if event is None:
@@ -483,12 +337,40 @@ class CalendarEventQueue:
             yield from bucket
 
     def signature(self, now: int) -> tuple:
-        """A hashable digest of the live queue, relative to ``now``."""
-        return _signature(self._iter_pending(), now)
+        """A hashable digest of the live queue, relative to ``now``.
+
+        Part of the model checker's state fingerprint: two simulations
+        whose pending work has the same shape (same callbacks at the same
+        relative offsets) are exploring the same future.
+        """
+        return tuple(
+            sorted(
+                (
+                    event.time - now,
+                    event.priority,
+                    callback_label(event.callback),
+                    len(event.args),
+                )
+                for event in self._iter_pending()
+                if not event.cancelled
+            )
+        )
 
     def summarize(self, limit: int = 8) -> str:
         """A human-readable digest of the pending events (diagnostics)."""
-        return _summarize(self._iter_pending(), self._live, limit)
+        live = sorted(
+            (event for event in self._iter_pending() if not event.cancelled),
+            key=lambda event: (event.time, event.priority, event.seq),
+        )
+        lines = [f"{self._live} pending event(s)"]
+        for event in live[:limit]:
+            callback = event.callback
+            name = getattr(callback, "__qualname__", repr(callback))
+            args = ", ".join(_brief(arg) for arg in event.args)
+            lines.append(f"  t={event.time} {name}({args})")
+        if len(live) > limit:
+            lines.append(f"  ... and {len(live) - limit} more")
+        return "\n".join(lines)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event."""

@@ -11,10 +11,7 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.engine.event import CalendarEventQueue, Event, EventQueue
-
-#: recognised values for ``Simulator(engine=...)`` / ``SystemConfig.engine``
-ENGINES = ("fast", "reference")
+from repro.engine.event import Event, EventQueue
 
 
 class SimulationError(RuntimeError):
@@ -43,22 +40,16 @@ class Simulator:
     strings; their output is appended to the runaway ``SimulationError``
     so a max-cycles overrun reports *what* was stuck, not just when.
 
-    ``engine`` selects the scheduler: ``"fast"`` (the default) uses the
-    calendar queue and a batched drain loop; ``"reference"`` uses the
-    original min-heap.  The two are bit-identical — same event order,
-    same cycle counts, same checker fingerprints — and the equivalence
-    suite (``tests/test_engine_fastpath.py``) holds them to it.
+    With no hook installed, :meth:`run` drains the queue through a
+    batched loop (:meth:`_run_fast`); with either hook it takes the
+    per-event loop (:meth:`_run_generic`).  Both fire the same events in
+    the same order, and ``tests/test_engine_fastpath.py`` holds them to it.
     """
 
-    def __init__(
-        self, max_cycles: int = 1_000_000_000, engine: str = "fast"
-    ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    def __init__(self, max_cycles: int = 1_000_000_000) -> None:
         self.now = 0
         self.max_cycles = max_cycles
-        self.engine = engine
-        self._queue = CalendarEventQueue() if engine == "fast" else EventQueue()
+        self._queue = EventQueue()
         self._events_fired = 0
         self._running = False
         self._host_seconds = 0.0
@@ -149,11 +140,7 @@ class Simulator:
         self._running = True
         started = _time.perf_counter()
         try:
-            if (
-                self.engine == "fast"
-                and self.tie_breaker is None
-                and self.on_step is None
-            ):
+            if self.tie_breaker is None and self.on_step is None:
                 self._run_fast(until)
             else:
                 self._run_generic(until)
@@ -163,7 +150,7 @@ class Simulator:
         return self.now
 
     def _run_generic(self, until: Optional[Callable[[], bool]]) -> None:
-        """The hook-capable drain loop (reference engine, and the checker)."""
+        """The hook-capable drain loop (the checker and invariant oracles)."""
         while self._queue:
             # Guard before popping so the offending event is still in
             # the queue when the error summarizes it.
@@ -183,7 +170,7 @@ class Simulator:
                 break
 
     def _run_fast(self, until: Optional[Callable[[], bool]]) -> None:
-        """Batched drain over the calendar queue (no hooks installed).
+        """Batched drain over the calendar buckets (no hooks installed).
 
         Fires exactly the same events in exactly the same order as
         :meth:`_run_generic`; the difference is mechanical — whole

@@ -59,11 +59,6 @@ class SystemConfig:
     # Runaway guard — turns livelock into a reportable outcome
     max_cycles: int = 500_000_000
 
-    #: simulation kernel: "fast" (calendar queue, batched drain) or
-    #: "reference" (the original min-heap oracle).  Bit-identical results;
-    #: see DESIGN.md "Two-engine architecture".
-    engine: str = "fast"
-
     def policy_kwargs(self) -> Dict[str, Any]:
         """Keyword arguments forwarded to the policy factory."""
         kwargs: Dict[str, Any] = {}

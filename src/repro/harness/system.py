@@ -39,7 +39,7 @@ class System:
     ) -> None:
         self.config = config if config is not None else SystemConfig()
         cfg = self.config
-        self.sim = Simulator(max_cycles=cfg.max_cycles, engine=cfg.engine)
+        self.sim = Simulator(max_cycles=cfg.max_cycles)
         self.stats = StatsRegistry()
         self.amap = AddressMap(cfg.line_bytes)
         self.memory = MainMemory(

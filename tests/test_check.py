@@ -263,6 +263,25 @@ class TestCheckCli:
         captured = capsys.readouterr()
         assert "reproduced" in captured.out
 
+    def test_cli_replay_names_unknown_spec_field(self, tmp_path, capsys):
+        """A counterexample saved while ``engine`` was a RunSpec field
+        fails to replay with a reason, not a traceback."""
+        from repro.cli import main
+
+        counterexample = Counterexample(
+            spec=small_spec(), schedule=[0], oracle="handoff",
+            message="m", time=1,
+        )
+        data = counterexample.to_json_obj()
+        data["spec"]["engine"] = "fast"
+        path = tmp_path / "old-ce.json"
+        path.write_text(json.dumps(data))
+
+        assert main(["check", "--replay", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown RunSpec field(s) 'engine'" in err
+        assert "valid fields: scenario, primitive" in err
+
     def test_cli_clean_cell_exits_zero(self, capsys):
         from repro.cli import main
 

@@ -1,4 +1,8 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the event queue.
+
+Bucket-level cases (demotion, dirty tails, the model comparison) live in
+``test_engine_fastpath.py``.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,11 +100,6 @@ class TestCancellation:
 
 
 class TestEvent:
-    def test_event_comparison(self):
-        a = Event(1, 0, 0, lambda: None, ())
-        b = Event(2, 0, 1, lambda: None, ())
-        assert a < b
-
     def test_cancel_flag(self):
         event = Event(1, 0, 0, lambda: None, ())
         assert not event.cancelled

@@ -1,22 +1,31 @@
-"""Fast-engine equivalence suite.
+"""Event-kernel identity suite.
 
-The calendar-queue fast path (``engine="fast"``) must be *bit-identical*
-to the reference min-heap (``engine="reference"``): same event order,
-same final cycle counts, same counters, same tie-break candidate sets,
-same checker fingerprints.  This suite holds the two engines to that
-contract three ways:
+The simulator has one scheduler, the calendar :class:`EventQueue`, and
+two drain loops over it.  Every cycle count the repo reports depends on
+the queue's ``(time, priority, seq)`` firing order, so this suite holds
+it to that contract at three levels:
 
-* **queue level** — Hypothesis drives :class:`CalendarEventQueue` and
-  :class:`EventQueue` through mirrored operation sequences and compares
-  every observable (pop order, peeks, candidates, signatures, lengths,
-  high-water marks);
-* **system level** — random concurrent programs run to completion on
-  both fabrics under each engine; cycles, the full counter snapshot and
-  the kernel self-metrics must match, as must the tied-head candidate
-  sets seen by a recording tie-break hook;
-* **checker level** — a smoke exploration cell produces the same
-  distinct-state fingerprint set under either engine.
+* **queue level** — Hypothesis drives the queue and :class:`ModelQueue`
+  (a sorted list keyed on ``(time, priority, seq)``) through the same
+  operation sequences and compares every observable (pop order, peeks,
+  tied-head candidates, extraction, signatures, lengths, high-water
+  marks);
+* **kernel level** — random concurrent programs run on both fabrics
+  through the batched hookless loop (``_run_fast``) and through the
+  per-event hook loop (``_run_generic``, entered via a no-op ``on_step``
+  or a tie-breaker that always takes the default candidate); cycles,
+  the full counter snapshot and the kernel self-metrics must match;
+* **checker level** — one exploration cell's fingerprints are pinned to
+  literals.
+
+End to end, the committed golden per-cell cycles and event counts
+(``results/PERF_baseline.json``, gated by ``tools/perf_gate.py``) carry
+the same identity across changes.
 """
+
+import bisect
+import dataclasses
+import hashlib
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
@@ -25,12 +34,9 @@ from conftest import small_config
 from repro import System
 from repro.check.explore import Budget, RunSpec, explore
 from repro.cpu.ops import LL, SC, Compute, Read, Swap, Write
-from repro.engine.event import (
-    CalendarEventQueue,
-    EventQueue,
-    callback_label,
-)
-from repro.engine.simulator import ENGINES, Simulator
+from repro.engine.event import EventQueue, callback_label
+from repro.engine.simulator import Simulator
+from repro.harness.config import SystemConfig
 
 prop_settings = settings(
     max_examples=25,
@@ -44,7 +50,7 @@ prop_settings = settings(
 
 
 # ----------------------------------------------------------------------
-# Queue-level equivalence
+# Queue level: the calendar queue against a sorted-list model
 # ----------------------------------------------------------------------
 def _cb_a():  # distinct callbacks so labels distinguish events
     pass
@@ -62,8 +68,38 @@ CALLBACKS = [_cb_a, _cb_b, _cb_c]
 
 
 def _key(event):
-    """An engine-independent identity for one event."""
+    """An event's model identity: its sort key plus its callback label."""
     return (event.time, event.priority, event.seq, callback_label(event.callback))
+
+
+class ModelQueue:
+    """The queue's ordering contract, as a sorted list of live keys."""
+
+    def __init__(self):
+        self.live, self.seq, self.high_water = [], 0, 0
+
+    def push(self, time, callback, args=(), priority=0):
+        key = (time, priority, self.seq, callback_label(callback))
+        self.seq += 1
+        bisect.insort(self.live, key)
+        self.high_water = max(self.high_water, len(self.live))
+        return key
+
+    def pop(self):
+        return self.live.pop(0) if self.live else None
+
+    def peek_time(self):
+        return self.live[0][0] if self.live else None
+
+    def candidates(self):
+        return [k for k in self.live if k[:2] == self.live[0][:2]]
+
+    def cancel(self, key):
+        if key in self.live:
+            self.live.remove(key)
+
+    def signature(self, now):
+        return tuple(sorted((t - now, p, label, 0) for t, p, _, label in self.live))
 
 
 _op = st.one_of(
@@ -75,6 +111,7 @@ _op = st.one_of(
     ),
     st.tuples(st.just("pop")),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("extract"), st.integers(min_value=0, max_value=7)),
     st.tuples(st.just("peek")),
     st.tuples(st.just("candidates")),
 )
@@ -87,55 +124,57 @@ class TestQueueEquivalence:
         use_priorities=st.booleans(),
     )
     def test_mirrored_operations_agree(self, ops, use_priorities):
-        """Both queues, fed the same operations, expose identical state."""
-        ref = EventQueue()
-        fast = CalendarEventQueue()
-        pushed = []  # parallel (ref_event, fast_event) pairs
+        """The queue and the model, fed the same operations, agree."""
+        queue, model = EventQueue(), ModelQueue()
+        pending = {}  # model key -> queue event, for not-yet-fired events
         now = 0
         for op in ops:
             if op[0] == "push":
                 _, delay, priority, cb = op
                 if not use_priorities:
                     priority = 0
-                callback = CALLBACKS[cb]
-                a = ref.push(now + delay, callback, (), priority)
-                b = fast.push(now + delay, callback, (), priority)
-                assert _key(a) == _key(b)
-                pushed.append((a, b))
+                event = queue.push(now + delay, CALLBACKS[cb], (), priority)
+                key = model.push(now + delay, CALLBACKS[cb], (), priority)
+                assert _key(event) == key
+                pending[key] = event
             elif op[0] == "pop":
-                a, b = ref.pop(), fast.pop()
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert _key(a) == _key(b)
-                    now = a.time
+                event, key = queue.pop(), model.pop()
+                assert (None if event is None else _key(event)) == key
+                if key is not None:
+                    now = key[0]
                     # Fired events may not be cancelled (kernel contract:
                     # cancellation is for *pending* events only).
-                    pushed = [pair for pair in pushed if pair[0] is not a]
-            elif op[0] == "cancel" and pushed:
-                a, b = pushed[op[1] % len(pushed)]
-                ref.cancel(a)
-                fast.cancel(b)
+                    del pending[key]
+            elif op[0] == "cancel" and pending:
+                key = sorted(pending)[op[1] % len(pending)]
+                queue.cancel(pending[key])
+                model.cancel(key)
+            elif op[0] == "extract":
+                ties = queue.candidates()
+                assert [_key(e) for e in ties] == model.candidates()
+                if ties:
+                    key = _key(ties[op[1] % len(ties)])
+                    assert queue.extract(pending.pop(key)) is not None
+                    model.live.remove(key)
+                    now = key[0]
             elif op[0] == "peek":
-                assert ref.peek_time() == fast.peek_time()
+                assert queue.peek_time() == model.peek_time()
             elif op[0] == "candidates":
-                assert [_key(e) for e in ref.candidates()] == [
-                    _key(e) for e in fast.candidates()
-                ]
-            assert len(ref) == len(fast)
-            assert bool(ref) == bool(fast)
-            assert ref.high_water == fast.high_water
-            assert ref.signature(now) == fast.signature(now)
+                assert [_key(e) for e in queue.candidates()] == model.candidates()
+            assert len(queue) == len(model.live)
+            assert bool(queue) == bool(model.live)
+            assert queue.high_water == model.high_water
+            assert queue.signature(now) == model.signature(now)
         # Drain whatever is left: the full firing order must agree.
         while True:
-            a, b = ref.pop(), fast.pop()
-            assert (a is None) == (b is None)
-            if a is None:
+            event, key = queue.pop(), model.pop()
+            assert (None if event is None else _key(event)) == key
+            if key is None:
                 break
-            assert _key(a) == _key(b)
 
     def test_demote_head_on_earlier_push(self):
         """Peeking promotes a bucket; a push at an earlier time must win."""
-        q = CalendarEventQueue()
+        q = EventQueue()
         q.push(5, _cb_a)
         assert q.peek_time() == 5  # promotes the t=5 bucket
         q.push(3, _cb_b)
@@ -146,7 +185,7 @@ class TestQueueEquivalence:
 
     def test_dirty_head_bucket_resorts_tail(self):
         """A low-priority push landing mid-drain is sorted into place."""
-        q = CalendarEventQueue()
+        q = EventQueue()
         q.push(1, _cb_a, (), 0)
         q.push(1, _cb_b, (), 2)
         first = q.pop()
@@ -158,22 +197,23 @@ class TestQueueEquivalence:
         assert q.pop().callback is _cb_b
 
     def test_priority_orders_within_bucket(self):
-        ref, fast = EventQueue(), CalendarEventQueue()
-        for queue in (ref, fast):
-            queue.push(7, _cb_a, (), 1)
-            queue.push(7, _cb_b, (), 0)
-            queue.push(7, _cb_c, (), 1)
-        order_ref = [_key(ref.pop()) for _ in range(3)]
-        order_fast = [_key(fast.pop()) for _ in range(3)]
-        assert order_ref == order_fast
-        assert [k[3] for k in order_fast] == [
+        """Priority beats seq inside one cycle's bucket (a bucket kept in
+        push order alone once fired these out of order)."""
+        queue, model = EventQueue(), ModelQueue()
+        for q in (queue, model):
+            q.push(7, _cb_a, (), 1)
+            q.push(7, _cb_b, (), 0)
+            q.push(7, _cb_c, (), 1)
+        order = [_key(queue.pop()) for _ in range(3)]
+        assert order == [model.pop() for _ in range(3)]
+        assert [k[3] for k in order] == [
             callback_label(_cb_b),
             callback_label(_cb_a),
             callback_label(_cb_c),
         ]
 
     def test_cancelled_tail_deletes_bucket(self):
-        q = CalendarEventQueue()
+        q = EventQueue()
         a = q.push(2, _cb_a)
         b = q.push(2, _cb_b)
         q.cancel(a)
@@ -185,31 +225,26 @@ class TestQueueEquivalence:
         assert q.pop().time == 4
 
     def test_extract_matches_reference(self):
-        ref, fast = EventQueue(), CalendarEventQueue()
-        pairs = [
-            (ref.push(3, cb), fast.push(3, cb)) for cb in CALLBACKS
-        ]
-        # Extract the middle candidate from both, then drain.
-        ref.extract(pairs[1][0])
-        fast.extract(pairs[1][1])
-        assert [_key(e) for e in ref.candidates()] == [
-            _key(e) for e in fast.candidates()
-        ]
-        assert _key(ref.pop()) == _key(fast.pop())
-        assert _key(ref.pop()) == _key(fast.pop())
-        assert ref.pop() is None and fast.pop() is None
+        """Extracting a middle candidate leaves the model's order."""
+        queue, model = EventQueue(), ModelQueue()
+        events = [queue.push(3, cb) for cb in CALLBACKS]
+        keys = [model.push(3, cb) for cb in CALLBACKS]
+        queue.extract(events[1])
+        model.live.remove(keys[1])
+        assert [_key(e) for e in queue.candidates()] == model.candidates()
+        assert _key(queue.pop()) == model.pop()
+        assert _key(queue.pop()) == model.pop()
+        assert queue.pop() is None and model.pop() is None
 
 
 # ----------------------------------------------------------------------
-# System-level equivalence
+# Kernel level: the batched loop against the per-event hook loop
 # ----------------------------------------------------------------------
 def _build_pair(n, policy, interconnect, scripts, lines_per):
-    """Two identical systems differing only in the engine."""
+    """Two identical systems running the same random programs."""
     systems = []
-    for engine in ENGINES:
-        system = System(
-            small_config(n, policy, interconnect=interconnect, engine=engine)
-        )
+    for _ in range(2):
+        system = System(small_config(n, policy, interconnect=interconnect))
         lines = [system.layout.alloc_line() for _ in range(lines_per)]
 
         def worker(tid, script, lines=lines):
@@ -239,6 +274,14 @@ def _build_pair(n, policy, interconnect, scripts, lines_per):
     return systems
 
 
+def _assert_same_run(a, b):
+    """Cycles, every counter and the kernel self-metrics agree."""
+    assert a.run() == b.run()
+    assert a.stats.snapshot() == b.stats.snapshot()
+    assert a.sim.events_fired == b.sim.events_fired
+    assert a.sim.queue_high_water == b.sim.queue_high_water
+
+
 _script_op = st.tuples(
     st.sampled_from(["read", "write", "rmw", "swap", "compute"]),
     st.integers(min_value=0, max_value=2),
@@ -246,101 +289,97 @@ _script_op = st.tuples(
 )
 
 
+def _draw_scripts(data, n, max_ops):
+    return [
+        data.draw(
+            st.lists(_script_op, min_size=1, max_size=max_ops),
+            label=f"script{t}",
+        )
+        for t in range(n)
+    ]
+
+
 class TestSystemEquivalence:
     @prop_settings
     @given(data=st.data())
     def test_random_programs_bit_identical(self, interconnect, data):
-        """Cycles, counters and kernel self-metrics match per engine."""
+        """The hookless batched loop equals the per-event loop."""
         n = data.draw(st.integers(min_value=2, max_value=3), label="threads")
         policy = data.draw(
             st.sampled_from(["baseline", "delayed", "iqolb"]), label="policy"
         )
-        scripts = [
-            data.draw(
-                st.lists(_script_op, min_size=1, max_size=10),
-                label=f"script{t}",
-            )
-            for t in range(n)
-        ]
-        fast_sys, ref_sys = _build_pair(n, policy, interconnect, scripts, 3)
-        fast_cycles = fast_sys.run()
-        ref_cycles = ref_sys.run()
-        assert fast_cycles == ref_cycles
-        assert fast_sys.stats.snapshot() == ref_sys.stats.snapshot()
-        assert fast_sys.sim.events_fired == ref_sys.sim.events_fired
-        assert fast_sys.sim.queue_high_water == ref_sys.sim.queue_high_water
+        scripts = _draw_scripts(data, n, 10)
+        hookless, stepped = _build_pair(n, policy, interconnect, scripts, 3)
+        stepped.sim.on_step = lambda: None  # forces _run_generic
+        _assert_same_run(hookless, stepped)
 
     @prop_settings
     @given(data=st.data())
     def test_tied_head_candidates_identical(self, interconnect, data):
-        """A recording tie-break hook sees the same candidate sets.
+        """A tie-breaker that always takes candidate 0 changes nothing.
 
-        With a tie-breaker installed the fast engine takes the generic
-        loop but still runs on the calendar queue — this is exactly the
-        checker's configuration, so candidate parity here means the
-        explorer enumerates the same interleavings on either engine.
+        This is the checker's configuration (tie-break hook, per-event
+        loop) following the default schedule, so it must reproduce the
+        hookless run exactly; every tied set it sees must share one
+        ``(time, priority)`` and be in seq order.
         """
         n = data.draw(st.integers(min_value=2, max_value=3), label="threads")
-        scripts = [
-            data.draw(
-                st.lists(_script_op, min_size=1, max_size=6),
-                label=f"script{t}",
-            )
-            for t in range(n)
-        ]
-        fast_sys, ref_sys = _build_pair(n, "iqolb", interconnect, scripts, 2)
-        traces = []
-        for system in (fast_sys, ref_sys):
-            seen = []
+        scripts = _draw_scripts(data, n, 6)
+        hookless, tied = _build_pair(n, "iqolb", interconnect, scripts, 2)
+        seen = []
 
-            def tie_breaker(ties, seen=seen):
-                seen.append(tuple(_key(e) for e in ties))
-                return 0  # lowest seq == the default firing order
+        def tie_breaker(ties):
+            seen.append([_key(e) for e in ties])
+            return 0  # lowest seq == the default firing order
 
-            system.sim.tie_breaker = tie_breaker
-            cycles = system.run()
-            traces.append((cycles, seen))
-        assert traces[0] == traces[1]
+        tied.sim.tie_breaker = tie_breaker
+        _assert_same_run(hookless, tied)
+        for keys in seen:
+            assert len({k[:2] for k in keys}) == 1
+            assert [k[2] for k in keys] == sorted(k[2] for k in keys)
 
 
 # ----------------------------------------------------------------------
-# Checker-level equivalence
+# Checker level: pinned fingerprints
 # ----------------------------------------------------------------------
 class TestCheckerEquivalence:
     def test_smoke_cell_same_distinct_states(self):
-        """One exploration cell fingerprints identically per engine."""
-        reports = []
-        for engine in ENGINES:
-            spec = RunSpec(
-                scenario="lock",
-                primitive="iqolb",
-                interconnect="bus",
-                n_processors=2,
-                acquires_per_proc=1,
-                engine=engine,
-            )
-            reports.append(
-                explore(spec, Budget(max_schedules=12, reduction="none"))
-            )
-        fast, ref = reports
-        assert fast.schedules_run == ref.schedules_run
-        assert fast.statuses == ref.statuses
-        assert fast.state_fingerprints == ref.state_fingerprints
-        assert fast.distinct_states == ref.distinct_states
-        assert not fast.violations and not ref.violations
+        """One exhaustive exploration cell reproduces its recorded
+        schedules, statuses and state-fingerprint set."""
+        spec = RunSpec(
+            scenario="lock",
+            primitive="iqolb",
+            interconnect="bus",
+            n_processors=2,
+            acquires_per_proc=1,
+        )
+        report = explore(spec, Budget(max_schedules=12, reduction="none"))
+        digest = hashlib.sha256(
+            "\n".join(sorted(report.state_fingerprints)).encode()
+        ).hexdigest()
+        assert report.schedules_run == 12
+        assert report.statuses == {"finished": 12}
+        assert report.distinct_states == 11
+        assert digest == (
+            "a630842c59eefc6685da8ddd86bddb888c0b6c9b2bb4838e84c834256ec8bdff"
+        )
+        assert not report.violations
 
 
 # ----------------------------------------------------------------------
 # Plumbing
 # ----------------------------------------------------------------------
 class TestEngineSelection:
+    """There is one kernel: nothing selects an engine any more."""
+
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            Simulator(engine="turbo")
+        """A spec saved when ``engine`` was a field names it on load."""
+        data = dict(RunSpec().to_dict(), engine="fast")
+        with pytest.raises(ValueError, match="'engine'.*valid fields: scenario"):
+            RunSpec.from_dict(data)
 
     def test_config_selects_queue_class(self):
-        fast = System(small_config(2, engine="fast"))
-        ref = System(small_config(2, engine="reference"))
-        assert isinstance(fast.sim._queue, CalendarEventQueue)
-        assert isinstance(ref.sim._queue, EventQueue)
-        assert fast.sim.engine == "fast" and ref.sim.engine == "reference"
+        system = System(small_config(2))
+        assert type(system.sim._queue) is EventQueue
+        assert "engine" not in {f.name for f in dataclasses.fields(SystemConfig)}
+        assert not hasattr(Simulator(), "engine")

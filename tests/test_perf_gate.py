@@ -1,19 +1,24 @@
-"""The perf-gate tool's failure diagnostics.
+"""The golden-value gate and its failure diagnostics.
 
-A perf-smoke failure in CI must be diagnosable from the log alone: the
-gate prints a per-cell expected-vs-got diff with relative deltas rather
-than only the failing assertion.
+The gate fails when any golden cell drifts on ``cycles``,
+``bus_transactions`` or ``events_fired``, and a failure in CI must be
+diagnosable from the log alone: the gate prints a per-cell
+expected-vs-got diff with relative deltas rather than only the failing
+assertion.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import io
+import json
 import pathlib
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BASELINE = ROOT / "results" / "PERF_baseline.json"
+
 SPEC = importlib.util.spec_from_file_location(
-    "perf_gate",
-    pathlib.Path(__file__).resolve().parents[1] / "tools" / "perf_gate.py",
+    "perf_gate", ROOT / "tools" / "perf_gate.py"
 )
 perf_gate = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(perf_gate)
@@ -30,38 +35,74 @@ def cell(key, cycles=100, bus=10, events=1000, rate=5000.0):
     }
 
 
-class TestDiffCollection:
-    def test_equivalence_divergence_is_recorded(self):
-        fast = {"bus/tts/16": cell(["bus", "tts", 16], cycles=101)}
-        reference = {"bus/tts/16": cell(["bus", "tts", 16], cycles=100)}
-        failures, diffs = [], []
-        perf_gate.check_equivalence(fast, reference, failures, diffs)
-        assert len(failures) == 1
-        assert diffs == [
-            {
-                "check": "equivalence",
-                "cell": "bus/tts/16",
-                "field": "cycles",
-                "expected": 100,
-                "got": 101,
-            }
-        ]
+def golden(*cells):
+    return perf_gate.build_baseline(
+        {"/".join(map(str, c["key"])): c for c in cells}
+    )["cells"]
 
+
+def write_summary(path, cells):
+    payload = {"schema": perf_gate.SUMMARY_SCHEMA, "cells": cells}
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+class TestDiffCollection:
     def test_determinism_divergence_is_recorded(self):
-        fast = {"a": cell(["a"], events=1100)}
-        baseline = {"cells": {"a": {"events_fired": 1000}}}
+        fresh = {"a": cell(["a"], events=1100)}
         failures, diffs = [], []
-        perf_gate.check_baseline(fast, {}, baseline, 0.2, failures, diffs)
+        perf_gate.check_golden(fresh, golden(cell(["a"])), failures, diffs)
         assert any("determinism" in f for f in failures)
-        assert diffs[0]["expected"] == 1000
-        assert diffs[0]["got"] == 1100
+        assert diffs == [
+            {"cell": "a", "field": "events_fired", "expected": 1000, "got": 1100}
+        ]
 
     def test_clean_run_records_nothing(self):
         grid = {"a": cell(["a"])}
         failures, diffs = [], []
-        perf_gate.check_equivalence(grid, dict(grid), failures, diffs)
+        perf_gate.check_golden(grid, golden(cell(["a"])), failures, diffs)
         assert failures == []
         assert diffs == []
+
+    def test_missing_golden_cell_fails(self):
+        failures = []
+        perf_gate.check_golden({}, golden(cell(["a"])), failures)
+        assert failures == ["determinism: golden cell a not measured"]
+
+
+class TestGate:
+    def test_cycles_only_drift_fails(self, tmp_path, capsys):
+        """Events and bus transactions match; one cell's cycles do not."""
+        key = ["bus", "tts", 16]
+        gold = tmp_path / "golden.json"
+        fresh = write_summary(tmp_path / "fresh.json", [cell(key)])
+        assert perf_gate.main([fresh, "--golden", str(gold), "--update"]) == 0
+        drifted = write_summary(tmp_path / "drift.json", [cell(key, cycles=101)])
+        assert perf_gate.main([drifted, "--golden", str(gold)]) == 1
+        err = capsys.readouterr().err
+        assert "bus/tts/16 cycles is 101, golden says 100" in err
+        assert "+1.00%" in err
+
+    def test_summary_is_a_golden_file(self, tmp_path):
+        """A committed metrics summary gates a fresh run directly."""
+        cells = [cell(["directory", "iqolb", 64], cycles=5000)]
+        gold = write_summary(tmp_path / "golden.summary.json", cells)
+        fresh = write_summary(tmp_path / "fresh.json", cells)
+        assert perf_gate.main([fresh, "--golden", gold]) == 0
+
+    def test_unknown_golden_schema_fails(self, tmp_path, capsys):
+        gold = tmp_path / "old.json"
+        gold.write_text(json.dumps({"schema": "repro-perf-baseline/1"}))
+        fresh = write_summary(tmp_path / "fresh.json", [])
+        assert perf_gate.main([fresh, "--golden", str(gold)]) == 1
+        assert "repro-perf-baseline/1" in capsys.readouterr().err
+
+    def test_committed_baseline_pins_three_fields(self):
+        payload = json.loads(BASELINE.read_text())
+        assert payload["schema"] == perf_gate.BASELINE_SCHEMA
+        assert set(payload) == {"schema", "cells"}
+        for values in payload["cells"].values():
+            assert set(values) == set(perf_gate.GOLDEN_FIELDS)
 
 
 class TestDiffRendering:
@@ -70,7 +111,6 @@ class TestDiffRendering:
         perf_gate.print_cell_diffs(
             [
                 {
-                    "check": "determinism",
                     "cell": "directory/iqolb/64",
                     "field": "events_fired",
                     "expected": 1000,
@@ -92,15 +132,7 @@ class TestDiffRendering:
     def test_zero_expected_renders_na(self):
         out = io.StringIO()
         perf_gate.print_cell_diffs(
-            [
-                {
-                    "check": "equivalence",
-                    "cell": "x",
-                    "field": "cycles",
-                    "expected": 0,
-                    "got": 7,
-                }
-            ],
+            [{"cell": "x", "field": "cycles", "expected": 0, "got": 7}],
             file=out,
         )
         assert "n/a" in out.getvalue()

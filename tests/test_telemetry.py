@@ -318,8 +318,8 @@ class TestMetricsExport:
         cell = summary["cells"][0]
         assert cell["n_counters"] == len(full["cells"][0]["counters"])
         assert cell["n_histograms"] == len(full["cells"][0]["histograms"])
-        # Throughput provenance survives the digest: the perf-smoke CI
-        # gate compares events/host-second straight from the summary.
+        # Kernel provenance survives the digest: the golden-cycles gate
+        # compares event counts straight from the summary.
         manifest = full["cells"][0]["manifest"]
         assert cell["events_fired"] == manifest["events_fired"]
         assert cell["events_per_host_s"] == manifest["events_per_host_s"]

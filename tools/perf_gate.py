@@ -1,27 +1,24 @@
 #!/usr/bin/env python
-"""Perf-regression gate for the event-engine fast path.
+"""Golden-value gate for the directory-scaling bench.
 
-Reads the ``BENCH_directory_scaling`` summaries produced by running the
-scaling bench under both engines (``--engine fast`` / ``--engine
-reference``) and enforces, against the checked-in
-``results/PERF_baseline.json``:
+Compares a fresh ``BENCH_directory_scaling`` summary against golden
+per-cell values and fails if any golden cell is missing or drifted on a
+deterministic field: ``cycles``, ``bus_transactions`` or
+``events_fired``.  The simulator is deterministic, so these values are
+host-independent; a mismatch means the protocol, the workload or the
+event order changed.
 
-* **equivalence** — for every cell present in both summaries, the two
-  engines produced identical ``cycles``, ``bus_transactions`` and
-  ``events_fired`` (the bit-identical-oracle contract, proven in CI on
-  every run);
-* **determinism** — per-cell ``events_fired`` matches the baseline
-  exactly (event counts are host-independent; a mismatch means the
-  workload or protocol changed and the baseline needs ``--update``);
-* **throughput** — the fast engine's aggregate speedup over the
-  reference engine (total events / total host seconds, fast divided by
-  reference) has not regressed more than ``--tolerance`` (default 20%)
-  below the baseline's recorded speedup.  The *ratio* is gated rather
-  than raw events/host-second so the check is stable across runner
-  hardware generations; absolute numbers are still reported.
+The golden file is either the checked-in ``results/PERF_baseline.json``
+(``repro-perf-baseline/2``, the smoke cells) or a metrics summary such as
+the committed full-scale ``results/BENCH_directory_scaling.summary.json``.
 
-Exit status is non-zero on any failure.  ``--update`` rewrites the
-baseline from the current measurements instead of gating.
+Usage::
+
+    python tools/perf_gate.py FRESH --golden FILE [--update]
+
+Exit status is non-zero on any drift, with a per-cell diff table on
+stderr.  ``--update`` rewrites FILE as a baseline from FRESH instead of
+gating.
 """
 
 from __future__ import annotations
@@ -31,77 +28,55 @@ import json
 import sys
 from typing import Any, Dict, Optional
 
-BASELINE_SCHEMA = "repro-perf-baseline/1"
+BASELINE_SCHEMA = "repro-perf-baseline/2"
+SUMMARY_SCHEMA = "repro-metrics-summary/1"
 
-#: summary fields that must be bit-identical between the two engines
-EQUIVALENCE_FIELDS = ("cycles", "bus_transactions", "events_fired")
+#: the deterministic per-cell fields the golden values pin
+GOLDEN_FIELDS = ("cycles", "bus_transactions", "events_fired")
 
 
-def load_cells(path: str) -> Dict[str, Dict[str, Any]]:
+def index_cells(payload: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
     """Index a metrics summary's cells by their joined key."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
     return {"/".join(map(str, cell["key"])): cell for cell in payload["cells"]}
 
 
-def aggregate(cells: Dict[str, Dict[str, Any]]) -> Dict[str, float]:
-    """Total events and host seconds across a summary's cells."""
-    events = sum(cell.get("events_fired", 0) for cell in cells.values())
-    host_s = sum(cell.get("wall_time_s", 0.0) for cell in cells.values())
-    return {
-        "events": events,
-        "host_s": round(host_s, 6),
-        "events_per_host_s": round(events / host_s, 1) if host_s > 0 else 0.0,
-    }
+def load_cells(path: str) -> Dict[str, Dict[str, Any]]:
+    """The cells of a metrics summary, keyed like ``bus/iqolb/8``."""
+    with open(path, encoding="utf-8") as handle:
+        return index_cells(json.load(handle))
 
 
-def build_baseline(
-    fast: Dict[str, Dict[str, Any]],
-    reference: Dict[str, Dict[str, Any]],
-    tolerance: float,
-) -> Dict[str, Any]:
-    agg_fast = aggregate(fast)
-    agg_ref = aggregate(reference)
-    speedup = (
-        agg_fast["events_per_host_s"] / agg_ref["events_per_host_s"]
-        if agg_ref["events_per_host_s"]
-        else 0.0
+def load_golden(path: str) -> Dict[str, Dict[str, Any]]:
+    """Golden cells from a baseline or a metrics summary."""
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    schema = payload.get("schema")
+    if schema == BASELINE_SCHEMA:
+        return payload["cells"]
+    if schema == SUMMARY_SCHEMA:
+        return index_cells(payload)
+    raise ValueError(
+        f"{path}: golden schema {schema!r} is neither "
+        f"{BASELINE_SCHEMA!r} nor {SUMMARY_SCHEMA!r}"
     )
-    cells = {}
-    for key in sorted(fast):
-        cell = fast[key]
-        ref_cell = reference.get(key, {})
-        cells[key] = {
-            "events_fired": cell.get("events_fired", 0),
-            "cycles": cell.get("cycles", 0),
-            "fast_events_per_host_s": round(cell.get("events_per_host_s", 0.0), 1),
-            "reference_events_per_host_s": round(
-                ref_cell.get("events_per_host_s", 0.0), 1
-            ),
-        }
+
+
+def build_baseline(fresh: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
+    """A baseline document pinning ``fresh``'s golden fields."""
     return {
         "schema": BASELINE_SCHEMA,
-        "tolerance": tolerance,
-        "aggregate": {
-            "fast": agg_fast,
-            "reference": agg_ref,
-            "speedup": round(speedup, 3),
+        "cells": {
+            key: {field: fresh[key].get(field, 0) for field in GOLDEN_FIELDS}
+            for key in sorted(fresh)
         },
-        "cells": cells,
     }
 
 
-def record_diff(diffs, check, cell, field, expected, got) -> None:
+def record_diff(diffs, cell, field, expected, got) -> None:
     """Accumulate one expected-vs-got divergence for the failure report."""
     if diffs is not None:
         diffs.append(
-            {
-                "check": check,
-                "cell": cell,
-                "field": field,
-                "expected": expected,
-                "got": got,
-            }
+            {"cell": cell, "field": field, "expected": expected, "got": got}
         )
 
 
@@ -120,16 +95,9 @@ def print_cell_diffs(diffs, file=None) -> None:
         else:
             delta = "n/a"
         rows.append(
-            (
-                diff["check"],
-                diff["cell"],
-                diff["field"],
-                str(expected),
-                str(got),
-                delta,
-            )
+            (diff["cell"], diff["field"], str(expected), str(got), delta)
         )
-    headers = ("check", "cell", "field", "expected", "got", "delta")
+    headers = ("cell", "field", "expected", "got", "delta")
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in rows))
         for i in range(len(headers))
@@ -146,149 +114,64 @@ def print_cell_diffs(diffs, file=None) -> None:
         )
 
 
-def check_equivalence(fast, reference, failures, diffs=None) -> None:
-    for key in sorted(set(fast) & set(reference)):
-        for field in EQUIVALENCE_FIELDS:
-            a, b = fast[key].get(field), reference[key].get(field)
-            if a != b:
-                failures.append(
-                    f"equivalence: cell {key} {field} differs between "
-                    f"engines (fast={a}, reference={b})"
-                )
-                record_diff(diffs, "equivalence", key, field, b, a)
-    missing = set(fast) ^ set(reference)
-    for key in sorted(missing):
-        failures.append(
-            f"equivalence: cell {key} present under only one engine"
-        )
-
-
-def check_baseline(
-    fast, reference, baseline, tolerance, failures, diffs=None
-) -> None:
-    for key, expected in sorted(baseline.get("cells", {}).items()):
-        cell = fast.get(key)
+def check_golden(fresh, golden, failures, diffs=None) -> None:
+    """Compare every golden cell's deterministic fields with ``fresh``."""
+    for key, expected in sorted(golden.items()):
+        cell = fresh.get(key)
         if cell is None:
-            failures.append(f"determinism: baseline cell {key} not measured")
+            failures.append(f"determinism: golden cell {key} not measured")
             continue
-        got = cell.get("events_fired", 0)
-        want = expected["events_fired"]
-        if got != want:
-            failures.append(
-                f"determinism: cell {key} fired {got} events, baseline "
-                f"says {want} (workload changed? re-run with --update)"
-            )
-            record_diff(diffs, "determinism", key, "events_fired", want, got)
-    base_speedup = baseline.get("aggregate", {}).get("speedup", 0.0)
-    if not base_speedup:
-        return
-    agg_fast = aggregate(fast)
-    agg_ref = aggregate(reference)
-    if not agg_ref["events_per_host_s"]:
-        failures.append("throughput: reference summary has no host seconds")
-        return
-    speedup = agg_fast["events_per_host_s"] / agg_ref["events_per_host_s"]
-    floor = base_speedup * (1.0 - tolerance)
-    verdict = "OK" if speedup >= floor else "FAIL"
-    print(
-        f"throughput: fast {agg_fast['events_per_host_s']:.0f} ev/s, "
-        f"reference {agg_ref['events_per_host_s']:.0f} ev/s -> "
-        f"speedup {speedup:.2f}x (baseline {base_speedup:.2f}x, "
-        f"floor {floor:.2f}x) {verdict}"
-    )
-    if speedup < floor:
-        failures.append(
-            f"throughput: fast-engine speedup {speedup:.2f}x regressed "
-            f"below {floor:.2f}x ({tolerance:.0%} under the baseline's "
-            f"{base_speedup:.2f}x)"
-        )
+        for field in GOLDEN_FIELDS:
+            want, got = expected.get(field), cell.get(field)
+            if got != want:
+                failures.append(
+                    f"determinism: cell {key} {field} is {got}, golden "
+                    f"says {want} (intended? re-run with --update)"
+                )
+                record_diff(diffs, key, field, want, got)
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("fast", help="summary JSON from --engine fast")
-    parser.add_argument("reference", help="summary JSON from --engine reference")
+    parser.add_argument("fresh", help="metrics summary JSON from a fresh run")
     parser.add_argument(
-        "--baseline",
-        default="results/PERF_baseline.json",
-        help="checked-in perf baseline (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional speedup regression "
-        "(default: the baseline's recorded tolerance, else 0.20)",
+        "--golden",
+        required=True,
+        help="golden values: a repro-perf-baseline/2 file or a metrics summary",
     )
     parser.add_argument(
         "--update",
         action="store_true",
-        help="rewrite the baseline from the current measurements",
-    )
-    parser.add_argument(
-        "--equivalence-only",
-        action="store_true",
-        help="check only fast-vs-reference equivalence "
-        "(for full-budget runs with no committed baseline)",
+        help="rewrite --golden as a baseline from FRESH instead of gating",
     )
     args = parser.parse_args(argv)
 
-    fast = load_cells(args.fast)
-    reference = load_cells(args.reference)
-    failures: list = []
-    diffs: list = []
-
-    check_equivalence(fast, reference, failures, diffs)
-    print(
-        f"equivalence: {len(set(fast) & set(reference))} cell(s) compared "
-        f"across {len(EQUIVALENCE_FIELDS)} fields"
-    )
-
+    fresh = load_cells(args.fresh)
     if args.update:
-        if failures:
-            for failure in failures:
-                print(f"FAIL {failure}", file=sys.stderr)
-            print_cell_diffs(diffs)
-            print("refusing to update baseline from diverging engines",
-                  file=sys.stderr)
-            return 1
-        tolerance = args.tolerance if args.tolerance is not None else 0.20
-        baseline = build_baseline(fast, reference, tolerance)
-        with open(args.baseline, "w", encoding="utf-8") as handle:
+        baseline = build_baseline(fresh)
+        with open(args.golden, "w", encoding="utf-8") as handle:
             json.dump(baseline, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        agg = baseline["aggregate"]
-        print(
-            f"baseline updated: {args.baseline} "
-            f"(speedup {agg['speedup']:.2f}x over {len(baseline['cells'])} "
-            f"cell(s), tolerance {tolerance:.0%})"
-        )
+        print(f"baseline updated: {args.golden} ({len(fresh)} cell(s))")
         return 0
 
-    if not args.equivalence_only:
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        if baseline.get("schema") != BASELINE_SCHEMA:
-            failures.append(
-                f"baseline schema {baseline.get('schema')!r} != "
-                f"{BASELINE_SCHEMA!r}"
-            )
-        else:
-            tolerance = (
-                args.tolerance
-                if args.tolerance is not None
-                else baseline.get("tolerance", 0.20)
-            )
-            check_baseline(
-                fast, reference, baseline, tolerance, failures, diffs
-            )
-
+    try:
+        golden = load_golden(args.golden)
+    except ValueError as exc:
+        print(f"FAIL {exc}", file=sys.stderr)
+        return 1
+    failures: list = []
+    diffs: list = []
+    check_golden(fresh, golden, failures, diffs)
     if failures:
         for failure in failures:
             print(f"FAIL {failure}", file=sys.stderr)
         print_cell_diffs(diffs)
         return 1
-    print("perf gate: OK")
+    print(
+        f"perf gate: OK ({len(golden)} golden cell(s) x "
+        f"{len(GOLDEN_FIELDS)} fields match)"
+    )
     return 0
 
 
