@@ -13,12 +13,13 @@ mechanically instead of sampling them:
   backtrack seeding) checked for equivalence against the exhaustive
   mode.
 * :mod:`repro.check.scenarios` holds the workload shapes the checker
-  explores — contended lock, shared counter, sense-reversing barrier,
-  MCS queue hand-off — each with its own oracles and seeded mutations.
+  explores — a contended lock (any registered primitive, run as
+  shipped), shared counter, sense-reversing barrier — each with its own
+  oracles and seeded mutations.
 * :mod:`repro.check.oracles` holds the pluggable invariant checks: SWMR,
-  data-value coherence, mutual exclusion, exactly-once hand-off, FIFO
-  hand-off order under queue retention, and progress under the paper's
-  timeout bound.
+  data-value coherence, mutual exclusion and grant order, exactly-once
+  hand-off, FIFO hand-off order under queue retention, and progress
+  under the paper's timeout bound.
 * :mod:`repro.check.faults` perturbs the interconnect — bounded extra
   message delay, address-phase jitter, dropped tear-off responses — to
   exercise the directory's NACK/retry and timeout-recovery paths on

@@ -67,9 +67,14 @@ from repro.check.oracles import (
     SwmrOracle,
     Violation,
 )
-from repro.check.scenarios import build_scenario, install_mutation
+from repro.check.scenarios import (
+    SCENARIOS,
+    build_scenario,
+    install_mutation,
+    scenario_names,
+)
+from repro.core.registry import get_primitive, unknown_choice
 from repro.engine.simulator import SimulationError
-from repro.harness.experiment import PRIMITIVES
 from repro.telemetry.tracer import TraceDispatcher
 
 
@@ -123,6 +128,9 @@ class RunSpec:
                 f"unknown RunSpec field(s) {', '.join(map(repr, unknown))}; "
                 f"valid fields: {', '.join(valid)}"
             )
+        scenario = data.get("scenario", cls.scenario)
+        if scenario not in SCENARIOS:
+            raise unknown_choice("scenario", scenario, scenario_names())
         data = dict(data)
         if data.get("fault_plan") is not None:
             data["fault_plan"] = FaultPlan.from_dict(data["fault_plan"])
@@ -327,7 +335,8 @@ def run_once(
     system = built.system
     install_mutation(spec.mutation, system, built.workload)
 
-    policy, _ = PRIMITIVES[spec.primitive]
+    primitive = get_primitive(spec.primitive)
+    policy = primitive.policy
     retention = policy.endswith("+retention") or policy == "qolb"
     handoff_oracle = HandoffOracle(
         system, built.workload.handoff_lines(system), fifo=retention
@@ -336,7 +345,7 @@ def run_once(
         SwmrOracle(built.tracked_lines),
         DataValueOracle(built.tracked_lines),
         handoff_oracle,
-        ProgressOracle(policy),
+        ProgressOracle(primitive),
     ]
     oracles.extend(built.workload.extra_oracles(system))
 
@@ -447,10 +456,12 @@ def run_once(
             outcome.status = "violation"
 
     if violation is not None:
+        # Violations raised from a program carry no time of their own;
+        # the run stopped at the event that raised them.
         outcome.violation = {
             "oracle": violation.oracle,
             "message": violation.message,
-            "time": violation.time,
+            "time": sim.now if violation.time is None else violation.time,
         }
 
     outcome.cycles = sim.now

@@ -11,8 +11,11 @@ most directly:
   :class:`~repro.telemetry.tracer.TraceDispatcher` — dispatch is
   synchronous, so a violation raises *inside* the simulation at the
   exact step that broke the invariant;
-* :class:`CsMonitor` is called directly from the scenario's generator
-  programs at critical-section entry/exit;
+* :class:`GrantOrderMonitor` and :class:`BarrierMonitor` are called
+  directly from the scenario's generator programs (arrive, enter and
+  exit; arrive and depart); the grant-order monitor also reads each
+  thread's splice off the telemetry stream, so it checks the shipped
+  lock code without seams in it;
 * :class:`ProgressOracle` classifies how the run *ended* (finished,
   runaway, out of budget) against the policy's liveness promise.
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.registry import PrimitiveSpec
 from repro.mem.line import State
 from repro.telemetry.events import TelemetryEvent
 
@@ -167,20 +171,52 @@ class DataValueOracle(Oracle):
                     )
 
 
-class CsMonitor:
-    """In-process critical-section occupancy monitor.
+class GrantOrderMonitor(Oracle):
+    """Mutual exclusion and, where claimed, grant in splice order.
 
-    Scenario programs call :meth:`enter` right after their acquire
-    completes and :meth:`exit` right before their release begins, with no
-    simulated operation in between, so occupancy tracks the lock's
-    semantics exactly.  Overlap raises immediately, in-sim.
+    The program calls :meth:`arrive` before its acquire starts,
+    :meth:`enter` right after the acquire completes and :meth:`exit`
+    right before the release begins, with no simulated operation in
+    between, so occupancy tracks the lock's semantics exactly.  Overlap
+    raises immediately, in-sim.
+
+    The *splice* — the step that fixes a thread's place in the lock's
+    queue — is read off the telemetry stream, not off seams in the lock
+    code: a thread's first committed ``swap``, or first successful
+    ``sc``, on the lock line after it arrived: the tail swap of a
+    pointer splice (MCS, CLH), the fetch&add of a counting splice
+    (ticket, Anderson).  Only primitives whose
+    :class:`~repro.core.registry.PrimitiveSpec` claims FIFO (``fifo``)
+    track splices, and for them :meth:`enter` must follow splice order.
     """
 
-    name = "mutual-exclusion"
+    name = "grant-order"
 
-    def __init__(self) -> None:
+    def __init__(self, lock_line: int, fifo: bool = False) -> None:
+        self.lock_line = lock_line
+        self.fifo = fifo
         self.inside: Set[int] = set()
         self.entries = 0
+        #: threads that arrived and have not spliced yet
+        self.arrived: Set[int] = set()
+        #: threads that spliced and have not entered yet, in splice order
+        self.spliced: List[int] = []
+
+    def arrive(self, tid: int) -> None:
+        self.arrived.add(tid)
+
+    def on_event(self, event: TelemetryEvent) -> None:
+        if (
+            not self.fifo
+            or event.line_addr != self.lock_line
+            or event.node not in self.arrived
+        ):
+            return
+        if event.kind == "swap" or (
+            event.kind == "sc" and event.info.get("success")
+        ):
+            self.arrived.discard(event.node)
+            self.spliced.append(event.node)
 
     def enter(self, tid: int) -> None:
         if self.inside:
@@ -189,6 +225,15 @@ class CsMonitor:
                 f"T{tid} entered the critical section while "
                 f"{sorted(self.inside)} inside",
             )
+        if tid in self.spliced:
+            if self.fifo and self.spliced[0] != tid:
+                raise Violation(
+                    self.name,
+                    f"T{tid} entered ahead of T{self.spliced[0]}, which "
+                    f"spliced first (splice order {self.spliced})",
+                )
+            self.spliced.remove(tid)
+        self.arrived.discard(tid)
         self.inside.add(tid)
         self.entries += 1
 
@@ -256,73 +301,6 @@ class BarrierMonitor(Oracle):
                     f"{len(departed)}/{self.parties} parties",
                     time=system.sim.now,
                 )
-
-
-class McsQueueMonitor(Oracle):
-    """MCS hand-off follows queue (swap) order, plus mutual exclusion.
-
-    The MCS queue order is defined by the atomic swaps on the tail
-    pointer; each swap returns the predecessor's node, so the scenario
-    program can report, per acquisition, *who* it queued behind
-    (:meth:`enqueued`).  A thread with a predecessor may enter the
-    critical section only after that predecessor's release for the same
-    acquisition has completed (:meth:`released`) — entering earlier means
-    the hand-off jumped the queue.  Because the constraint is derived
-    from the predecessor links rather than callback arrival order, it is
-    immune to completion-latency races between threads.
-    """
-
-    name = "mcs-order"
-
-    def __init__(self) -> None:
-        self.inside: Set[int] = set()
-        self.entries = 0
-        #: per thread: completed releases so far
-        self.releases: Dict[int, int] = {}
-        #: per waiting thread: (predecessor, release count that must be
-        #: reached before this thread may enter)
-        self.need: Dict[int, Tuple[int, int]] = {}
-
-    def enqueued(self, tid: int, pred_tid: Optional[int]) -> None:
-        if pred_tid is not None:
-            self.need[tid] = (pred_tid, self.releases.get(pred_tid, 0) + 1)
-
-    def enter(self, tid: int) -> None:
-        if self.inside:
-            raise Violation(
-                self.name,
-                f"T{tid} entered the critical section while "
-                f"{sorted(self.inside)} inside",
-            )
-        need = self.need.pop(tid, None)
-        if need is not None:
-            pred, count = need
-            if self.releases.get(pred, 0) < count:
-                raise Violation(
-                    self.name,
-                    f"T{tid} entered before its queue predecessor "
-                    f"T{pred} released — hand-off jumped the MCS queue",
-                )
-        self.inside.add(tid)
-        self.entries += 1
-
-    def exit(self, tid: int) -> None:
-        self.inside.discard(tid)
-
-    def released(self, tid: int) -> None:
-        self.releases[tid] = self.releases.get(tid, 0) + 1
-
-    def at_end(self, system, outcome: str) -> None:
-        if outcome != OUTCOME_FINISHED:
-            return
-        if self.need:
-            waiting = sorted(self.need)
-            raise Violation(
-                self.name,
-                f"run finished with {waiting} still queued and never "
-                f"granted the lock",
-                time=system.sim.now,
-            )
 
 
 class HandoffOracle(Oracle):
@@ -448,28 +426,35 @@ class ProgressOracle(Oracle):
 
     For policies with bounded hand-off (timeout-based delayed/IQOLB
     variants and explicit QOLB), hitting the kernel's runaway guard means
-    some waiter starved: a liveness violation.  For the baseline and
-    aggressive policies livelock is a *documented phenomenon* (the
+    some waiter starved: a liveness violation.  The same holds for the
+    software queue locks (taxonomy ``swqueue``) whatever policy they run
+    on: their hand-off is a plain store, so a waiter that never gets the
+    lock has lost its wake-up.  For the baseline and aggressive policies
+    under LL/SC spinning, livelock is a *documented phenomenon* (the
     paper's Figure 2 motivation), so a runaway is recorded as
     inconclusive rather than flagged.
     """
 
     name = "progress"
 
-    def __init__(self, policy: str) -> None:
-        self.policy = policy
-        self.bounded = policy in BOUNDED_POLICIES
+    def __init__(self, spec: PrimitiveSpec) -> None:
+        #: who promises the bounded hand-off, or None when nobody does
+        self.promisor: Optional[str] = None
+        if spec.policy in BOUNDED_POLICIES:
+            self.promisor = f"policy {spec.policy}"
+        elif spec.taxonomy == "swqueue":
+            self.promisor = f"software queue lock {spec.name}"
         self.inconclusive = False
 
     def at_end(self, system, outcome: str) -> None:
         if outcome != OUTCOME_RUNAWAY:
             return
-        if not self.bounded:
+        if self.promisor is None:
             self.inconclusive = True
             return
         raise Violation(
             self.name,
-            f"policy {self.policy} promises bounded hand-off but the run "
+            f"{self.promisor} promises bounded hand-off but the run "
             f"exceeded max_cycles={system.sim.max_cycles}",
             time=system.sim.now,
         )

@@ -56,6 +56,10 @@ class AndersonLock(Lock):
             write_word(addr, MUST_WAIT)
         write_word(self.tail_addr, 0)
 
+    def is_free(self, read_word) -> bool:
+        slot = read_word(self.tail_addr) % self.n_slots
+        return read_word(self.slot_addrs[slot]) == HAS_LOCK
+
     def acquire_slot(self):
         """Generator: acquire; returns the slot index (keep for release)."""
         ticket = yield from qcore.splice_count(self.tail_addr, "anderson.grab")

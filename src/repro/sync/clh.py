@@ -47,6 +47,9 @@ class ClhLock(Lock):
         write_word(self.dummy_node, GRANTED)
         write_word(self.tail_addr, self.dummy_node)
 
+    def is_free(self, read_word) -> bool:
+        return read_word(read_word(self.tail_addr)) == GRANTED
+
     def acquire_with(self, node_addr: int):
         """Generator: acquire using ``node_addr``; returns (held_node,
         predecessor_node) — release with these, then reuse

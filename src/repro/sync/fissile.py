@@ -60,6 +60,12 @@ class FissileLock(Lock):
         self.pc_head = synthetic_pc("fissile.head")
         self.pc_release = synthetic_pc("fissile.release")
 
+    def is_free(self, read_word) -> bool:
+        return (
+            read_word(self.inner_addr) == UNLOCKED
+            and read_word(self.tail_addr) == 0
+        )
+
     def acquire_with(self, node_addr: int):
         """Generator: acquire; ``node_addr`` is only touched on the
         slow path and is free for reuse once this generator returns."""

@@ -44,3 +44,10 @@ class Lock:
         """Generator performing the release; yields simulated ops."""
         raise NotImplementedError
         yield  # noqa: unreachable - marks this as a generator
+
+    def is_free(self, read_word) -> bool:
+        """Whether memory, read through ``read_word(addr)``, holds this
+        lock released with nobody queued — the state every run must end
+        in.  The default fits locks whose one word is 0 when free
+        (test&set, test&test&set, QOLB, and an MCS tail at nil)."""
+        return read_word(self.addr) == 0

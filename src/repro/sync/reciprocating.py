@@ -72,6 +72,9 @@ class ReciprocatingLock(Lock):
         self.arrivals_addr = arrivals_addr
         self.pc_gate = synthetic_pc("recip.gate")
 
+    def is_free(self, read_word) -> bool:
+        return read_word(self.arrivals_addr) == FREE
+
     def acquire_with(self, node_addr: int):
         """Generator: acquire using ``node_addr``.
 

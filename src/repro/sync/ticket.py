@@ -40,6 +40,9 @@ class TicketLock(Lock):
             self.serving_addr, my_ticket, pc=self.pc_read
         )
 
+    def is_free(self, read_word) -> bool:
+        return read_word(self.ticket_addr) == read_word(self.serving_addr)
+
     def release(self):
         serving = yield from qcore.probe(self.serving_addr, pc=self.pc_release)
         yield from qcore.signal(

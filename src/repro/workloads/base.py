@@ -198,8 +198,12 @@ class LockSet:
             if finish is not None:
                 finish(system, n_threads)
 
+    def lock(self, index: int):
+        """The lock instance behind ``index`` (one of :mod:`repro.sync`)."""
+        return self._adapters[index].lock  # type: ignore[attr-defined]
+
     def lock_addr(self, index: int) -> int:
-        return self._adapters[index].lock.addr  # type: ignore[attr-defined]
+        return self.lock(index).addr
 
     def acquire(self, index: int, tid: int) -> Iterator:
         return self._adapters[index].acquire(tid)  # type: ignore[attr-defined]

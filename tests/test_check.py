@@ -24,8 +24,9 @@ from repro.check import (
 )
 from repro.check.explore import ReplayDivergence
 from repro.check.faults import FaultInjector, FaultPlan
-from repro.check.oracles import CsMonitor
+from repro.check.oracles import GrantOrderMonitor
 from repro.check.report import from_explore_violation
+from repro.telemetry.events import TelemetryEvent
 
 SMALL = Budget(max_schedules=25, max_steps=40_000, max_depth=30)
 
@@ -194,19 +195,58 @@ class TestFaultInjection:
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 
+def _splice(node, line=0x100, kind="swap", **info):
+    return TelemetryEvent(time=0, node=node, kind=kind, line_addr=line,
+                          info=info)
+
+
 class TestOracles:
-    def test_cs_monitor_detects_overlap(self):
-        monitor = CsMonitor()
+    def test_grant_order_monitor_detects_overlap(self):
+        monitor = GrantOrderMonitor(lock_line=0x100)
         monitor.enter(0)
-        with pytest.raises(Violation):
+        with pytest.raises(Violation, match="while \\[0\\] inside"):
             monitor.enter(1)
 
-    def test_cs_monitor_allows_serial_entries(self):
-        monitor = CsMonitor()
+    def test_grant_order_monitor_allows_serial_entries(self):
+        monitor = GrantOrderMonitor(lock_line=0x100, fifo=True)
         for tid in (0, 1, 0):
+            monitor.arrive(tid)
+            monitor.on_event(_splice(tid))
             monitor.enter(tid)
             monitor.exit(tid)
         assert monitor.entries == 3
+        assert not monitor.spliced
+
+    @pytest.mark.parametrize("fifo", [True, False])
+    def test_entry_out_of_splice_order(self, fifo):
+        """T1 spliced (a successful SC) before T0's swap, then T0
+        entered first: a FIFO primitive may not do that."""
+        monitor = GrantOrderMonitor(lock_line=0x100, fifo=fifo)
+        monitor.arrive(0)
+        monitor.arrive(1)
+        monitor.on_event(_splice(1, kind="sc", success=False))
+        monitor.on_event(_splice(0, line=0x200))  # another line
+        monitor.on_event(_splice(1, kind="sc", success=True))
+        monitor.on_event(_splice(0))
+        if fifo:
+            assert monitor.spliced == [1, 0]
+            with pytest.raises(Violation, match="T0 entered ahead of T1"):
+                monitor.enter(0)
+        else:
+            monitor.enter(0)
+            monitor.exit(0)
+            monitor.enter(1)
+            assert monitor.entries == 2
+
+    def test_only_the_first_splice_after_arrive_counts(self):
+        """A release-side swap (reciprocating's detach) or a second
+        swap (a failed test&set retry) does not re-queue the thread."""
+        monitor = GrantOrderMonitor(lock_line=0x100, fifo=True)
+        monitor.on_event(_splice(0))  # before arrive: ignored
+        monitor.arrive(0)
+        monitor.on_event(_splice(0))
+        monitor.on_event(_splice(0))
+        assert monitor.spliced == [0]
 
 
 class TestMatrixRunner:

@@ -63,8 +63,8 @@ class TestReductionEquivalence:
         """On a scenario with disjoint per-node lines the dpor rule must
         fire — a reduction that never reduces is vacuous."""
         spec = RunSpec(
-            scenario="mcs",
-            primitive="iqolb",
+            scenario="lock",
+            primitive="mcs",
             interconnect="bus",
             n_processors=2,
             acquires_per_proc=1,
@@ -158,12 +158,17 @@ class TestIndependenceRelation:
 
     @prop_settings
     @given(
-        scenario=st.sampled_from(["counter", "lock", "mcs", "barrier"]),
+        cell=st.sampled_from([
+            ("counter", "iqolb"),
+            ("lock", "iqolb"),
+            ("lock", "mcs"),
+            ("barrier", "iqolb"),
+        ]),
         fabric=st.sampled_from(["bus", "directory"]),
         reduction=st.sampled_from(["sleep", "dpor"]),
     )
     def test_declared_independent_events_commute(
-        self, scenario, fabric, reduction
+        self, cell, fabric, reduction
     ):
         """The end-to-end commutation check: every reordering the
         reduction declines to execute (because its candidate commutes
@@ -171,9 +176,10 @@ class TestIndependenceRelation:
         executed schedule also reaches — exhaustive fingerprint-set
         equality against the oracle *is* executing both orders of every
         declared-independent pair and comparing the outcomes."""
+        scenario, primitive = cell
         spec = RunSpec(
             scenario=scenario,
-            primitive="iqolb",
+            primitive=primitive,
             interconnect=fabric,
             n_processors=2,
             acquires_per_proc=1,

@@ -1,4 +1,4 @@
-"""The widened scenario library: barrier and MCS hand-off cells.
+"""The scenario library: the barrier and the shipped-lock cells.
 
 Each scenario must (a) explore violation-free at a smoke budget on both
 fabrics, (b) catch its seeded mutation — a checker whose oracle never
@@ -6,10 +6,13 @@ fires is indistinguishable from one that cannot — and (c) replay any
 counterexample bit-identically from the saved schedule.
 """
 
+import json
+
 import pytest
 
 from repro.check.explore import Budget, RunSpec, explore
-from repro.check.report import from_explore_violation, replay
+from repro.check.oracles import OUTCOME_RUNAWAY, ProgressOracle, Violation
+from repro.check.report import Counterexample, from_explore_violation, replay
 from repro.check.scenarios import (
     MUTATIONS,
     SCENARIOS,
@@ -19,28 +22,46 @@ from repro.check.scenarios import (
     scenario_names,
 )
 from repro.cli import main
+from repro.core.registry import PRIMITIVE_SPECS
 
 SMOKE = Budget(max_schedules=30, max_steps=80_000, max_depth=30)
 
-#: per-scenario seeded bug and the budget that exposes it.  The barrier
-#: mutations need >= 2 rounds: with a single round every thread reports
-#: arrival at program start, before any barrier latency separates the
-#: early releaser from the laggard it failed to wait for.
+#: every registered software queue lock, from the registry
+SWQUEUE_PRIMITIVES = [
+    name for name, spec in PRIMITIVE_SPECS.items()
+    if spec.taxonomy == "swqueue"
+]
+
+#: clean cells by id: the barrier, and the ``lock`` scenario over every
+#: software queue (the cell's primitive picks the shipped lock code)
+CLEAN_CELLS = {
+    "barrier": ("barrier", "iqolb"),
+    **{name: ("lock", name) for name in SWQUEUE_PRIMITIVES},
+}
+
+#: per-mutation (scenario, primitive) cell, acquires and the oracles
+#: allowed to catch it.  The barrier mutations need >= 2 rounds: with a
+#: single round every thread reports arrival at program start, before
+#: any barrier latency separates the early releaser from the laggard it
+#: failed to wait for.
 MUTATION_CASES = {
-    "barrier_skip_sense_flip": ("barrier", 2, {"progress"}),
-    "barrier_early_release": ("barrier", 2, {"barrier-phase"}),
-    "mcs_drop_handoff": ("mcs", 2, {"progress"}),
-    "recip_drop_terminal_signal": ("reciprocating", 2, {"progress"}),
+    "barrier_skip_sense_flip": (("barrier", "iqolb"), 2, {"progress"}),
+    "barrier_early_release": (("barrier", "iqolb"), 2, {"barrier-phase"}),
+    "mcs_drop_handoff": (("lock", "mcs"), 2, {"progress"}),
+    "recip_drop_terminal_signal": (
+        ("lock", "reciprocating"), 2, {"progress"},
+    ),
     # The skipped promotion surfaces as starvation when a waiter parks
     # behind the stale head, or as the dangling outer tail caught by the
     # final verify when every acquire won on the fast path.
     "fissile_skip_anti_collapse": (
-        "fissile", 2, {"progress", "workload-verify"},
+        ("lock", "fissile"), 2, {"progress", "workload-verify"},
     ),
 }
 
 
-def _spec(scenario, interconnect, mutation=None, acquires=1):
+def _spec(cell, interconnect, mutation=None, acquires=1):
+    scenario, primitive = cell
     kwargs = {}
     if mutation is not None:
         # Seeded-bug cells disable the hand-off timeout and tighten the
@@ -49,7 +70,7 @@ def _spec(scenario, interconnect, mutation=None, acquires=1):
         kwargs = dict(timeout_cycles=10_000_000, max_cycles=200_000)
     return RunSpec(
         scenario=scenario,
-        primitive="iqolb",
+        primitive=primitive,
         interconnect=interconnect,
         n_processors=2,
         acquires_per_proc=acquires,
@@ -59,41 +80,59 @@ def _spec(scenario, interconnect, mutation=None, acquires=1):
 
 
 class TestScenariosClean:
-    @pytest.mark.parametrize(
-        "scenario", ["barrier", "mcs", "reciprocating", "fissile"]
-    )
-    def test_violation_free_at_smoke_budget(self, scenario, interconnect):
-        report = explore(_spec(scenario, interconnect), SMOKE)
+    @pytest.mark.parametrize("cell", sorted(CLEAN_CELLS))
+    def test_violation_free_at_smoke_budget(self, cell, interconnect):
+        report = explore(_spec(CLEAN_CELLS[cell], interconnect), SMOKE)
         assert report.schedules_run > 1
         assert not report.violations, report.violations
         assert report.statuses.get("finished", 0) == report.schedules_run
 
-    @pytest.mark.parametrize("scenario", ["barrier", "mcs"])
-    def test_scenario_specific_oracle_attached(self, scenario):
-        built = build_scenario(scenario, "iqolb", "bus", 2, 1, 400, 2_000_000)
+    @pytest.mark.parametrize("cell", sorted(CLEAN_CELLS))
+    def test_scenario_specific_oracle_attached(self, cell):
+        scenario, primitive = CLEAN_CELLS[cell]
+        built = build_scenario(scenario, primitive, "bus", 2, 1, 400, 2_000_000)
         extras = built.workload.extra_oracles(built.system)
         assert extras and extras[0] is built.monitor
 
-    @pytest.mark.parametrize("scenario", ["reciprocating", "fissile"])
-    def test_in_sim_monitor_attached(self, scenario):
-        # CsMonitor raises in-sim (it is not a stepped oracle), so it
-        # rides the BuiltScenario.monitor seat, not extra_oracles.
-        built = build_scenario(scenario, "iqolb", "bus", 2, 1, 400, 2_000_000)
-        assert built.monitor is built.workload.monitor
-        assert built.monitor is not None
-        assert built.workload.extra_oracles(built.system) == []
+    @pytest.mark.parametrize("primitive", SWQUEUE_PRIMITIVES)
+    def test_lock_cell_tracks_every_lockset_line(self, primitive):
+        """SWMR and data-value watch the queue nodes too: the tracked
+        lines are the lock line, the token, then every other line the
+        LockSet allocated (counted here for 3 threads)."""
+        lockset_lines = {
+            "ticket": 2,  # ticket word, grant word
+            "mcs": 4,  # tail, 3 nodes
+            "anderson": 4,  # tail, 3 slots
+            "clh": 5,  # tail, dummy node, 3 nodes
+            "reciprocating": 4,  # arrivals word, 3 nodes
+            "fissile": 5,  # inner word, tail, 3 nodes
+        }[primitive]
+        built = build_scenario("lock", primitive, "bus", 3, 1, 400, 2_000_000)
+        workload, amap = built.workload, built.system.amap
+        lines = built.tracked_lines
+        assert lines[0] == workload.lock_line(built.system)
+        assert lines[1] == amap.line_addr(workload.token_addr)
+        assert len(set(lines)) == len(lines) == lockset_lines + 1
+
+    @pytest.mark.parametrize("primitive", sorted(PRIMITIVE_SPECS))
+    def test_grant_order_monitor_follows_the_spec(self, primitive):
+        built = build_scenario("lock", primitive, "bus", 2, 1, 400, 2_000_000)
+        assert built.monitor.fifo == PRIMITIVE_SPECS[primitive].fifo
 
 
 class TestSeededMutations:
     @pytest.mark.parametrize("mutation", sorted(MUTATION_CASES))
     def test_mutation_caught_and_replays(self, mutation):
-        scenario, acquires, oracles = MUTATION_CASES[mutation]
-        spec = _spec(scenario, "bus", mutation=mutation, acquires=acquires)
+        cell, acquires, oracles = MUTATION_CASES[mutation]
+        spec = _spec(cell, "bus", mutation=mutation, acquires=acquires)
         budget = Budget(max_schedules=20, max_steps=150_000, max_depth=30)
         report = explore(spec, budget)
         assert report.violations, f"{mutation} was not caught"
         record = report.violations[0]
         assert record["violation"]["oracle"] in oracles, record
+        # Even violations raised from a program (barrier-phase) carry
+        # the simulated time the run stopped at.
+        assert isinstance(record["violation"]["time"], int), record
 
         # Bit-identical replay: same schedule -> same oracle, message,
         # and violation time.
@@ -106,12 +145,30 @@ class TestSeededMutations:
         assert outcome.cycles == record["cycles"]
 
 
+class TestProgressOracle:
+    class _System:
+        class sim:
+            max_cycles = 100
+            now = 100
+
+    @pytest.mark.parametrize("primitive", SWQUEUE_PRIMITIVES)
+    def test_software_queue_runaway_is_starvation(self, primitive):
+        """A software queue hands off with a plain store whatever the
+        policy, so a runaway is a lost wake-up, not LL/SC livelock."""
+        oracle = ProgressOracle(PRIMITIVE_SPECS[primitive])
+        with pytest.raises(Violation, match="promises bounded hand-off"):
+            oracle.at_end(self._System, OUTCOME_RUNAWAY)
+
+    def test_baseline_spinning_runaway_is_inconclusive(self):
+        oracle = ProgressOracle(PRIMITIVE_SPECS["tts"])
+        oracle.at_end(self._System, OUTCOME_RUNAWAY)
+        assert oracle.inconclusive
+
+
 class TestRegistries:
     def test_scenario_names_cover_registry(self):
         assert scenario_names() == sorted(SCENARIOS)
-        assert {
-            "lock", "counter", "barrier", "mcs", "reciprocating", "fissile",
-        } <= set(scenario_names())
+        assert scenario_names() == ["barrier", "counter", "lock"]
 
     def test_mutation_names_cover_registry(self):
         assert mutation_names() == sorted(MUTATIONS)
@@ -129,10 +186,30 @@ class TestRegistries:
 
     def test_mutation_requires_matching_scenario(self):
         built = build_scenario("lock", "iqolb", "bus", 2, 1, 400, 2_000_000)
-        with pytest.raises(ValueError, match="requires"):
+        with pytest.raises(ValueError, match="requires the 'lock' scenario "
+                           "with lock kind 'mcs'"):
             install_mutation(
                 "mcs_drop_handoff", built.system, built.workload
             )
+
+    def test_replay_of_retired_scenario_names_lock(self, tmp_path, capsys):
+        """Counterexamples saved from the retired ``mcs`` scenario fail
+        to load with the unknown-scenario error, which lists ``lock``."""
+        counterexample = Counterexample(
+            spec=RunSpec(scenario="lock", primitive="mcs"), schedule=[0],
+            oracle="progress", message="m", time=1,
+        )
+        data = counterexample.to_json_obj()
+        data["spec"]["scenario"] = "mcs"
+        path = tmp_path / "old-ce.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="unknown scenario 'mcs'") as exc:
+            Counterexample.load(str(path))
+        assert "lock" in str(exc.value)
+
+        assert main(["check", "--replay", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown scenario 'mcs'; known: barrier, counter, lock" in err
 
     def test_cli_rejects_unknown_scenario(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,9 +6,13 @@ coherence fabrics, so registering a primitive (the qcore compositions,
 reciprocating, fissile, or anything later) buys it this contract
 automatically:
 
-* **mutual exclusion** — an in-process :class:`CsMonitor` raises the
-  instant two threads overlap in the critical section, and a token word
-  catches lost updates at the end;
+* **mutual exclusion** — an in-process :class:`GrantOrderMonitor`
+  raises the instant two threads overlap in the critical section, a
+  token word catches lost updates at the end, and every lock must be
+  back to free (its ``is_free``) once all threads finished;
+* **grant order** — the same monitor reads each thread's splice off the
+  telemetry stream, and for primitives whose spec claims FIFO every
+  entry must follow splice order, under every schedule below;
 * **release hand-off** — back-to-back acquire/release pairs with zero
   think time hand the lock off exactly once per release (entry count ==
   release count, no duplicate or lost wake-up);
@@ -26,9 +30,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import build_system, prop_settings, run_programs
-from repro.check.oracles import CsMonitor
+from repro.check.oracles import GrantOrderMonitor, OracleSink
 from repro.core.registry import PRIMITIVE_SPECS
 from repro.cpu.ops import Compute, Read, Write
+from repro.telemetry.tracer import TraceDispatcher
 from repro.workloads.base import LOCK_ADAPTERS, LockSet
 
 PRIMITIVE_NAMES = list(PRIMITIVE_SPECS)
@@ -65,12 +70,18 @@ def _contended_run(
     )
     lockset = LockSet(spec.lock_kind, system, 1, n_threads)
     token = system.layout.alloc_line()
-    monitor = CsMonitor()
+    monitor = GrantOrderMonitor(
+        system.amap.line_addr(lockset.lock_addr(0)), fifo=spec.fifo
+    )
+    dispatcher = TraceDispatcher()
+    dispatcher.attach(OracleSink([monitor]))
+    system.attach_telemetry(dispatcher)
 
     def worker(tid):
         if staggers is not None:
             yield Compute(staggers[tid])
         for _ in range(acquires):
+            monitor.arrive(tid)
             yield from lockset.acquire(0, tid)
             monitor.enter(tid)
             value = yield Read(token)
@@ -80,6 +91,9 @@ def _contended_run(
             yield Compute(think_cycles)
 
     run_programs(system, [worker(t) for t in range(n_threads)])
+    assert lockset.lock(0).is_free(system.read_word), (
+        f"{primitive} lock not free after all releases"
+    )
     return monitor, system.read_word(token)
 
 
