@@ -42,6 +42,7 @@ from repro.interconnect.bus import AddressBus, BusClient
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.messages import (
     DEFERRABLE_OPS,
+    NO_STATE,
     BusOp,
     BusTransaction,
     DataKind,
@@ -185,6 +186,10 @@ class CacheController(BusClient):
             parts.append(f"successor {line_addr:#x} -> P{successor}")
         for line_addr, lender in sorted(self.loan_return_to.items()):
             parts.append(f"loan {line_addr:#x} owed to P{lender}")
+        for line_addr, borrower in sorted(self.on_loan.items()):
+            parts.append(f"lent {line_addr:#x} to P{borrower}")
+        for line_addr, receiver in sorted(self.forwarded.items()):
+            parts.append(f"pushed {line_addr:#x} to P{receiver}")
         if not parts:
             return ""
         return f"P{self.node_id}: " + "; ".join(parts)
@@ -488,6 +493,7 @@ class CacheController(BusClient):
             existing.cpu_op = op
             existing.done_cb = done
             return
+        self.bus.note_holder(line_addr, self.node_id)
         mshr = Mshr(line_addr, op, done, self.sim.now)
         mshr.bus_op = bus_op
         self.mshrs[line_addr] = mshr
@@ -564,9 +570,18 @@ class CacheController(BusClient):
     # Bus client: snooping
     # ==================================================================
     def snoop(self, txn: BusTransaction) -> SnoopReply:
-        if txn.op is BusOp.WRITEBACK:
-            return SnoopReply()
-        line = self.hierarchy.peek(txn.line_addr)
+        line_addr = txn.line_addr
+        line = self.hierarchy.peek(line_addr)
+        if (
+            line is None
+            and line_addr not in self.mshrs
+            and line_addr not in self.obligations
+            and line_addr not in self.on_loan
+            and line_addr not in self.forwarded
+        ):
+            # Nothing here to supply, defer, retry, invalidate or squash
+            # (claiming a successor needs an MSHR or an obligation).
+            return NO_STATE
 
         # Distributed-queue bookkeeping: the tail of the queue claims the
         # new requestor as its successor (paper §3.2).
@@ -709,7 +724,7 @@ class CacheController(BusClient):
         served by the owner; while the line is in flight the transaction
         is being retried and the queue must stay intact.
         """
-        if txn.op in DEFERRABLE_OPS or txn.op in (BusOp.GETS, BusOp.WRITEBACK):
+        if txn.op in DEFERRABLE_OPS or txn.op is BusOp.GETS:
             return
         if not supplied and txn.op is not BusOp.UPGRADE:
             return  # line in flight; the bus is retrying the RFO
@@ -1177,6 +1192,7 @@ class CacheController(BusClient):
     # Line installation and eviction
     # ==================================================================
     def _install_line(self, line_addr: int, state: State, data: list) -> CacheLine:
+        self.bus.note_holder(line_addr, self.node_id)
         existing = self.hierarchy.l2.lookup(line_addr, touch=False)
         if existing is not None:
             existing.state = state

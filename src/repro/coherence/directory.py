@@ -134,6 +134,10 @@ class DirectoryInterconnect:
     def attach(self, node_id: int, client: BusClient) -> None:
         self._clients[node_id] = client
 
+    def note_holder(self, line_addr: int, node_id: int) -> None:
+        """No-op: the home already snoops only the line's owner, sharers
+        and queue tail, and reads a NO_STATE reply as the empty reply."""
+
     def home(self, line_addr: int) -> int:
         """The line's home node (line-interleaved across the mesh)."""
         return (line_addr // self.memory.amap.line_bytes) % self.n_nodes

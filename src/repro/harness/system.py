@@ -156,11 +156,15 @@ class System:
         self._remaining -= 1
 
     def _describe_stuck_state(self) -> str:
-        """Per-node controller/MSHR digest for the runaway diagnostic."""
+        """Per-node controller/MSHR digest for the runaway diagnostic,
+        plus the bus's blocked lines and counts on the bus fabric."""
         lines = [c.describe_state() for c in self.controllers]
         lines = [line for line in lines if line]
         if not lines:
-            return "all cache controllers quiescent"
+            lines = ["all cache controllers quiescent"]
+        describe_bus = getattr(self.bus, "describe_state", None)
+        if describe_bus is not None:
+            lines.append(describe_bus())
         return "\n".join(lines)
 
     # ------------------------------------------------------------------

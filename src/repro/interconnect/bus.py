@@ -4,9 +4,15 @@ Models the Gigaplane-style address bus of the paper's target (Table 1):
 
 * split address/data — the address phase establishes global coherence
   order; data moves separately on the crossbar;
-* broadcast snooping — every controller observes every transaction, which
-  is what lets the delayed-response/IQOLB protocols build their
-  distributed queue purely from locally observed bus order (paper 3.2);
+* broadcast snooping — every controller that holds state for the line
+  observes every transaction on it, which is what lets the
+  delayed-response/IQOLB protocols build their distributed queue purely
+  from locally observed bus order (paper 3.2).  The bus skips only nodes
+  whose reply would be empty: it keeps a per-line mask of nodes that may
+  hold state, set by :meth:`AddressBus.note_holder` and cleared when a
+  node answers :data:`~repro.interconnect.messages.NO_STATE`.  Holders
+  are snooped in ascending node id, the order of a full broadcast, so
+  every outcome is the one a full broadcast would give;
 * 12-cycle address access latency and a bounded number of outstanding
   transactions (117 in Table 1).
 
@@ -31,6 +37,7 @@ from repro.engine.stats import Counter, StatsRegistry
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.messages import (
     MEMORY_NODE,
+    NO_STATE,
     BusOp,
     BusTransaction,
     DataKind,
@@ -67,7 +74,9 @@ class AddressBus:
         self.max_outstanding = max_outstanding
         self.retry_delay = retry_delay
         self._clients: Dict[int, "BusClient"] = {}
-        self._snoop_order: List = []
+        #: line -> bitmask of nodes that may hold state for it (bit n is
+        #: node n); a clear bit means that node's snoop reply is empty
+        self._holders: Dict[int, int] = {}
         self._queue: Deque[BusTransaction] = deque()
         self._next_issue_time = 0
         self._issue_scheduled = False
@@ -95,7 +104,23 @@ class AddressBus:
 
     def attach(self, node_id: int, client: "BusClient") -> None:
         self._clients[node_id] = client
-        self._snoop_order = sorted(self._clients.items())
+
+    def note_holder(self, line_addr: int, node_id: int) -> None:
+        """Snoop ``node_id`` on ``line_addr`` until it answers NO_STATE."""
+        holders = self._holders
+        holders[line_addr] = holders.get(line_addr, 0) | (1 << node_id)
+
+    def describe_state(self) -> str:
+        """One-line digest of in-flight bus state, for runaway diagnostics."""
+        blocked = ", ".join(
+            f"{line_addr:#x} by txn {txn_id}"
+            for line_addr, txn_id in sorted(self._line_blocked.items())
+        )
+        parked = sum(len(waiters) for waiters in self._line_wait.values())
+        return (
+            f"bus: blocked lines [{blocked}]; {parked} parked; "
+            f"{self._outstanding} outstanding"
+        )
 
     # ------------------------------------------------------------------
     # Request side
@@ -221,10 +246,26 @@ class AddressBus:
         defer_node: Optional[int] = None
         retry = False
         shared = False
-        for node_id, client in self._snoop_order:
-            if node_id == txn.requester:
-                continue
+        # clients that gave a real reply, in snoop order
+        replied: List["BusClient"] = []
+        line_addr = txn.line_addr
+        holders = self._holders
+        # A writeback changes no cache's state; only memory takes note.
+        pending = 0
+        if txn.op is not BusOp.WRITEBACK:
+            pending = holders.get(line_addr, 0) & ~(1 << txn.requester)
+        while pending:
+            # Lowest set bit first: ascending node id, the snoop order
+            # that decides "two owners" and the first deferrer.
+            bit = pending & -pending
+            pending ^= bit
+            node_id = bit.bit_length() - 1
+            client = self._clients[node_id]
             reply = client.snoop(txn)
+            if reply is NO_STATE:
+                holders[line_addr] &= ~bit
+                continue
+            replied.append(client)
             if reply.shared:
                 shared = True
             if reply.supply:
@@ -249,11 +290,10 @@ class AddressBus:
 
         # Second snoop phase: outcome-dependent reactions (queue breakdown
         # happens only when an owner actually supplied a regular RFO).
-        if txn.op in (BusOp.GETX, BusOp.UPGRADE):
+        if txn.op is BusOp.GETX or txn.op is BusOp.UPGRADE:
             supplied = supply_node is not None
-            for node_id, client in self._snoop_order:
-                if node_id != txn.requester:
-                    client.post_snoop(txn, supplied=supplied, deferred=deferred)
+            for client in replied:
+                client.post_snoop(txn, supplied=supplied, deferred=deferred)
 
         if deferred:
             # The responsible node keeps answering snoops; later same-line
@@ -340,7 +380,16 @@ class AddressBus:
 
 
 class BusClient:
-    """Interface controllers implement to sit on the address bus."""
+    """Interface controllers implement to sit on the address bus.
+
+    The bus snoops a client on a line only after the client called
+    ``note_holder(line_addr, node_id)`` for it.  So a client calls it
+    before it gains any state for a line, and answers ``snoop`` with
+    :data:`~repro.interconnect.messages.NO_STATE` (and no side effect)
+    when it holds none; the bus then stops snooping it on that line
+    until it calls ``note_holder`` again.  ``post_snoop`` reaches only
+    clients that gave a real reply, and writebacks are not snooped.
+    """
 
     def snoop(self, txn: BusTransaction) -> SnoopReply:  # pragma: no cover
         raise NotImplementedError

@@ -118,6 +118,13 @@ class SnoopReply:
         return f"<Snoop {' '.join(flags) or 'ignore'}>"
 
 
+#: The reply of a node that holds no state at all for the line: no copy,
+#: no MSHR, no obligation, nothing lent or pushed.  It reads as an empty
+#: reply; the bus also takes it as the signal to stop snooping that node
+#: for the line until the node registers again (``note_holder``).
+NO_STATE = SnoopReply()
+
+
 class DataKind(enum.Enum):
     """Kinds of crossbar messages."""
 

@@ -7,6 +7,7 @@ from repro.engine.stats import StatsRegistry
 from repro.interconnect.bus import AddressBus, BusClient
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.messages import (
+    NO_STATE,
     BusOp,
     BusTransaction,
     SnoopReply,
@@ -35,7 +36,13 @@ class StubClient(BusClient):
         self.issues.append((txn, supplier, shared, deferred))
 
 
-def make_bus(n_clients=3, **kwargs):
+#: the lines the tests below transact on
+LINES = (0x100, 0x200)
+
+
+def make_bus(n_clients=3, lines=LINES, **kwargs):
+    """A bus with ``n_clients`` stubs, each registered as a holder of
+    every line in ``lines`` (the bus snoops only registered holders)."""
     sim = Simulator()
     stats = StatsRegistry()
     amap = AddressMap(64)
@@ -47,6 +54,8 @@ def make_bus(n_clients=3, **kwargs):
     for node, client in enumerate(clients):
         bus.attach(node, client)
         xbar.attach(node, lambda msg, node=node: deliveries.append((node, msg)))
+        for line_addr in lines:
+            bus.note_holder(line_addr, node)
     return sim, bus, clients, memory, deliveries
 
 
@@ -218,6 +227,98 @@ class TestRetry:
         kinds = [t.op for t, _, _ in clients[2].posts]
         assert BusOp.GETX in kinds
         assert BusOp.GETS not in kinds  # second phase only for RFOs
+
+
+class TestHolderFilter:
+    def test_unregistered_node_not_snooped(self):
+        sim, bus, clients, _, _ = make_bus(lines=())
+        bus.note_holder(0x100, 2)
+        bus.request(BusTransaction(BusOp.GETX, 0x100, 0))
+        sim.run()
+        assert clients[1].snoops == []
+        assert len(clients[2].snoops) == 1
+
+    def test_no_state_reply_clears_until_noted_again(self):
+        sim, bus, clients, _, _ = make_bus()
+        clients[1].reply = NO_STATE
+        first = BusTransaction(BusOp.GETS, 0x100, 0)
+        bus.request(first)
+        sim.run()
+        bus.transaction_complete(first)
+        second = BusTransaction(BusOp.GETS, 0x100, 0)
+        bus.request(second)
+        sim.run()
+        bus.transaction_complete(second)
+        assert clients[1].snoops == [first]
+        assert clients[2].snoops == [first, second]
+        # Registering again (as a controller does on a miss or a fill)
+        # puts the node back in the snoop set.
+        bus.note_holder(0x100, 1)
+        third = BusTransaction(BusOp.GETS, 0x100, 0)
+        bus.request(third)
+        sim.run()
+        assert clients[1].snoops == [first, third]
+
+    def test_no_state_is_per_line(self):
+        sim, bus, clients, _, _ = make_bus()
+        clients[1].reply = NO_STATE
+        a = BusTransaction(BusOp.GETS, 0x100, 0)
+        bus.request(a)
+        sim.run()
+        clients[1].reply = SnoopReply()
+        b = BusTransaction(BusOp.GETS, 0x200, 0)
+        bus.request(b)
+        sim.run()
+        assert clients[1].snoops == [a, b]
+
+    def test_post_snoop_only_to_nodes_that_replied(self):
+        sim, bus, clients, _, _ = make_bus(n_clients=4)
+        clients[1].reply = SnoopReply(supply=True)
+        clients[2].reply = NO_STATE
+        bus.request(BusTransaction(BusOp.GETX, 0x100, 0))
+        sim.run()
+        assert len(clients[1].posts) == 1
+        assert clients[2].posts == []
+        assert len(clients[3].posts) == 1  # an empty reply is a reply
+        assert clients[0].posts == []  # the requester
+
+    def test_writeback_snoops_nobody(self):
+        sim, bus, clients, memory, _ = make_bus()
+        txn = BusTransaction(BusOp.WRITEBACK, 0x100, 0)
+        txn.data = [3] * 16
+        bus.request(txn)
+        sim.run()
+        assert all(client.snoops == [] for client in clients)
+        assert all(client.posts == [] for client in clients)
+        assert memory.read_word(0x100) == 3
+        assert clients[0].issues[0][0] is txn
+
+    def test_snoop_order_is_ascending_node_id(self):
+        sim, bus, clients, _, _ = make_bus(n_clients=6, lines=())
+        order = []
+        for node, client in enumerate(clients):
+            client.snoop = lambda txn, node=node: order.append(node) or SnoopReply()
+        for node in (4, 1, 5, 2):
+            bus.note_holder(0x100, node)
+        bus.note_holder(0x100, 1)  # idempotent
+        bus.request(BusTransaction(BusOp.GETX, 0x100, 2))
+        sim.run()
+        assert order == [1, 4, 5]
+
+    def test_first_deferrer_and_two_owners_follow_node_order(self):
+        sim, bus, clients, _, _ = make_bus(n_clients=4, lines=())
+        for node in (3, 1):
+            bus.note_holder(0x100, node)
+            clients[node].reply = SnoopReply(defer=True)
+        bus.request(BusTransaction(BusOp.LPRFO, 0x100, 0))
+        sim.run()
+        assert clients[0].issues[0][1] == 1  # lowest deferrer answers
+        bus.note_holder(0x200, 3)
+        bus.note_holder(0x200, 2)
+        clients[2].reply = clients[3].reply = SnoopReply(supply=True)
+        bus.request(BusTransaction(BusOp.GETS, 0x200, 0))
+        with pytest.raises(RuntimeError, match="P2 and P3"):
+            sim.run()
 
 
 class TestWriteback:

@@ -1,5 +1,7 @@
 """Tests for the system builder, config and memory layout."""
 
+from collections import deque
+
 import pytest
 
 from repro import System, SystemConfig
@@ -104,6 +106,46 @@ class TestSystemBuilder:
         system.load_program(1, program(b))
         system.run()
         assert system.total("misses") == 2
+
+
+class TestStuckStateDigest:
+    """The runaway diagnostic names every kind of per-line state."""
+
+    def test_lent_and_pushed_lines_listed(self):
+        system = System(SystemConfig(n_processors=4, policy="iqolb+gen"))
+        controller = system.controllers[1]
+        assert controller.describe_state() == ""
+        controller.on_loan[0x1C0] = 3
+        controller.forwarded[0x200] = 2
+        controller.forwarded[0x180] = 0
+        assert controller.describe_state() == (
+            "P1: lent 0x1c0 to P3; pushed 0x180 to P0; pushed 0x200 to P2"
+        )
+
+    def test_quiescent_bus_still_reported(self):
+        system = System(SystemConfig(n_processors=2))
+        assert system._describe_stuck_state() == (
+            "all cache controllers quiescent\n"
+            "bus: blocked lines []; 0 parked; 0 outstanding"
+        )
+
+    def test_bus_blocked_lines_parked_and_outstanding(self):
+        system = System(SystemConfig(n_processors=2))
+        system.controllers[0].on_loan[0x100] = 1
+        bus = system.bus
+        bus._line_blocked.update({0x140: 7, 0x100: 3})
+        bus._line_wait[0x140] = deque(["txn a", "txn b"])
+        bus._line_wait[0x100] = deque(["txn c"])
+        bus._outstanding = 2
+        assert system._describe_stuck_state().splitlines() == [
+            "P0: lent 0x100 to P1",
+            "bus: blocked lines [0x100 by txn 3, 0x140 by txn 7]; "
+            "3 parked; 2 outstanding",
+        ]
+
+    def test_directory_fabric_adds_no_bus_line(self):
+        system = System(SystemConfig(n_processors=2, interconnect="directory"))
+        assert system._describe_stuck_state() == "all cache controllers quiescent"
 
 
 class TestMemoryLayout:
