@@ -289,10 +289,16 @@ def _fingerprint(system, tracked_lines: Sequence[int]) -> str:
         parts.append((controller.link_valid, controller.link_addr))
     for line_addr in tracked_lines:
         parts.append(tuple(system.memory.read_line(line_addr)))
+    # A parked spin loop is shown as the running loop would be: its
+    # skipped ops charged and its pending event in the queue signature.
+    now = system.sim.now
+    pending = list(system.sim._queue.signature(now))
     for processor in system.processors:
-        thread = processor.thread
-        parts.append(thread.ops_executed if thread is not None else -1)
-    parts.append(system.sim._queue.signature(system.sim.now))
+        ops, event = processor.settled_view(now)
+        parts.append(ops)
+        if event is not None:
+            pending.append(event)
+    parts.append(tuple(sorted(pending)))
     digest = hashlib.blake2b(repr(parts).encode(), digest_size=12)
     return digest.hexdigest()
 

@@ -106,6 +106,9 @@ class CacheController(BusClient):
         #: protected-data lines pushed to a successor, awaiting its ack
         #: (Generalized IQOLB, paper §6); value = receiving node
         self.forwarded: Dict[int, int] = {}
+        #: this node's processor while its spin loop is parked on an L1
+        #: line (see :meth:`quiet_line`); woken by any install here
+        self.spinner: Optional[Any] = None
 
         # LL/SC architectural state: the link flag and locked physical
         # address register (paper §2), plus the PC of the live LL for the
@@ -212,6 +215,29 @@ class CacheController(BusClient):
         if line.state is State.TEAROFF:
             return line_addr in self.mshrs
         return line.readable
+
+    def quiet_line(self, line_addr: int) -> bool:
+        """May a spinner park on this node's copy of ``line_addr``?
+
+        Only while re-reading it could not change anything: the line sits
+        in the L1 as a coherent copy (not a tear-off), this node holds no
+        MSHR, obligation, successor, loan or push on it, and no node has
+        a miss open on it.  From then on only an install here or a new
+        miss on the line can touch the copy, and both wake the spinner.
+        """
+        line = self.hierarchy.l1.lookup(line_addr, touch=False)
+        return (
+            line is not None
+            and line.readable
+            and line.state is not State.TEAROFF
+            and line_addr not in self.mshrs
+            and line_addr not in self.obligations
+            and line_addr not in self.successor
+            and line_addr not in self.loan_return_to
+            and line_addr not in self.on_loan
+            and line_addr not in self.forwarded
+            and not self.bus.miss_open(line_addr)
+        )
 
     # ==================================================================
     # CPU side
@@ -494,6 +520,9 @@ class CacheController(BusClient):
             existing.done_cb = done
             return
         self.bus.note_holder(line_addr, self.node_id)
+        # Spinners parked on this line go back to real reads before the
+        # request goes out (its first snoop is an address phase away).
+        self.bus.wake_spinners(line_addr)
         mshr = Mshr(line_addr, op, done, self.sim.now)
         mshr.bus_op = bus_op
         self.mshrs[line_addr] = mshr
@@ -571,6 +600,11 @@ class CacheController(BusClient):
     # ==================================================================
     def snoop(self, txn: BusTransaction) -> SnoopReply:
         line_addr = txn.line_addr
+        spinner = self.spinner
+        if spinner is not None and spinner.parked_line == line_addr:
+            # Only a request whose miss already closed reaches a parked
+            # line (a directory invalidation still in flight); wake first.
+            spinner.wake()
         line = self.hierarchy.peek(line_addr)
         if (
             line is None
@@ -1192,6 +1226,9 @@ class CacheController(BusClient):
     # Line installation and eviction
     # ==================================================================
     def _install_line(self, line_addr: int, state: State, data: list) -> CacheLine:
+        if self.spinner is not None:
+            # Any fill may evict the spun line and moves the L1 LRU clock.
+            self.spinner.wake()
         self.bus.note_holder(line_addr, self.node_id)
         existing = self.hierarchy.l2.lookup(line_addr, touch=False)
         if existing is not None:

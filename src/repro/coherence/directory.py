@@ -45,7 +45,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.engine.simulator import Simulator
 from repro.engine.stats import StatsRegistry
-from repro.interconnect.bus import BusClient
+from repro.interconnect.bus import BusClient, ParkedSpinners
 from repro.interconnect.messages import (
     DEFERRABLE_OPS,
     MEMORY_NODE,
@@ -83,7 +83,7 @@ class DirectoryEntry:
         self.pending: Deque[BusTransaction] = deque()
 
 
-class DirectoryInterconnect:
+class DirectoryInterconnect(ParkedSpinners):
     """Home-node directory + request transport; AddressBus-compatible."""
 
     def __init__(
@@ -108,6 +108,7 @@ class DirectoryInterconnect:
         #: (a system-wide protocol property, mirrored from the policy)
         self.queue_retention = queue_retention
         self._clients: Dict[int, BusClient] = {}
+        self._spinners = {}
         self._entries: Dict[int, DirectoryEntry] = {}
         self._next_txn_id = 0
         #: optional trace hooks, signature-compatible with the bus

@@ -9,6 +9,7 @@ from repro.cpu.ops import (
     Fence,
     Op,
     Read,
+    Spin,
     Swap,
     Write,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "Read",
     "SC",
     "SimThread",
+    "Spin",
     "Swap",
     "Write",
 ]

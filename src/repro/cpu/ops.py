@@ -9,6 +9,7 @@ each operation's result back from the processor::
         old = yield LL(lock, pc=ACQ_PC)     # load-linked
         ok = yield SC(lock, 1, pc=ACQ_PC)   # store-conditional -> bool
         yield Compute(25)                   # 25 cycles of local work
+        value = yield Spin(flag, 1, pc=WAIT_PC)  # re-read until it reads 1
 
 This mirrors the paper's methodology: an execution-driven simulator whose
 ISA includes Swap, Load-Linked, Store-Conditional, EnQOLB and DeQOLB
@@ -21,6 +22,10 @@ IQOLB lock predictor indexes its table by the PC of the LL (paper §3.4).
 
 from __future__ import annotations
 
+from typing import Callable, Optional, Union
+
+#: an accepting predicate or the single accepted value of a :class:`Spin`
+Accept = Union[int, Callable[[int], bool]]
 
 
 class Op:
@@ -47,6 +52,39 @@ class Read(Op):
 
     def __init__(self, addr: int, pc: int = 0) -> None:
         super().__init__(addr=addr, pc=pc)
+
+
+class Spin(Read):
+    """Re-read a word until ``accept`` holds; result is the accepted value.
+
+    One op for a whole spin loop: the processor runs it as a ``Read``
+    per test, with ``pause`` cycles of local work between failed tests
+    (doubling up to ``max_pause`` when that is given).  Each test counts
+    as the ``Read`` and each pause as the ``Compute`` the loop would
+    have yielded.  See :mod:`repro.cpu.processor` for how a spin on an
+    unchanged L1 line parks.
+    """
+
+    __slots__ = ("accept", "pause", "max_pause")
+
+    def __init__(
+        self,
+        addr: int,
+        accept: Accept,
+        pc: int = 0,
+        pause: int = 0,
+        max_pause: Optional[int] = None,
+    ) -> None:
+        super().__init__(addr=addr, pc=pc)
+        self.accept = accept
+        self.pause = pause
+        self.max_pause = max_pause
+
+    def accepts(self, value: int) -> bool:
+        accept = self.accept
+        if callable(accept):
+            return accept(value)
+        return value == accept
 
 
 class Write(Op):

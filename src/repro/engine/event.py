@@ -70,6 +70,7 @@ class Event:
         "callback",
         "args",
         "cancelled",
+        "born",
         "_footprint",
     )
 
@@ -80,6 +81,7 @@ class Event:
         seq: int,
         callback: Callable[..., None],
         args: tuple,
+        born: int = -1,
     ) -> None:
         self.time = time
         self.priority = priority
@@ -87,6 +89,8 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
+        #: the cycle it was queued in (-1 before the first event fired)
+        self.born = born
         self._footprint: Optional[tuple] = None
 
     def cancel(self) -> None:
@@ -187,7 +191,7 @@ class EventQueue:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute ``time``."""
-        event = Event(time, priority, self._seq, callback, args)
+        event = Event(time, priority, self._seq, callback, args, self._head_time)
         self._seq += 1
         live = self._live + 1
         self._live = live
@@ -210,6 +214,40 @@ class EventQueue:
                 # Does not belong at the end of the undrained tail; the
                 # next head lookup re-sorts it into place.
                 self._head_dirty = True
+        return event
+
+    def push_before(
+        self,
+        ahead_of: Event,
+        callback: Callable[..., None],
+        args: tuple,
+        born: int,
+    ) -> Event:
+        """Schedule ``callback(*args)`` to fire just before the pending
+        ``ahead_of``, at its time and priority, as if queued in cycle
+        ``born``.
+
+        For a caller that knows the event would have been queued earlier
+        than ``ahead_of`` (a parked loop's next event, queued only when
+        the loop wakes).  Its seq falls between its neighbours', so
+        ``candidates()`` keeps bucket order.
+        """
+        bucket = self._buckets[ahead_of.time]
+        pos = next(i for i, event in enumerate(bucket) if event is ahead_of)
+        before = bucket[pos - 1].seq if pos else ahead_of.seq - 1
+        event = Event(
+            ahead_of.time,
+            ahead_of.priority,
+            (before + ahead_of.seq) / 2,
+            callback,
+            args,
+            born,
+        )
+        bucket.insert(pos, event)
+        live = self._live + 1
+        self._live = live
+        if live > self.high_water:
+            self.high_water = live
         return event
 
     def _promote(self) -> Optional[List[Event]]:

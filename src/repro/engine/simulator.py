@@ -40,6 +40,13 @@ class Simulator:
     strings; their output is appended to the runaway ``SimulationError``
     so a max-cycles overrun reports *what* was stuck, not just when.
 
+    ``sleepers`` counts components that parked a loop instead of
+    scheduling it (a processor spinning on an unchanged L1 line) and
+    rely on another event to wake them; ``events_skipped`` counts the
+    events their loops would have fired.  A queue that drains while a
+    sleeper is parked is the runaway the loop would have hit at
+    ``max_cycles``, and raises the same error.
+
     With no hook installed, :meth:`run` drains the queue through a
     batched loop (:meth:`_run_fast`); with either hook it takes the
     per-event loop (:meth:`_run_generic`).  Both fire the same events in
@@ -60,6 +67,8 @@ class Simulator:
         #: wake sleep-set entries that conflict with it).
         self.last_event: Optional[Event] = None
         self.diagnostic_providers: List[Callable[[], str]] = []
+        self.sleepers = 0
+        self.events_skipped = 0
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -113,12 +122,20 @@ class Simulator:
 
     def _runaway_error(self) -> SimulationError:
         """Build the max-cycles overrun error, with stuck-state detail."""
-        parts = [
-            f"simulation exceeded max_cycles={self.max_cycles} "
-            f"(possible livelock) at t={self.now} "
-            f"after {self._events_fired} events",
-            self._queue.summarize(),
-        ]
+        if self._queue or not self.sleepers:
+            headline = (
+                f"simulation exceeded max_cycles={self.max_cycles} "
+                f"(possible livelock) at t={self.now} "
+                f"after {self._events_fired} events"
+            )
+        else:
+            headline = (
+                f"simulation would exceed max_cycles={self.max_cycles} "
+                f"(possible livelock): the queue drained at t={self.now} "
+                f"after {self._events_fired} events with {self.sleepers} "
+                f"parked loop(s) nothing can wake"
+            )
+        parts = [headline, self._queue.summarize()]
         for provider in self.diagnostic_providers:
             try:
                 text = provider()
@@ -144,6 +161,12 @@ class Simulator:
                 self._run_fast(until)
             else:
                 self._run_generic(until)
+            if (
+                self.sleepers
+                and not self._queue
+                and (until is None or not until())
+            ):
+                raise self._runaway_error()
         finally:
             self._running = False
             self._host_seconds += _time.perf_counter() - started
@@ -226,6 +249,8 @@ class Simulator:
             raise self._runaway_error()
         event = self._next_event()
         if event is None:
+            if self.sleepers:
+                raise self._runaway_error()
             return False
         self.now = event.time
         self._events_fired += 1

@@ -157,8 +157,10 @@ class System:
 
     def _describe_stuck_state(self) -> str:
         """Per-node controller/MSHR digest for the runaway diagnostic,
-        plus the bus's blocked lines and counts on the bus fabric."""
+        then any parked spin loops, plus the bus's blocked lines and
+        counts on the bus fabric."""
         lines = [c.describe_state() for c in self.controllers]
+        lines += [p.describe_state() for p in self.processors]
         lines = [line for line in lines if line]
         if not lines:
             lines = ["all cache controllers quiescent"]

@@ -30,7 +30,7 @@ distributed queue can form (paper 3.2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.engine.simulator import Simulator
 from repro.engine.stats import Counter, StatsRegistry
@@ -51,7 +51,50 @@ from repro.mem.mainmemory import MainMemory
 DATA_OPS = frozenset({BusOp.GETS, BusOp.GETX, BusOp.LPRFO, BusOp.QOLB_ENQ})
 
 
-class AddressBus:
+class ParkedSpinners:
+    """The wake table for spinners parked on a line (both fabrics).
+
+    A processor parks its spin loop on an L1 line only while no node has
+    a miss open on that line (:meth:`miss_open`).  A node opening one
+    calls :meth:`wake_spinners` next to ``note_holder``, before its
+    request goes out: the first snoop or invalidation that request
+    causes is at least an address phase (or a directory lookup plus
+    network hops) later, so every woken spinner is back on real events
+    before its copy can change.  Subclasses set ``_clients`` and
+    ``_spinners``.
+    """
+
+    _clients: Dict[int, "BusClient"]
+    #: line -> processors parked on it, in park order
+    _spinners: Dict[int, List[Any]]
+
+    def park(self, line_addr: int, spinner: Any) -> None:
+        self._spinners.setdefault(line_addr, []).append(spinner)
+
+    def unpark(self, line_addr: int, spinner: Any) -> None:
+        parked = self._spinners.get(line_addr)
+        if parked is not None:
+            parked.remove(spinner)
+            if not parked:
+                del self._spinners[line_addr]
+
+    def wake_spinners(self, line_addr: int) -> None:
+        """Wake every spinner parked on ``line_addr``."""
+        parked = self._spinners.pop(line_addr, None)
+        if parked is None:
+            return
+        for spinner in parked:
+            spinner.wake()
+
+    def miss_open(self, line_addr: int) -> bool:
+        """Does any node have an MSHR open on ``line_addr``?"""
+        for client in self._clients.values():
+            if line_addr in client.mshrs:
+                return True
+        return False
+
+
+class AddressBus(ParkedSpinners):
     """Arbitrates, broadcasts, and resolves who supplies data."""
 
     def __init__(
@@ -77,6 +120,7 @@ class AddressBus:
         #: line -> bitmask of nodes that may hold state for it (bit n is
         #: node n); a clear bit means that node's snoop reply is empty
         self._holders: Dict[int, int] = {}
+        self._spinners = {}
         self._queue: Deque[BusTransaction] = deque()
         self._next_issue_time = 0
         self._issue_scheduled = False

@@ -50,6 +50,12 @@ class CacheArray:
             line.last_used = self._tick
         return line
 
+    def touch(self, line_addr: int, times: int) -> None:
+        """The LRU state ``times`` touching lookups of a resident line
+        leave, applied at once."""
+        self._tick += times
+        self._sets[self._set_index(line_addr)][line_addr].last_used = self._tick
+
     def insert(self, line: CacheLine, force: bool = False) -> None:
         """Install a line.  The set must have room (evict first if needed).
 

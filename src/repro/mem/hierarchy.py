@@ -68,6 +68,12 @@ class NodeCacheHierarchy:
         self._c_misses.value += 1
         return None, latency
 
+    def replay_l1_hits(self, line_addr: int, count: int) -> None:
+        """Charge ``count`` back-to-back L1 hits on a resident line: the
+        hit counter and LRU state that many :meth:`lookup` calls leave."""
+        self.l1.touch(line_addr, count)
+        self._c_l1_hits.value += count
+
     def peek(self, line_addr: int) -> Optional[CacheLine]:
         """Find a line without timing or LRU effects (for snooping)."""
         line = self.l2.lookup(line_addr, touch=False)

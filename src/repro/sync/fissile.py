@@ -88,13 +88,15 @@ class FissileLock(Lock):
             yield from qcore.wait_until(
                 node_addr + FLAG_OFFSET, qcore.nonzero, pc=self.pc_queue
             )
-        # Head of the outer queue: test-and-test&set on the inner word.
+        # Head of the outer queue: test-and-test&set on the inner word,
+        # the test a wait_until like every other waiter's.
         while True:
-            value = yield from qcore.probe(self.inner_addr, pc=self.pc_head)
-            if value == UNLOCKED:
-                old = yield from qcore.grab(self.inner_addr, pc=self.pc_head)
-                if old == UNLOCKED:
-                    break
+            yield from qcore.wait_until(
+                self.inner_addr, UNLOCKED, pc=self.pc_head
+            )
+            old = yield from qcore.grab(self.inner_addr, pc=self.pc_head)
+            if old == UNLOCKED:
+                break
             yield from qcore.pause(SPIN_PAUSE)
         # Anti-collapse hand-off: promote the successor to head before
         # entering the critical section.

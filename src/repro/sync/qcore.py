@@ -17,7 +17,11 @@ building blocks:
     predecessor's node (CLH), a ticket-indexed slot (Anderson), or a
     global grant word (ticket) — and it decides the coherence traffic a
     waiter generates, which is exactly the axis the paper's taxonomy
-    measures.
+    measures.  The whole loop is one :class:`~repro.cpu.ops.Spin` op
+    that the processor runs: a waiter whose test fails on a quiet L1
+    copy parks until a miss opens on the line or its own caches fill,
+    so a local spin costs no events while it waits (paper §3.3's "no
+    traffic until the hand-off", for the simulator too).
 
 ``signal``
     Publish a hand-off with a plain store: open the successor's flag,
@@ -34,17 +38,14 @@ cycle counts bit-identical across the refactor.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional
 
-from repro.cpu.ops import Compute, Read, Swap, Write
+from repro.cpu.ops import Accept, Compute, Read, Spin, Swap, Write
 from repro.sync.fetchop import compare_and_swap, fetch_and_add
 
 #: default cycles of local pause between failed wait tests (branch +
 #: loop cost) — shared by every composed lock, as before the refactor
 SPIN_PAUSE = 24
-
-#: an accepting predicate or the single accepted value
-Accept = Union[int, Callable[[int], bool]]
 
 
 # --------------------------------------------------------------------
@@ -77,12 +78,6 @@ def unsplice(tail_addr: int, expect: int, pc_label: str):
 # wait: spin on one word until it accepts
 # --------------------------------------------------------------------
 
-def _accepts(accept: Accept, value: int) -> bool:
-    if callable(accept):
-        return accept(value)
-    return value == accept
-
-
 def wait_until(
     addr: int,
     accept: Accept,
@@ -93,14 +88,17 @@ def wait_until(
     """Spin-read ``addr`` until ``accept`` holds; return the accepted
     value.  ``accept`` is a value to match or a predicate.  With
     ``max_pause`` the inter-test pause backs off exponentially
-    (proportional waits — barriers); otherwise it is constant."""
-    while True:
-        value = yield Read(addr, pc=pc)
-        if _accepts(accept, value):
-            return value
-        yield Compute(pause)
-        if max_pause is not None:
-            pause = min(pause * 2, max_pause)
+    (proportional waits — barriers); otherwise it is constant.
+
+    One :class:`~repro.cpu.ops.Spin` op: the processor runs the loop,
+    each test a ``Read`` and each failed test a ``pause``, counted as
+    the ``Read``/``Compute`` pairs they are.  After a test that fails
+    on an L1 hit of a quiet line (no miss open on it anywhere, no
+    queue, loan or push state for it here) the processor parks; any
+    node opening a miss on the line, or any fill into this node's
+    caches, wakes it at the exact point the loop had reached."""
+    value = yield Spin(addr, accept, pc=pc, pause=pause, max_pause=max_pause)
+    return value
 
 
 def nonzero(value: int) -> bool:

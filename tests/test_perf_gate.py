@@ -90,6 +90,30 @@ class TestGate:
         fresh = write_summary(tmp_path / "fresh.json", cells)
         assert perf_gate.main([fresh, "--golden", gold]) == 0
 
+    def test_metrics_export_reads_events_from_manifests(self, tmp_path):
+        """A ``repro-metrics/1`` export (``BENCH_table3.json``) keeps each
+        cell's event count in its manifest; the loader lifts it out."""
+        exported = []
+        for events in (1000, 1001):
+            full = cell(["barnes", "iqolb"], cycles=5000, events=events)
+            del full["events_fired"]
+            full["manifest"] = {"events_fired": events, "version": "x"}
+            exported.append(
+                {"schema": perf_gate.METRICS_SCHEMA, "cells": [full]}
+            )
+        gold, fresh, drifted = (
+            tmp_path / "golden.json", tmp_path / "fresh.json",
+            tmp_path / "drifted.json",
+        )
+        gold.write_text(json.dumps(exported[0]))
+        fresh.write_text(json.dumps(exported[0]))
+        drifted.write_text(json.dumps(exported[1]))
+        cells = perf_gate.load_cells(str(fresh))
+        assert cells["barnes/iqolb"]["events_fired"] == 1000
+        assert perf_gate.load_golden(str(gold)) == cells
+        assert perf_gate.main([str(fresh), "--golden", str(gold)]) == 0
+        assert perf_gate.main([str(drifted), "--golden", str(gold)]) == 1
+
     def test_unknown_golden_schema_fails(self, tmp_path, capsys):
         gold = tmp_path / "old.json"
         gold.write_text(json.dumps({"schema": "repro-perf-baseline/1"}))

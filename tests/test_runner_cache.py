@@ -120,6 +120,19 @@ class TestCache:
         v2 = ResultCache(tmp_path, version="2.0.0")
         assert v1.key(description) != v2.key(description)
 
+    def test_entry_from_another_version_is_a_miss(self, tmp_path):
+        """A release that changes stored results (e.g. event counts at
+        equal cycles) must not be served an older release's entries."""
+        old = ResultCache(tmp_path, version="1.1.0")
+        sweep(fast_factory, ["tts"], [2], cache=old)
+        assert list(tmp_path.glob("*/*.json"))
+        current = ResultCache(tmp_path)
+        assert current.version != "1.1.0"
+        rerun = sweep(fast_factory, ["tts"], [2], cache=current)
+        assert rerun.runner_stats.executed == 1
+        assert rerun.runner_stats.cache_hits == 0
+        assert current.misses == 1 and current.hits == 0
+
     def test_corrupted_entries_discarded_not_crashed(self, tmp_path):
         cache = ResultCache(tmp_path)
         sweep(fast_factory, ["tts"], [2], cache=cache)

@@ -1,0 +1,402 @@
+"""Parked spin loops against a reference that never parks.
+
+A :class:`~repro.cpu.ops.Spin` loop whose test fails on a quiet L1 line
+parks: it schedules nothing until a miss opens on the line or its node
+installs a line, and then charges the skipped tests arithmetically.
+``NeverParks`` runs every test as real events, which is the loop as it
+was written.  Both runs must agree on every deterministic output --
+cycles, bus transactions, every counter and every histogram -- and the
+reference fires exactly the skipped events more.
+"""
+
+import pytest
+
+import repro.harness.experiment as experiment
+from repro.check.explore import RunSpec, run_once
+from repro.check.scenarios import build_scenario, install_mutation
+from repro.coherence.controller import CacheController
+from repro.core.registry import PRIMITIVE_SPECS
+from repro.cpu.ops import LL, SC, Compute, Read, Write
+from repro.cpu.processor import Processor
+from repro.engine.event import callback_label
+from repro.engine.simulator import SimulationError
+from repro.harness.config import SystemConfig
+from repro.harness.experiment import run_app, run_workload
+from repro.harness.system import System
+from repro.mem.line import State
+from repro.sync import qcore
+from repro.workloads.micro import NullCriticalSection
+
+SWQUEUES = ["ticket", "mcs", "anderson", "clh", "reciprocating", "fissile"]
+
+
+class NeverParks(Processor):
+    """The spin loop as written: every test is three real events."""
+
+    def _may_park(self):
+        return False
+
+
+class ReferenceSystem(System):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for processor in self.processors:
+            processor.__class__ = NeverParks
+
+
+def _outputs(system, cycles):
+    return {
+        "cycles": cycles,
+        "bus_transactions": system.bus_transactions(),
+        "counters": system.stats.snapshot(),
+        "histograms": system.stats.histogram_snapshot(),
+    }
+
+
+def _compare(monkeypatch, run):
+    """Run ``run()`` parked, then on the reference; returns the parked
+    run's system after checking the two agree."""
+    built = []
+
+    def capture(cls):
+        class Captured(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        return Captured
+
+    monkeypatch.setattr(experiment, "System", capture(System))
+    parked_result = run()
+    monkeypatch.setattr(experiment, "System", capture(ReferenceSystem))
+    reference_result = run()
+    parked, reference = built
+    assert _outputs(parked, parked_result.cycles) == _outputs(
+        reference, reference_result.cycles
+    )
+    assert reference.sim.events_skipped == 0
+    assert (
+        reference.sim.events_fired
+        == parked.sim.events_fired + parked.sim.events_skipped
+    )
+    assert parked.sim.queue_high_water <= reference.sim.queue_high_water
+    return parked
+
+
+def _skipped_tests(system):
+    return sum(processor.tests_skipped for processor in system.processors)
+
+
+def _null_cs(primitive, n_processors, interconnect, acquires=20):
+    spec = PRIMITIVE_SPECS[primitive]
+    workload = NullCriticalSection(
+        lock_kind=spec.lock_kind, acquires_per_proc=acquires, think_cycles=80
+    )
+    config = SystemConfig(
+        n_processors=n_processors, policy=spec.policy, interconnect=interconnect
+    )
+    return run_workload(workload, config, primitive=primitive)
+
+
+@pytest.mark.parametrize("primitive", list(PRIMITIVE_SPECS))
+def test_every_primitive_matches_reference(monkeypatch, interconnect, primitive):
+    """Storm and hardware-queue primitives wait in LL loops, not in
+    ``wait_until``, so only the software queues skip anything."""
+    parked = _compare(
+        monkeypatch, lambda: _null_cs(primitive, 4, interconnect)
+    )
+    if PRIMITIVE_SPECS[primitive].taxonomy == "swqueue":
+        assert _skipped_tests(parked) > 0
+
+
+@pytest.mark.parametrize("primitive", SWQUEUES)
+def test_software_queues_at_8p_match_reference(
+    monkeypatch, interconnect, primitive
+):
+    parked = _compare(
+        monkeypatch, lambda: _null_cs(primitive, 8, interconnect)
+    )
+    assert _skipped_tests(parked) > 0
+
+
+@pytest.mark.parametrize("primitive", ["tts", "iqolb"])
+@pytest.mark.parametrize("app", ["barnes", "raytrace"])
+def test_barrier_backoff_matches_reference(monkeypatch, app, primitive):
+    """Barrier waits back off exponentially up to a cap."""
+    parked = _compare(monkeypatch, lambda: run_app(app, primitive, 8))
+    assert _skipped_tests(parked) > 0
+
+
+# ----------------------------------------------------------------------
+# Hand-built wake-ups: installs into a parked node
+# ----------------------------------------------------------------------
+#: one L1 set on the default 2-way, 64 KB L1 (set stride 32 KB); each
+#: line sits in its own L2 set, so installs evict from the L1 only
+FLAG, Z, Y1, Y2 = 0x4000, 0xC000, 0x14000, 0x1C000
+LOCK, DATA1, DATA2 = 0x1000, 0x2000, 0x3000
+ACQ_PC = 0x51
+
+
+def _run_pair(build):
+    """Build and run the parked system and the reference."""
+    systems = []
+    for cls in (System, ReferenceSystem):
+        system = build(cls)
+        systems.append((system, system.run()))
+    (parked, p_cycles), (reference, r_cycles) = systems
+    assert _outputs(parked, p_cycles) == _outputs(reference, r_cycles)
+    assert (
+        reference.sim.events_fired
+        == parked.sim.events_fired + parked.sim.events_skipped
+    )
+    return parked
+
+
+def _evicting_installs(t1, gap, interconnect):
+    """P1 spins on FLAG, with Z the other line of its L1 set; two lines
+    of that set are installed at P1 at ``t1`` and ``t1 + gap``."""
+
+    def build(cls):
+        system = cls(SystemConfig(n_processors=2, interconnect=interconnect))
+
+        def setter():
+            yield Compute(5000)
+            yield Write(FLAG, 1)
+
+        def spinner():
+            yield Read(Z)
+            yield from qcore.wait_until(FLAG, 1)
+
+        system.load_program(0, setter())
+        system.load_program(1, spinner())
+        controller = system.controllers[1]
+        for when, line_addr in ((t1, Y1), (t1 + gap, Y2)):
+            system.sim.schedule_at(
+                when,
+                controller._install_line,
+                line_addr,
+                State.SHARED,
+                system.memory.read_line(line_addr),
+            )
+        return system
+
+    return build
+
+
+@pytest.mark.parametrize("gap", [0, 1, 2, 28])
+def test_installs_evicting_the_parked_line(interconnect, gap):
+    """Back-to-back installs push FLAG out of the L1 while P1 is parked
+    (the first evicts Z, the second the now-older FLAG); spread out,
+    the woken loop's re-reads keep FLAG the most recently used.  The
+    install times sweep a whole test period so the loop's read, its
+    L1 hit and its pause each fall in the install cycle."""
+    for t1 in range(2000, 2028):
+        parked = _run_pair(_evicting_installs(t1, gap, interconnect))
+        assert parked.processors[1].tests_skipped > 0
+        if gap == 0:
+            # FLAG left the L1: the next test hit in the L2
+            assert parked.stats.value("cache1.l2_hits") == 1
+
+
+def test_a_miss_wakes_the_line_before_it_goes_out(monkeypatch, interconnect):
+    """No request leaves a node while a spinner is still parked on its
+    line: the miss opening wakes them first (the snoop-time wake is only
+    a backstop)."""
+    parked_at_issue = []
+    original = CacheController._issue_bus
+
+    def watched(self, mshr):
+        parked_at_issue.append(mshr.line_addr in self.bus._spinners)
+        return original(self, mshr)
+
+    monkeypatch.setattr(CacheController, "_issue_bus", watched)
+    parked = _run_pair(_evicting_installs(10**6, 0, interconnect))
+    assert parked.processors[1].tests_skipped > 0
+    assert parked_at_issue and not any(parked_at_issue)
+
+
+def test_push_lands_on_parked_node(monkeypatch):
+    """Generalized IQOLB: P1 is queued for the lock (a tear-off let its
+    LL complete) and parks on FLAG; P0's release pushes the lock line
+    and the two lines it wrote to P1, whose installs wake it."""
+    pushed_onto_parked = []
+    original = CacheController._on_push
+
+    def watched(self, msg):
+        pushed_onto_parked.append(self.spinner is not None)
+        return original(self, msg)
+
+    monkeypatch.setattr(CacheController, "_on_push", watched)
+
+    def build(cls):
+        system = cls(SystemConfig(n_processors=2, policy="iqolb+gen"))
+
+        def holder():
+            # The first acquire/release trains the lock predictor.
+            yield LL(LOCK, pc=ACQ_PC)
+            yield SC(LOCK, 1, pc=ACQ_PC)
+            yield Write(LOCK, 0)
+            yield LL(LOCK, pc=ACQ_PC)
+            yield SC(LOCK, 1, pc=ACQ_PC)
+            yield Compute(200)
+            yield Write(DATA1, 5)
+            yield Write(DATA2, 6)
+            yield Compute(3000)
+            yield Write(LOCK, 0)
+            yield Compute(3000)
+            yield Write(FLAG, 1)
+
+        def waiter():
+            yield Compute(400)
+            yield Read(FLAG)
+            yield LL(LOCK, pc=ACQ_PC)
+            yield from qcore.wait_until(FLAG, 1)
+
+        system.load_program(0, holder())
+        system.load_program(1, waiter())
+        return system
+
+    parked = _run_pair(build)
+    assert parked.stats.value("ctrl1.pushes_received") == 2
+    assert pushed_onto_parked[:2] == [True, True]
+
+
+# ----------------------------------------------------------------------
+# The checker's view of a parked loop
+# ----------------------------------------------------------------------
+def test_settled_view_is_the_running_loop(interconnect):
+    """Stopped at any cycle, a parked loop shows the reference's op
+    count and pending event (as in the checker's state fingerprint)."""
+    for stop in range(2000, 2030):
+        stopped = []
+        for cls in (System, ReferenceSystem):
+            system = _evicting_installs(10**6, 0, interconnect)(cls)
+            system.sim.schedule_at(stop, lambda: None)
+            for node_id in (0, 1):
+                system.processors[node_id].start()
+            system.sim.run(until=lambda s=system: s.sim.now >= stop)
+            stopped.append(system)
+        parked, reference = stopped
+        assert parked.processors[1].parked_line is not None
+        ops, pending = parked.processors[1].settled_view(stop)
+        assert ops == reference.processors[1].thread.ops_executed
+        assert sorted(
+            parked.sim._queue.signature(stop) + (pending,)
+        ) == sorted(reference.sim._queue.signature(stop))
+
+
+# ----------------------------------------------------------------------
+# A parked loop that nothing wakes
+# ----------------------------------------------------------------------
+def test_unwoken_parked_loop_is_a_runaway():
+    """An MCS release that never opens its successor's flag: the
+    successor parks for good and the queue drains.  The loop would have
+    run into max_cycles; the drained queue raises the same error, with
+    the parked spinner in the stuck-state digest."""
+    for cls in (System, ReferenceSystem):
+        built = build_scenario("lock", "mcs", "bus", 2, 2, 10_000_000, 200_000)
+        system = built.system
+        if cls is ReferenceSystem:
+            for processor in system.processors:
+                processor.__class__ = NeverParks
+        install_mutation("mcs_drop_handoff", system, built.workload)
+        with pytest.raises(SimulationError, match="max_cycles=200000") as exc:
+            system.run()
+        message = str(exc.value)
+        if cls is System:
+            assert "queue drained" in message
+            assert "parked on 0x" in message
+            assert "tests skipped)" in message
+        else:
+            assert "exceeded max_cycles" in message
+
+
+def test_checker_reports_the_unwoken_loop():
+    """The checker still classifies the drained queue as a runaway and
+    its progress oracle flags the lost wake-up."""
+    outcome = run_once(
+        RunSpec(
+            scenario="lock",
+            primitive="mcs",
+            interconnect="bus",
+            n_processors=2,
+            acquires_per_proc=2,
+            mutation="mcs_drop_handoff",
+            timeout_cycles=10_000_000,
+            max_cycles=200_000,
+        ),
+        [],
+    )
+    assert outcome.detail.startswith("simulation would exceed max_cycles")
+    assert outcome.violation["oracle"] == "progress"
+
+
+# ----------------------------------------------------------------------
+# Where a woken loop's event goes
+# ----------------------------------------------------------------------
+LOOP_EVENTS = {
+    "Processor._advance",
+    "CacheController.cpu_request",
+    "CacheController._finish_read",
+}
+
+
+def _fired(monkeypatch, cls, run):
+    """Every event ``run()`` fires on a ``cls`` system, as (time, label,
+    node, argument count)."""
+    fired = []
+
+    class Logged(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sim = self.sim
+
+            def log():
+                event = sim.last_event
+                owner = getattr(event.callback, "__self__", None)
+                fired.append(
+                    (
+                        event.time,
+                        callback_label(event.callback),
+                        getattr(owner, "node_id", None),
+                        len(event.args),
+                    )
+                )
+
+            sim.on_step = log
+
+    monkeypatch.setattr(experiment, "System", Logged)
+    run()
+    return fired
+
+
+def test_woken_events_fire_in_reference_order(monkeypatch, interconnect):
+    """The parked run fires the reference's events in the reference's
+    order, less the loop events it skipped: a woken event goes behind
+    events queued before its loop would have queued it, ahead of those
+    queued after, and runs first in the wake cycle if queued first."""
+
+    def run():
+        return run_app(
+            "raytrace", "mcs", 8, config_overrides={"interconnect": interconnect}
+        )
+
+    parked = _fired(monkeypatch, System, run)
+    reference = _fired(monkeypatch, ReferenceSystem, run)
+    kept = iter(parked)
+    expected = next(kept, None)
+    for event in reference:
+        if event == expected:
+            expected = next(kept, None)
+        else:
+            assert event[1] in LOOP_EVENTS, event
+    assert expected is None
+    assert len(parked) < len(reference)
+
+
+def test_loops_woken_together_keep_their_order(monkeypatch):
+    """At 16 processors barrier waiters spin in lockstep; one release
+    wakes them together, and their misses must reach the bus in the
+    order their loops had (walked back to where the loops part)."""
+    parked = _compare(monkeypatch, lambda: run_app("barnes", "tts", 16))
+    assert _skipped_tests(parked) > 0

@@ -1,16 +1,18 @@
 #!/usr/bin/env python
-"""Golden-value gate for the directory-scaling bench.
+"""Golden-value gate for the benches' committed cells.
 
-Compares a fresh ``BENCH_directory_scaling`` summary against golden
-per-cell values and fails if any golden cell is missing or drifted on a
-deterministic field: ``cycles``, ``bus_transactions`` or
-``events_fired``.  The simulator is deterministic, so these values are
-host-independent; a mismatch means the protocol, the workload or the
-event order changed.
+Compares a fresh bench artifact against golden per-cell values and
+fails if any golden cell is missing or drifted on a deterministic
+field: ``cycles``, ``bus_transactions`` or ``events_fired``.  The
+simulator is deterministic, so these values are host-independent; a
+mismatch means the protocol, the workload or the event order changed.
 
-The golden file is either the checked-in ``results/PERF_baseline.json``
-(``repro-perf-baseline/2``, the smoke cells) or a metrics summary such as
-the committed full-scale ``results/BENCH_directory_scaling.summary.json``.
+FRESH is a metrics summary (``repro-metrics-summary/1``, e.g.
+``results/BENCH_lock_ladder.summary.json``) or a full metrics export
+(``repro-metrics/1``, e.g. ``results/BENCH_table3.json``, whose cells
+carry ``events_fired`` in their manifest).  The golden file is either
+of those or the checked-in ``results/PERF_baseline.json``
+(``repro-perf-baseline/2``, the smoke cells).
 
 Usage::
 
@@ -30,18 +32,28 @@ from typing import Any, Dict, Optional
 
 BASELINE_SCHEMA = "repro-perf-baseline/2"
 SUMMARY_SCHEMA = "repro-metrics-summary/1"
+METRICS_SCHEMA = "repro-metrics/1"
 
 #: the deterministic per-cell fields the golden values pin
 GOLDEN_FIELDS = ("cycles", "bus_transactions", "events_fired")
 
 
 def index_cells(payload: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Index a metrics summary's cells by their joined key."""
-    return {"/".join(map(str, cell["key"])): cell for cell in payload["cells"]}
+    """Index a metrics document's cells by their joined key.
+
+    A ``repro-metrics/1`` cell keeps ``events_fired`` in its manifest;
+    it is read from there, so both document kinds gate alike.
+    """
+    cells = {}
+    for cell in payload["cells"]:
+        if "events_fired" not in cell and "manifest" in cell:
+            cell = {**cell, "events_fired": cell["manifest"].get("events_fired")}
+        cells["/".join(map(str, cell["key"]))] = cell
+    return cells
 
 
 def load_cells(path: str) -> Dict[str, Dict[str, Any]]:
-    """The cells of a metrics summary, keyed like ``bus/iqolb/8``."""
+    """The cells of a metrics document, keyed like ``bus/iqolb/8``."""
     with open(path, encoding="utf-8") as handle:
         return index_cells(json.load(handle))
 
@@ -53,11 +65,11 @@ def load_golden(path: str) -> Dict[str, Dict[str, Any]]:
     schema = payload.get("schema")
     if schema == BASELINE_SCHEMA:
         return payload["cells"]
-    if schema == SUMMARY_SCHEMA:
+    if schema in (SUMMARY_SCHEMA, METRICS_SCHEMA):
         return index_cells(payload)
     raise ValueError(
-        f"{path}: golden schema {schema!r} is neither "
-        f"{BASELINE_SCHEMA!r} nor {SUMMARY_SCHEMA!r}"
+        f"{path}: golden schema {schema!r} is not one of "
+        f"{BASELINE_SCHEMA!r}, {SUMMARY_SCHEMA!r}, {METRICS_SCHEMA!r}"
     )
 
 
@@ -137,7 +149,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--golden",
         required=True,
-        help="golden values: a repro-perf-baseline/2 file or a metrics summary",
+        help="golden values: a repro-perf-baseline/2 file or a metrics "
+        "summary or export",
     )
     parser.add_argument(
         "--update",
