@@ -9,13 +9,13 @@ mechanically instead of sampling them:
   processors, 1-2 lines) through systematically permuted event orderings
   by hooking the simulator's same-cycle tie-breaking — a DFS over
   tie-break choices with a state-hash visited set, step/depth/run
-  budgets, and optional partial-order reduction (sleep sets / DPOR
+  budgets, and optional partial-order reduction (DPOR: sleep sets plus
   backtrack seeding) checked for equivalence against the exhaustive
   mode.
 * :mod:`repro.check.scenarios` holds the workload shapes the checker
-  explores — a contended lock (any registered primitive, run as
-  shipped), shared counter, sense-reversing barrier — each with its own
-  oracles and seeded mutations.
+  explores — the benches' contended lock (any registered primitive, run
+  as shipped) and shared counter, and a sense-reversing barrier — each
+  with its own oracles and seeded mutations.
 * :mod:`repro.check.oracles` holds the pluggable invariant checks: SWMR,
   data-value coherence, mutual exclusion and grant order, exactly-once
   hand-off, FIFO hand-off order under queue retention, and progress

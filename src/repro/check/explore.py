@@ -23,8 +23,9 @@ On top of the fingerprint pruning, the explorer offers **partial-order
 reduction** over the tie-break choice tree (``Budget.reduction``):
 
 * ``none`` — the exhaustive DFS above; stays available as the oracle
-  that the reductions are checked against (equivalence property tests).
-* ``sleep`` — sleep sets (Godefroid): after a sibling choice has been
+  that the reduction is checked against (equivalence property tests).
+* ``dpor`` — sleep sets (Godefroid) plus dynamic backtrack seeding in
+  the Flanagan–Godefroid style.  After a sibling choice has been
   explored from a state, later siblings carry it in their *sleep set*
   and do not re-branch to it until some executed event conflicts with
   it (waking it).  Independence comes from each tied event's conflict
@@ -32,9 +33,8 @@ reduction** over the tie-break choice tree (``Budget.reduction``):
   different nodes touching disjoint cache-line sets commute; same-line
   coherence events, same-node events, and events on shared components
   (bus, directory, crossbar — no ``node_id``) conflict conservatively.
-* ``dpor`` — sleep sets plus dynamic backtrack seeding in the
-  Flanagan–Godefroid style: a sibling is only pushed when its candidate
-  event *conflicts* with the event actually fired at that choice point.
+  On top of that, a sibling is only pushed when its candidate event
+  *conflicts* with the event actually fired at that choice point.
   Orderings that merely delay an independent event are reachable through
   later choice points of the same run (the un-fired ties stay tied), so
   the adjacent-transposition of an independent pair is provably
@@ -138,7 +138,7 @@ class RunSpec:
 
 
 #: the reduction strategies ``explore`` understands
-REDUCTIONS = ("none", "sleep", "dpor")
+REDUCTIONS = ("none", "dpor")
 
 
 @dataclasses.dataclass
@@ -149,7 +149,7 @@ class Budget:
     max_steps: int = 60_000
     max_depth: int = 40
     stop_on_violation: bool = True
-    #: partial-order reduction over the choice tree: none | sleep | dpor
+    #: partial-order reduction over the choice tree: none | dpor
     reduction: str = "none"
 
     def __post_init__(self) -> None:
@@ -230,7 +230,7 @@ class ExploreReport:
     fault_stats: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: which reduction explored this cell (mirrors Budget.reduction)
     reduction: str = "none"
-    #: siblings not pushed because their candidate slept (sleep/dpor)
+    #: siblings not pushed because their candidate slept (dpor)
     pruned_sleep: int = 0
     #: siblings not pushed because their candidate was independent of
     #: the event fired at that choice point (dpor backtrack seeding)
@@ -560,7 +560,7 @@ def explore(spec: RunSpec, budget: Optional[Budget] = None) -> ExploreReport:
                 if key in base_sleep and counts[key] == 1:
                     report.pruned_sleep += 1
                     continue
-                if budget.reduction == "dpor" and independent(key, taken):
+                if independent(key, taken):
                     # The alt commutes with the event this run fired here,
                     # so firing it later (it stays tied at the next choice
                     # points) reaches the same states — no need to branch.

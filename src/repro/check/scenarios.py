@@ -7,6 +7,9 @@ queue formation, hand-off, timeout, NACK/retry on the directory.
 
 Each scenario builds a ready-to-run :class:`~repro.harness.system.System`
 and reports which line addresses the state-scan oracles should track.
+The ``lock`` and ``counter`` scenarios are the benches' own
+micro-workloads (:mod:`repro.workloads.micro`), so the checker explores
+the programs the benches time; only the barrier scenario lives here.
 """
 
 from __future__ import annotations
@@ -22,129 +25,14 @@ from repro.harness.system import System
 from repro.sync.barrier import Barrier
 from repro.sync.fetchop import fetch_and_add
 from repro.sync.reciprocating import GATE_OFFSET
-from repro.workloads.base import LockSet, Workload
+from repro.workloads.base import Workload
+from repro.workloads.micro import ContendedCounter, NullCriticalSection
 
 #: the policy ladder the smoke matrix sweeps (5 primitives)
 LADDER = ("tts", "delayed", "iqolb", "iqolb+retention", "qolb")
 
 #: both coherence fabrics
 FABRICS = ("bus", "directory")
-
-
-class MonitoredCriticalSection(Workload):
-    """The cell's primitive, as shipped, under the grant-order monitor.
-
-    Like :class:`~repro.workloads.micro.NullCriticalSection`, the lock
-    comes from :class:`LockSet`, so the checker explores the code in
-    :mod:`repro.sync` that the benches run.  Every acquire reports
-    arrive/enter/exit to a :class:`GrantOrderMonitor` (overlap, or an
-    out-of-splice-order grant where the primitive claims FIFO, raises
-    in-sim) and bumps a token word in a separate line, so lost updates
-    are also caught by the final verify, which requires the lock free.
-    """
-
-    name = "monitored-cs"
-
-    def __init__(
-        self,
-        primitive: str = "tts",
-        acquires_per_proc: int = 2,
-        think_cycles: int = 30,
-    ) -> None:
-        spec = get_primitive(primitive)
-        self.lock_kind = spec.lock_kind
-        self.fifo = spec.fifo
-        self.acquires_per_proc = acquires_per_proc
-        self.think_cycles = think_cycles
-        self.monitor: Optional[GrantOrderMonitor] = None
-        self.token_addr = 0
-        self.expected = 0
-
-    def build(self, system: System) -> None:
-        n = system.config.n_processors
-        self.lockset = LockSet(self.lock_kind, system, 1, n)
-        self.token_addr = system.layout.alloc_line()
-        self.monitor = GrantOrderMonitor(self.lock_line(system), self.fifo)
-        self.expected = n * self.acquires_per_proc
-        for node in range(n):
-            system.load_program(node, self._program(node))
-
-    def tracked_lines(self, system: System) -> List[int]:
-        """The lock line, the token line, then the rest of the lines the
-        LockSet allocated (queue nodes, slots, a second lock word).  The
-        bump allocator laid those out between the two."""
-        line_bytes = system.amap.line_bytes
-        lock_line = self.lock_line(system)
-        token_line = system.amap.line_addr(self.token_addr)
-        rest = range(lock_line + line_bytes, token_line, line_bytes)
-        return [lock_line, token_line, *rest]
-
-    def lock_line(self, system: System) -> int:
-        return system.amap.line_addr(self.lockset.lock_addr(0))
-
-    def extra_oracles(self, system: System) -> List[object]:
-        return [self.monitor]
-
-    def _program(self, tid: int):
-        for _ in range(self.acquires_per_proc):
-            self.monitor.arrive(tid)
-            yield from self.lockset.acquire(0, tid)
-            self.monitor.enter(tid)
-            value = yield Read(self.token_addr)
-            yield Write(self.token_addr, value + 1)
-            self.monitor.exit(tid)
-            yield from self.lockset.release(0, tid)
-            yield Compute(self.think_cycles)
-
-    def verify(self, system: System) -> None:
-        actual = system.read_word(self.token_addr)
-        if actual != self.expected:
-            raise AssertionError(
-                f"mutual exclusion violated: token={actual}, "
-                f"expected {self.expected}"
-            )
-        if not self.lockset.lock(0).is_free(system.read_word):
-            raise AssertionError(
-                f"{self.lock_kind} lock not free after all releases"
-            )
-
-
-class SmallCounter(Workload):
-    """Tiny contended fetch&add: the pure atomic-RMW state space."""
-
-    name = "small-counter"
-
-    def __init__(self, increments_per_proc: int = 2, think_cycles: int = 15):
-        self.increments_per_proc = increments_per_proc
-        self.think_cycles = think_cycles
-        self.monitor = None
-        self.counter_addr = 0
-        self.expected = 0
-
-    def build(self, system: System) -> None:
-        self.counter_addr = system.layout.alloc_line()
-        n = system.config.n_processors
-        self.expected = n * self.increments_per_proc
-        for node in range(n):
-            system.load_program(node, self._program())
-
-    def tracked_lines(self, system: System) -> List[int]:
-        return [system.amap.line_addr(self.counter_addr)]
-
-    def lock_line(self, system: System) -> int:
-        return system.amap.line_addr(self.counter_addr)
-
-    def _program(self):
-        for _ in range(self.increments_per_proc):
-            yield from fetch_and_add(self.counter_addr, 1, "counter.add")
-            yield Compute(self.think_cycles)
-
-    def verify(self, system: System) -> None:
-        actual = system.read_word(self.counter_addr)
-        if actual != self.expected:
-            raise AssertionError(
-                f"lost updates: counter={actual}, expected {self.expected}"
-            )
 
 
 class BarrierEpochs(Workload):
@@ -245,9 +133,6 @@ class BuiltScenario:
     system: System
     workload: Workload
     tracked_lines: List[int]
-    #: the workload's in-process monitor (GrantOrderMonitor,
-    #: BarrierMonitor) or None when the scenario has none
-    monitor: Optional[object]
 
 
 def make_config(
@@ -267,11 +152,21 @@ def make_config(
 
 
 def _make_lock(primitive: str, acquires_per_proc: int) -> Workload:
-    return MonitoredCriticalSection(primitive, acquires_per_proc)
+    """The bench's null critical section on the cell's primitive, as
+    shipped, under the grant-order monitor."""
+    spec = get_primitive(primitive)
+    return NullCriticalSection(
+        spec.lock_kind,
+        acquires_per_proc,
+        think_cycles=30,
+        observer=GrantOrderMonitor(fifo=spec.fifo),
+    )
 
 
 def _make_counter(primitive: str, acquires_per_proc: int) -> Workload:
-    return SmallCounter(increments_per_proc=acquires_per_proc)
+    return ContendedCounter(
+        increments_per_proc=acquires_per_proc, think_cycles=15
+    )
 
 
 def _make_barrier(primitive: str, acquires_per_proc: int) -> Workload:
@@ -325,7 +220,6 @@ def build_scenario(
         system=system,
         workload=workload,
         tracked_lines=workload.tracked_lines(system),
-        monitor=workload.monitor,
     )
 
 
@@ -386,7 +280,7 @@ def _drop_ops(ops, drop):
 def _require_lock(workload: Workload, kind: str, mutation: str):
     """The shipped lock instance a lock-level mutation patches."""
     if (
-        not isinstance(workload, MonitoredCriticalSection)
+        not isinstance(workload, NullCriticalSection)
         or workload.lock_kind != kind
     ):
         raise ValueError(

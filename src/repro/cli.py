@@ -771,16 +771,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run the default policy-ladder x fabric matrix "
                          "(the flag documents intent; defaults already "
                          "describe the smoke matrix)")
+    from repro.check.explore import REDUCTIONS
     from repro.check.scenarios import mutation_names, scenario_names
 
     pc.add_argument("--scenario", default="lock",
                     choices=scenario_names(),
                     help="workload shape to explore (default: lock)")
     pc.add_argument("--reduction", default="none",
-                    choices=("none", "sleep", "dpor"),
+                    choices=REDUCTIONS,
                     help="partial-order reduction over the choice tree: "
-                         "sleep sets, or sleep sets + dynamic backtrack "
-                         "seeding (default: none — the exhaustive oracle)")
+                         "sleep sets + dynamic backtrack seeding "
+                         "(default: none — the exhaustive oracle)")
     pc.add_argument("--primitives", nargs="+", metavar="PRIM",
                     choices=sorted(PRIMITIVES),
                     help="primitives to sweep (default: the 5-rung ladder)")

@@ -60,16 +60,19 @@ class SystemConfig:
     max_cycles: int = 500_000_000
 
     def policy_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments forwarded to the policy factory."""
-        kwargs: Dict[str, Any] = {}
-        if self.timeout_cycles is not None and self.policy in (
-            "delayed",
-            "delayed+retention",
-            "iqolb",
-            "iqolb+retention",
+        """Keyword arguments forwarded to the policy factory.
+
+        ``timeout_cycles`` goes to every policy that has a timeout of
+        its own (a default that is not ``None``).
+        """
+        from repro.core.registry import make_policy
+
+        if (
+            self.timeout_cycles is None
+            or make_policy(self.policy).timeout_cycles is None
         ):
-            kwargs["timeout_cycles"] = self.timeout_cycles
-        return kwargs
+            return {}
+        return {"timeout_cycles": self.timeout_cycles}
 
     def with_(self, **overrides: Any) -> "SystemConfig":
         """A copy with some fields replaced."""

@@ -5,8 +5,9 @@ The paper repeatedly trades off fairness: the distributed queue grants
 (§3.2), while the retention alternative "avoids queue breakdown at the
 expense of ... fairness and of forward progress" (§3.3), and raw TTS
 spinning is famously unfair under contention.  This module quantifies
-those claims: it runs a contended-lock workload that timestamps every
-arrival (start of acquire) and grant (acquire completed), and computes
+those claims: it runs the null critical section bench workload with a
+:class:`FairnessRecorder` observer that timestamps every arrival (start
+of acquire) and grant (acquire completed), and computes
 
 * waiting-time statistics (mean / max / coefficient of variation),
 * FIFO inversions — grants that overtook an earlier arrival, and
@@ -19,11 +20,11 @@ import dataclasses
 import math
 from typing import Dict, List, Tuple
 
-from repro.cpu.ops import Compute, Read, Write
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES
+from repro.harness.experiment import run_workload
 from repro.harness.system import System
-from repro.workloads.base import LockSet
+from repro.workloads.micro import NullCriticalSection
 
 
 @dataclasses.dataclass
@@ -91,6 +92,30 @@ def jain_index(per_thread_totals: Dict[int, int]) -> float:
     return numerator / denominator
 
 
+class FairnessRecorder:
+    """A :class:`~repro.workloads.micro.NullCriticalSection` observer
+    that timestamps every arrival and grant on the simulated clock."""
+
+    def __init__(self) -> None:
+        self.acquisitions: List[Acquisition] = []
+        self._sim = None
+        self._arrivals: Dict[int, int] = {}
+
+    def bind(self, system: System, lock_line: int) -> None:
+        self._sim = system.sim
+
+    def arrive(self, tid: int) -> None:
+        self._arrivals[tid] = self._sim.now
+
+    def enter(self, tid: int) -> None:
+        self.acquisitions.append(
+            Acquisition(tid, self._arrivals.pop(tid), self._sim.now)
+        )
+
+    def exit(self, tid: int) -> None:
+        pass
+
+
 def measure_lock_fairness(
     primitive: str,
     n_processors: int = 8,
@@ -99,34 +124,19 @@ def measure_lock_fairness(
     config_overrides: dict = None,
 ) -> FairnessReport:
     """Run a contended lock and report fairness metrics."""
-    policy, lock_kind = PRIMITIVES[primitive]
-    config = SystemConfig(n_processors=n_processors, policy=policy)
+    recorder = FairnessRecorder()
+    workload = NullCriticalSection(
+        get_primitive(primitive).lock_kind,
+        acquires_per_proc,
+        think_cycles,
+        observer=recorder,
+    )
+    config = SystemConfig(n_processors=n_processors)
     if config_overrides:
         config = config.with_(**config_overrides)
-    system = System(config)
-    lockset = LockSet(lock_kind, system, n_locks=1, n_threads=n_processors)
-    token = system.layout.alloc_line()
-    acquisitions: List[Acquisition] = []
-    sim = system.sim
+    run_workload(workload, config, primitive=primitive)
 
-    def worker(tid: int):
-        for _ in range(acquires_per_proc):
-            arrival = sim.now
-            yield from lockset.acquire(0, tid)
-            acquisitions.append(Acquisition(tid, arrival, sim.now))
-            value = yield Read(token)
-            yield Write(token, value + 1)
-            yield from lockset.release(0, tid)
-            yield Compute(think_cycles)
-
-    for node in range(n_processors):
-        system.load_program(node, worker(node))
-    system.run()
-    expected = n_processors * acquires_per_proc
-    actual = system.read_word(token)
-    if actual != expected:
-        raise AssertionError(f"mutual exclusion violated: {actual} != {expected}")
-
+    acquisitions = recorder.acquisitions
     waits = [a.wait for a in acquisitions]
     mean, worst, cv = _wait_stats(waits)
     per_thread: Dict[int, int] = {}

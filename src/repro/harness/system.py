@@ -12,7 +12,7 @@ This is the top-level object most users touch::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.coherence.controller import CacheController
 from repro.core.registry import make_interconnect, make_policy
@@ -32,11 +32,7 @@ from repro.mem.mainmemory import MainMemory
 class System:
     """A simulated bus-based shared-memory multiprocessor."""
 
-    def __init__(
-        self,
-        config: Optional[SystemConfig] = None,
-        tracer: Optional[Callable[..., None]] = None,
-    ) -> None:
+    def __init__(self, config: Optional[SystemConfig] = None) -> None:
         self.config = config if config is not None else SystemConfig()
         cfg = self.config
         self.sim = Simulator(max_cycles=cfg.max_cycles)
@@ -51,7 +47,8 @@ class System:
         # The directory must know whether this protocol variant keeps
         # the waiter queue alive across RFOs; probe one policy instance
         # for the protocol-wide property before building the fabric.
-        probe = make_policy(cfg.policy, **cfg.policy_kwargs())
+        policy_kwargs = cfg.policy_kwargs()
+        probe = make_policy(cfg.policy, **policy_kwargs)
         # ``self.bus`` is the address-side fabric (AddressBus or
         # DirectoryInterconnect) and ``self.crossbar`` the data-side one
         # (Crossbar or MeshNetwork) — the controller-facing surfaces are
@@ -76,7 +73,7 @@ class System:
             hierarchy = NodeCacheHierarchy(
                 node_id, l1, l2, cfg.l1_hit_cycles, cfg.l2_hit_cycles, self.stats
             )
-            policy = make_policy(cfg.policy, **cfg.policy_kwargs())
+            policy = make_policy(cfg.policy, **policy_kwargs)
             controller = CacheController(
                 node_id,
                 self.sim,
@@ -87,7 +84,6 @@ class System:
                 self.crossbar,
                 policy,
             )
-            controller.tracer = tracer
             self.bus.attach(node_id, controller)
             self.crossbar.attach(node_id, controller.on_data)
             processor = Processor(

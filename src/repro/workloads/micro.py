@@ -14,6 +14,8 @@ These isolate the paper's mechanisms one at a time:
 
 from __future__ import annotations
 
+from typing import List, Optional
+
 from repro.cpu.ops import Compute, Read, Write
 from repro.harness.system import System
 from repro.sync.fetchop import fetch_and_add
@@ -38,6 +40,12 @@ class ContendedCounter(Workload):
         for node in range(n):
             system.load_program(node, self._program())
 
+    def tracked_lines(self, system: System) -> List[int]:
+        return [self.lock_line(system)]
+
+    def lock_line(self, system: System) -> int:
+        return system.amap.line_addr(self.counter_addr)
+
     def _program(self):
         for _ in range(self.increments_per_proc):
             yield from fetch_and_add(self.counter_addr, 1, "counter.add")
@@ -52,7 +60,16 @@ class ContendedCounter(Workload):
 
 
 class NullCriticalSection(Workload):
-    """Lock hand-off throughput: acquire/release with an empty body."""
+    """Lock hand-off throughput: acquire/release with an empty body.
+
+    ``observer``, when given, watches every acquisition without adding a
+    simulated op: ``bind(system, lock_line)`` once the lock is laid out,
+    then ``arrive(tid)`` before each acquire, ``enter(tid)`` right after
+    it and ``exit(tid)`` right before the release.  The checker's
+    :class:`~repro.check.oracles.GrantOrderMonitor` and the fairness
+    bench's :class:`~repro.harness.fairness.FairnessRecorder` are the two
+    observers.
+    """
 
     name = "null-cs"
 
@@ -61,10 +78,12 @@ class NullCriticalSection(Workload):
         lock_kind: str = "tts",
         acquires_per_proc: int = 20,
         think_cycles: int = 100,
+        observer: Optional[object] = None,
     ) -> None:
         self.lock_kind = lock_kind
         self.acquires_per_proc = acquires_per_proc
         self.think_cycles = think_cycles
+        self.observer = observer
         self.token_addr = 0
         self.expected = 0
 
@@ -73,16 +92,41 @@ class NullCriticalSection(Workload):
         self.lockset = LockSet(self.lock_kind, system, 1, n)
         self.token_addr = system.layout.alloc_line()
         self.expected = n * self.acquires_per_proc
+        if self.observer is not None:
+            self.observer.bind(system, self.lock_line(system))
         for node in range(n):
             system.load_program(node, self._program(node))
 
+    def tracked_lines(self, system: System) -> List[int]:
+        """The lock line, the token line, then the rest of the lines the
+        LockSet allocated (queue nodes, slots, a second lock word).  The
+        bump allocator laid those out between the two."""
+        line_bytes = system.amap.line_bytes
+        lock_line = self.lock_line(system)
+        token_line = system.amap.line_addr(self.token_addr)
+        rest = range(lock_line + line_bytes, token_line, line_bytes)
+        return [lock_line, token_line, *rest]
+
+    def lock_line(self, system: System) -> int:
+        return system.amap.line_addr(self.lockset.lock_addr(0))
+
+    def extra_oracles(self, system: System) -> List[object]:
+        return [] if self.observer is None else [self.observer]
+
     def _program(self, tid: int):
+        observer = self.observer
         for _ in range(self.acquires_per_proc):
+            if observer is not None:
+                observer.arrive(tid)
             yield from self.lockset.acquire(0, tid)
+            if observer is not None:
+                observer.enter(tid)
             # Minimal body: bump a token in a *different* line so mutual
             # exclusion is checkable without collocation effects.
             value = yield Read(self.token_addr)
             yield Write(self.token_addr, value + 1)
+            if observer is not None:
+                observer.exit(tid)
             yield from self.lockset.release(0, tid)
             yield Compute(self.think_cycles)
 
@@ -92,6 +136,10 @@ class NullCriticalSection(Workload):
             raise AssertionError(
                 f"mutual exclusion violated: token={actual}, "
                 f"expected {self.expected}"
+            )
+        if not self.lockset.lock(0).is_free(system.read_word):
+            raise AssertionError(
+                f"{self.lock_kind} lock not free after all releases"
             )
 
 

@@ -1,7 +1,7 @@
 """Partial-order reduction: equivalence against the exhaustive oracle.
 
-The reductions (sleep sets, DPOR backtrack seeding) are only admissible
-if they visit exactly the states the exhaustive ``none`` mode visits.
+The DPOR reduction (sleep sets plus backtrack seeding) is only admissible
+if it visits exactly the states the exhaustive ``none`` mode visits.
 These tests pin that down on configurations small enough to *exhaust*
 the schedule tree — frontier empty, so budget cuts cannot confound the
 set comparison — and check the independence relation's own algebra with
@@ -38,7 +38,7 @@ def _exhaustive(spec: RunSpec, reduction: str):
 class TestReductionEquivalence:
     @pytest.mark.parametrize("scenario", ["counter", "lock"])
     def test_reductions_visit_the_same_states(self, scenario, interconnect):
-        """sleep/dpor reach exactly the fingerprint set none reaches."""
+        """dpor reaches exactly the fingerprint set none reaches."""
         spec = RunSpec(
             scenario=scenario,
             primitive="iqolb",
@@ -46,18 +46,15 @@ class TestReductionEquivalence:
             n_processors=2,
             acquires_per_proc=1,
         )
-        reports = {red: _exhaustive(spec, red) for red in REDUCTIONS}
-        base = reports["none"].state_fingerprints
-        assert base, "oracle explored no states"
-        for red in ("sleep", "dpor"):
-            assert reports[red].state_fingerprints == base, (
-                f"{red} lost or invented states vs none"
-            )
-            # A reduction may never need *more* schedules than the
-            # exhaustive oracle for the same state set.
-            assert (
-                reports[red].schedules_run <= reports["none"].schedules_run
-            )
+        none = _exhaustive(spec, "none")
+        dpor = _exhaustive(spec, "dpor")
+        assert none.state_fingerprints, "oracle explored no states"
+        assert dpor.state_fingerprints == none.state_fingerprints, (
+            "dpor lost or invented states vs none"
+        )
+        # A reduction may never need *more* schedules than the
+        # exhaustive oracle for the same state set.
+        assert dpor.schedules_run <= none.schedules_run
 
     def test_dpor_actually_prunes(self):
         """On a scenario with disjoint per-node lines the dpor rule must
@@ -83,11 +80,13 @@ class TestReductionEquivalence:
             n_processors=2,
             acquires_per_proc=1,
         )
-        assert _exhaustive(spec, "sleep").reduction == "sleep"
+        assert _exhaustive(spec, "dpor").reduction == "dpor"
 
     def test_unknown_reduction_rejected(self):
-        with pytest.raises(ValueError, match="unknown reduction"):
-            Budget(reduction="full-por")
+        # no sleep-sets-only mode: dpor is sleep sets plus one more prune
+        for reduction in ("full-por", "sleep"):
+            with pytest.raises(ValueError, match="unknown reduction"):
+                Budget(reduction=reduction)
 
 
 class TestMutationUnderReduction:
@@ -165,11 +164,8 @@ class TestIndependenceRelation:
             ("barrier", "iqolb"),
         ]),
         fabric=st.sampled_from(["bus", "directory"]),
-        reduction=st.sampled_from(["sleep", "dpor"]),
     )
-    def test_declared_independent_events_commute(
-        self, cell, fabric, reduction
-    ):
+    def test_declared_independent_events_commute(self, cell, fabric):
         """The end-to-end commutation check: every reordering the
         reduction declines to execute (because its candidate commutes
         with the event fired, or sleeps) must lead only to states some
@@ -185,5 +181,5 @@ class TestIndependenceRelation:
             acquires_per_proc=1,
         )
         oracle = _exhaustive(spec, "none")
-        reduced = _exhaustive(spec, reduction)
+        reduced = _exhaustive(spec, "dpor")
         assert reduced.state_fingerprints == oracle.state_fingerprints

@@ -54,8 +54,26 @@ class TestMeasurement:
         qolb = measure_lock_fairness("qolb", n_processors=4, acquires_per_proc=8)
         assert tts.max_wait > qolb.max_wait
 
+    @pytest.mark.parametrize(
+        "primitive, mean_wait, max_wait, wait_cv, inversions, jain",
+        [
+            pytest.param("iqolb", "829", 4174, "0.60", 82, "0.994", id="iqolb"),
+            pytest.param("mcs", "1303", 1924, "0.09", 0, "0.999", id="mcs"),
+        ],
+    )
+    def test_reproduces_committed_table(
+        self, primitive, mean_wait, max_wait, wait_cv, inversions, jain
+    ):
+        """The ``results/fairness.txt`` rows, at the bench's settings."""
+        report = measure_lock_fairness(
+            primitive, n_processors=8, acquires_per_proc=15, think_cycles=60
+        )
+        assert report.row() == (
+            primitive, 120, mean_wait, max_wait, wait_cv, inversions, jain
+        )
+
     def test_mutual_exclusion_enforced(self):
-        # the helper raises if the run corrupted the token
+        # the workload's verify raises if the run corrupted the token
         report = measure_lock_fairness("iqolb", n_processors=3,
                                        acquires_per_proc=5)
         assert report.acquisitions == 15

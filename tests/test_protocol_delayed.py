@@ -2,6 +2,7 @@
 
 from conftest import build_system, run_programs
 from repro.cpu.ops import LL, SC, Compute, Read, Write
+from repro.harness.traces import TraceRecorder
 
 
 def concurrent_rmw(system, addr, n, iters, window=30):
@@ -45,22 +46,18 @@ class TestQueueFormation:
     def test_queue_order_matches_bus_order(self):
         """The line passes 'in precisely the order in which the original
         requests occurred' (paper §3.2)."""
-        events = []
-
-        def tracer(event, time, node, la, info):
-            if event in ("queued", "fill"):
-                events.append((event, node, time))
-
-        from repro import System
-        from conftest import small_config
-
-        system = System(small_config(4, "delayed"), tracer=tracer)
+        system = build_system(4, "delayed")
+        recorder = TraceRecorder()
+        system.attach_telemetry(recorder.dispatcher)
         addr = system.layout.alloc_line()
-        target = system.amap.line_addr(addr)
         concurrent_rmw(system, addr, 4, 3)
-        # For each wave: nodes that queued earlier fill earlier.
-        queued = [(t, n) for e, n, t in events if e == "queued"]
+        line = system.amap.line_addr(addr)
+        queued = [e.node for e in recorder.filtered(line, ["queued"])]
+        fills = [e.node for e in recorder.filtered(line, ["fill"])]
         assert queued  # the queue really formed
+        # After the first fill (from memory), the line reaches the nodes
+        # in the order they queued behind the holder.
+        assert fills[1:] == queued
 
 
 class TestTimeout:

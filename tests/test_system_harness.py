@@ -6,6 +6,7 @@ import pytest
 
 from repro import System, SystemConfig
 from repro.cpu.ops import Read, Write
+from repro.core.registry import make_policy, policy_names
 from repro.harness.config import table1_rows
 from repro.harness.layout import MemoryLayout
 from repro.mem.address import AddressMap
@@ -29,6 +30,18 @@ class TestSystemConfig:
         assert SystemConfig(policy="iqolb", timeout_cycles=99).policy_kwargs() == {
             "timeout_cycles": 99
         }
+
+    @pytest.mark.parametrize("policy", policy_names())
+    def test_timeout_override_reaches_every_timed_policy(self, policy):
+        """Every policy with a timeout of its own honours the override
+        (``iqolb+gen`` used to drop it); the others take none."""
+        default = make_policy(policy).timeout_cycles
+        system = System(
+            SystemConfig(n_processors=2, policy=policy, timeout_cycles=123)
+        )
+        expected = None if default is None else 123
+        for controller in system.controllers:
+            assert controller.policy.timeout_cycles == expected
 
     def test_table1_rows_reflect_config(self):
         rows = table1_rows(SystemConfig(l2_size_bytes=1024 * 1024))

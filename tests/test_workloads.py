@@ -65,6 +65,55 @@ class TestMicroWorkloads:
             )
             run_workload(workload, config, primitive=primitive)
 
+    def test_null_cs_verify_requires_the_lock_free(self):
+        config = SystemConfig(n_processors=2, policy="baseline")
+        workload = NullCriticalSection(lock_kind="tts", acquires_per_proc=3)
+        run_workload(workload, config, primitive="tts")
+        # the token is right but the lock word still reads as held
+        held = type("S", (), {"read_word": lambda self, addr: (
+            workload.expected if addr == workload.token_addr else 1
+        )})()
+        with pytest.raises(AssertionError, match="tts lock not free"):
+            workload.verify(held)
+
+    @pytest.mark.parametrize("primitive", ["iqolb", "mcs"])
+    def test_null_cs_observer_adds_no_ops(self, primitive):
+        """The observer is bound once to the lock line, then sees
+        arrive/enter/exit per acquire, and the run is the one without."""
+
+        class Log:
+            def __init__(self):
+                self.calls = []
+
+            def bind(self, system, lock_line):
+                self.system, self.lock_line = system, lock_line
+
+            def arrive(self, tid):
+                self.calls.append(("arrive", tid))
+
+            def enter(self, tid):
+                self.calls.append(("enter", tid))
+
+            def exit(self, tid):
+                self.calls.append(("exit", tid))
+
+        policy, lock_kind = PRIMITIVES[primitive]
+        config = SystemConfig(n_processors=3, policy=policy)
+        log = Log()
+        watched = NullCriticalSection(lock_kind, 4, 30, observer=log)
+        result = run_workload(watched, config, primitive=primitive)
+        plain = run_workload(
+            NullCriticalSection(lock_kind, 4, 30), config, primitive=primitive
+        )
+        assert result == plain
+        assert result.manifest.events_fired == plain.manifest.events_fired
+        assert log.lock_line == watched.lock_line(log.system)
+        for tid in range(3):
+            mine = [kind for kind, t in log.calls if t == tid]
+            assert mine == ["arrive", "enter", "exit"] * 4
+        inside = [kind for kind, _ in log.calls if kind != "arrive"]
+        assert inside == ["enter", "exit"] * 12
+
     def test_collocated_cs(self):
         config = SystemConfig(n_processors=3, policy="iqolb")
         workload = CollocatedCriticalSection(lock_kind="tts", acquires_per_proc=6)
