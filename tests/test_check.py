@@ -200,15 +200,21 @@ def _splice(node, line=0x100, kind="swap", **info):
                           info=info)
 
 
+def _grant_monitor(fifo=False):
+    monitor = GrantOrderMonitor(fifo=fifo)
+    monitor.bind(None, 0x100)
+    return monitor
+
+
 class TestOracles:
     def test_grant_order_monitor_detects_overlap(self):
-        monitor = GrantOrderMonitor(lock_line=0x100)
+        monitor = _grant_monitor()
         monitor.enter(0)
         with pytest.raises(Violation, match="while \\[0\\] inside"):
             monitor.enter(1)
 
     def test_grant_order_monitor_allows_serial_entries(self):
-        monitor = GrantOrderMonitor(lock_line=0x100, fifo=True)
+        monitor = _grant_monitor(fifo=True)
         for tid in (0, 1, 0):
             monitor.arrive(tid)
             monitor.on_event(_splice(tid))
@@ -221,7 +227,7 @@ class TestOracles:
     def test_entry_out_of_splice_order(self, fifo):
         """T1 spliced (a successful SC) before T0's swap, then T0
         entered first: a FIFO primitive may not do that."""
-        monitor = GrantOrderMonitor(lock_line=0x100, fifo=fifo)
+        monitor = _grant_monitor(fifo=fifo)
         monitor.arrive(0)
         monitor.arrive(1)
         monitor.on_event(_splice(1, kind="sc", success=False))
@@ -241,7 +247,7 @@ class TestOracles:
     def test_only_the_first_splice_after_arrive_counts(self):
         """A release-side swap (reciprocating's detach) or a second
         swap (a failed test&set retry) does not re-queue the thread."""
-        monitor = GrantOrderMonitor(lock_line=0x100, fifo=True)
+        monitor = _grant_monitor(fifo=True)
         monitor.on_event(_splice(0))  # before arrive: ignored
         monitor.arrive(0)
         monitor.on_event(_splice(0))

@@ -70,9 +70,8 @@ def _contended_run(
     )
     lockset = LockSet(spec.lock_kind, system, 1, n_threads)
     token = system.layout.alloc_line()
-    monitor = GrantOrderMonitor(
-        system.amap.line_addr(lockset.lock_addr(0)), fifo=spec.fifo
-    )
+    monitor = GrantOrderMonitor(fifo=spec.fifo)
+    monitor.bind(system, system.amap.line_addr(lockset.lock_addr(0)))
     dispatcher = TraceDispatcher()
     dispatcher.attach(OracleSink([monitor]))
     system.attach_telemetry(dispatcher)
