@@ -1,8 +1,8 @@
 """Bounded model checking by permuting same-cycle tie-breaks.
 
-The kernel's event order is total: (time, priority, sequence).  Events
-tied on (time, priority) fire in scheduling order purely by accident of
-sequence numbering — any permutation of them is a legal hardware
+The kernel's event order is total: (time, sequence).  Events due in the
+same cycle fire in scheduling order purely by accident of sequence
+numbering — any permutation of them is a legal hardware
 outcome.  The explorer owns exactly that freedom: it installs a
 ``tie_breaker`` on the simulator and drives a depth-first search over
 the choice tree.

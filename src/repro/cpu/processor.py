@@ -400,7 +400,7 @@ class Processor:
             callback, nargs = self.controller.cpu_request, 2
         else:
             callback, nargs = self.controller._finish_read, 2
-        return ops + reads + tests, (when - now, 0, callback_label(callback), nargs)
+        return ops + reads + tests, (when - now, callback_label(callback), nargs)
 
     def describe_state(self) -> str:
         """One-line digest of a parked spin, for runaway diagnostics."""

@@ -1,8 +1,8 @@
 """Event primitives for the discrete-event simulation kernel.
 
-Events are ordered by (time, priority, sequence). The sequence number makes
-ordering total and deterministic: two events scheduled for the same cycle at
-the same priority fire in the order they were scheduled.
+Events are ordered by (time, sequence). The sequence number makes ordering
+total and deterministic: two events scheduled for the same cycle fire in the
+order they were scheduled.
 """
 
 from __future__ import annotations
@@ -46,26 +46,17 @@ def callback_label(callback: Callable[..., None]) -> str:
     return label
 
 
-def _event_priority(event: "Event") -> int:
-    return event.priority
-
-
-def _event_seq(event: "Event") -> int:
-    return event.seq
-
-
 class Event:
     """A single scheduled callback.
 
-    Events support cancellation: a cancelled event stays in its calendar
-    bucket but is skipped when the bucket drains.  This is O(1)
-    cancellation at the cost of a little bucket garbage, which the kernel
-    tolerates happily.
+    Cancellation goes through :meth:`EventQueue.cancel`: a cancelled
+    event stays in its calendar bucket but is skipped when the bucket
+    drains.  This is O(1) cancellation at the cost of a little bucket
+    garbage, which the kernel tolerates happily.
     """
 
     __slots__ = (
         "time",
-        "priority",
         "seq",
         "callback",
         "args",
@@ -77,14 +68,12 @@ class Event:
     def __init__(
         self,
         time: int,
-        priority: int,
         seq: int,
         callback: Callable[..., None],
         args: tuple,
         born: int = -1,
     ) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.callback = callback
         self.args = args
@@ -92,10 +81,6 @@ class Event:
         #: the cycle it was queued in (-1 before the first event fired)
         self.born = born
         self._footprint: Optional[tuple] = None
-
-    def cancel(self) -> None:
-        """Mark the event so the kernel skips it."""
-        self.cancelled = True
 
     def footprint(self) -> tuple:
         """Conflict metadata ``(node, addrs, label)`` for the checker.
@@ -137,7 +122,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} p={self.priority} #{self.seq}{state}>"
+        return f"<Event t={self.time} #{self.seq}{state}>"
 
 
 class EventQueue:
@@ -146,23 +131,18 @@ class EventQueue:
     Events land in per-cycle buckets keyed by absolute firing time; a
     small min-heap orders only the *distinct* times.  Draining a cycle is
     then a list walk, with no per-event re-heapify and no per-event
-    ``(time, priority, seq)`` tuple comparisons.
+    ``(time, seq)`` tuple comparisons.
 
     Ordering contract:
 
-    * events fire in ``(time, priority, seq)`` order.  A bucket is kept
-      in push order (= seq order) and stably sorted by priority when it
-      becomes the head bucket; since almost every event uses priority 0,
-      the sort is skipped entirely until a non-zero priority is ever seen.
-    * a push into the *current* head bucket that does not belong at the
-      end of the remaining events marks the bucket dirty; the next head
-      lookup re-sorts the undrained tail (stable, so seq order within a
-      priority is preserved).
+    * events fire in ``(time, seq)`` order.  A bucket is kept in push
+      order, which is seq order, so it never needs sorting; a push into
+      the head bucket mid-drain simply lands at the end of its tail.
     * ``candidates()`` / ``extract()`` / ``signature()`` / ``summarize()``
       observe the live (pushed, not fired, not cancelled) events only.
 
     ``tests/test_engine_fastpath.py`` holds the queue to this contract
-    against a sorted-list model keyed on ``(time, priority, seq)``.
+    against a sorted-list model keyed on ``(time, seq)``.
 
     The kernel's fast loop reaches into ``_head_bucket``/``_head_pos``
     directly to drain same-cycle batches; it lives in
@@ -178,42 +158,26 @@ class EventQueue:
         self._head_time = -1
         self._head_bucket: Optional[List[Event]] = None
         self._head_pos = 0
-        self._head_dirty = False
-        # becomes (and stays) True the first time any push uses a
-        # non-zero priority; until then every bucket is already sorted.
-        self._any_priority = False
 
     def push(
         self,
         time: int,
         callback: Callable[..., None],
         args: tuple = (),
-        priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute ``time``."""
-        event = Event(time, priority, self._seq, callback, args, self._head_time)
+        event = Event(time, self._seq, callback, args, self._head_time)
         self._seq += 1
         live = self._live + 1
         self._live = live
         if live > self.high_water:
             self.high_water = live
-        if priority:
-            self._any_priority = True
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [event]
             heapq.heappush(self._times, time)
         else:
             bucket.append(event)
-            if (
-                self._any_priority
-                and bucket is self._head_bucket
-                and len(bucket) - self._head_pos > 1
-                and priority < bucket[-2].priority
-            ):
-                # Does not belong at the end of the undrained tail; the
-                # next head lookup re-sorts it into place.
-                self._head_dirty = True
         return event
 
     def push_before(
@@ -224,8 +188,7 @@ class EventQueue:
         born: int,
     ) -> Event:
         """Schedule ``callback(*args)`` to fire just before the pending
-        ``ahead_of``, at its time and priority, as if queued in cycle
-        ``born``.
+        ``ahead_of``, at its time, as if queued in cycle ``born``.
 
         For a caller that knows the event would have been queued earlier
         than ``ahead_of`` (a parked loop's next event, queued only when
@@ -237,7 +200,6 @@ class EventQueue:
         before = bucket[pos - 1].seq if pos else ahead_of.seq - 1
         event = Event(
             ahead_of.time,
-            ahead_of.priority,
             (before + ahead_of.seq) / 2,
             callback,
             args,
@@ -260,9 +222,6 @@ class EventQueue:
             self._head_time = time
             self._head_bucket = bucket
             self._head_pos = 0
-            self._head_dirty = False
-            if self._any_priority and len(bucket) > 1:
-                bucket.sort(key=_event_priority)
             return bucket
         return None
 
@@ -284,13 +243,11 @@ class EventQueue:
         self._head_bucket = None
         self._head_time = -1
         self._head_pos = 0
-        self._head_dirty = False
 
     def _head(self) -> Optional[Event]:
         """The next live event, leaving it in place (None when empty).
 
-        On return, ``_head_bucket[_head_pos]`` is the returned event and
-        the undrained tail is in firing order.
+        On return, ``_head_bucket[_head_pos]`` is the returned event.
         """
         while True:
             bucket = self._head_bucket
@@ -299,12 +256,6 @@ class EventQueue:
                 if times and times[0] < self._head_time:
                     self._demote_head()
                     continue
-                if self._head_dirty:
-                    pos = self._head_pos
-                    tail = bucket[pos:]
-                    tail.sort(key=_event_priority)
-                    bucket[pos:] = tail
-                    self._head_dirty = False
                 pos = self._head_pos
                 n = len(bucket)
                 while pos < n:
@@ -336,25 +287,16 @@ class EventQueue:
         return None if event is None else event.time
 
     def candidates(self) -> List[Event]:
-        """Every live event tied for the head of the queue.
+        """Every live event due in the head cycle.
 
-        "Tied" means equal ``(time, priority)`` to the next event the
-        kernel would pop: exactly the set whose relative order is decided
-        only by scheduling sequence, i.e. the same-cycle tie-breaking a
-        model checker may legally permute.  Returned in sequence order
-        (the default firing order), deterministically.
+        That is exactly the set whose relative order is decided only by
+        scheduling sequence, i.e. the same-cycle tie-breaking a model
+        checker may legally permute.  Returned in sequence order (the
+        default firing order), deterministically.
         """
-        event = self._head()
-        if event is None:
+        if self._head() is None:
             return []
-        priority = event.priority
-        ties = [
-            e
-            for e in self._head_bucket[self._head_pos :]
-            if not e.cancelled and e.priority == priority
-        ]
-        ties.sort(key=_event_seq)
-        return ties
+        return [e for e in self._head_bucket[self._head_pos :] if not e.cancelled]
 
     def extract(self, event: Event) -> Event:
         """Remove a specific live event so the caller can fire it."""
@@ -385,7 +327,6 @@ class EventQueue:
             sorted(
                 (
                     event.time - now,
-                    event.priority,
                     callback_label(event.callback),
                     len(event.args),
                 )
@@ -398,7 +339,7 @@ class EventQueue:
         """A human-readable digest of the pending events (diagnostics)."""
         live = sorted(
             (event for event in self._iter_pending() if not event.cancelled),
-            key=lambda event: (event.time, event.priority, event.seq),
+            key=lambda event: (event.time, event.seq),
         )
         lines = [f"{self._live} pending event(s)"]
         for event in live[:limit]:

@@ -8,7 +8,6 @@ seed, and so that per-thread streams are independent of thread interleaving.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 
 class WorkloadRng:
@@ -33,16 +32,5 @@ class WorkloadRng:
         """Exponential draw rounded to an int, floored at ``minimum``."""
         return max(minimum, int(self._rng.expovariate(1.0 / mean)))
 
-    def choice(self, options: Sequence[int]) -> int:
-        return self._rng.choice(options)
-
-    def weighted_choice(self, options: Sequence[int], weights: Sequence[float]) -> int:
-        return self._rng.choices(options, weights=weights, k=1)[0]
-
     def random(self) -> float:
         return self._rng.random()
-
-    def shuffled(self, items: Sequence[int]) -> list:
-        shuffled = list(items)
-        self._rng.shuffle(shuffled)
-        return shuffled

@@ -8,8 +8,7 @@ paper's Table 1 which expresses all latencies in processor cycles.
 
 from __future__ import annotations
 
-import time as _time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.engine.event import Event, EventQueue
 
@@ -29,7 +28,7 @@ class Simulator:
     costing the common path anything:
 
     * ``tie_breaker`` — called with the list of live events tied for the
-      head of the queue (same ``(time, priority)``) whenever that list has
+      head of the queue (due in the same cycle) whenever that list has
       more than one entry; returns the index of the event to fire.  Their
       relative order is pure scheduling accident, so any choice is a legal
       hardware outcome — permuting it is how ``repro.check`` enumerates
@@ -58,8 +57,6 @@ class Simulator:
         self.max_cycles = max_cycles
         self._queue = EventQueue()
         self._events_fired = 0
-        self._running = False
-        self._host_seconds = 0.0
         self.tie_breaker: Optional[Callable[[Sequence[Event]], int]] = None
         self.on_step: Optional[Callable[[], None]] = None
         #: the event currently (or most recently) being fired — lets the
@@ -78,7 +75,6 @@ class Simulator:
         delay: int,
         callback: Callable[..., None],
         *args: Any,
-        priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` ``delay`` cycles from now.
 
@@ -87,19 +83,18 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self._queue.push(self.now + delay, callback, args, priority)
+        return self._queue.push(self.now + delay, callback, args)
 
     def schedule_at(
         self,
         time: int,
         callback: Callable[..., None],
         *args: Any,
-        priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        return self._queue.push(time, callback, args, priority)
+        return self._queue.push(time, callback, args)
 
     def cancel(self, event: Event) -> None:
         """Cancel an event previously returned by ``schedule``."""
@@ -154,22 +149,12 @@ class Simulator:
         turns livelock (a real phenomenon for the aggressive-baseline
         protocol) into a detectable outcome instead of a hang.
         """
-        self._running = True
-        started = _time.perf_counter()
-        try:
-            if self.tie_breaker is None and self.on_step is None:
-                self._run_fast(until)
-            else:
-                self._run_generic(until)
-            if (
-                self.sleepers
-                and not self._queue
-                and (until is None or not until())
-            ):
-                raise self._runaway_error()
-        finally:
-            self._running = False
-            self._host_seconds += _time.perf_counter() - started
+        if self.tie_breaker is None and self.on_step is None:
+            self._run_fast(until)
+        else:
+            self._run_generic(until)
+        if self.sleepers and not self._queue and (until is None or not until()):
+            raise self._runaway_error()
         return self.now
 
     def _run_generic(self, until: Optional[Callable[[], bool]]) -> None:
@@ -232,33 +217,10 @@ class Simulator:
                     event.callback(*event.args)
                     if until is not None and until():
                         return
-                    if queue._head_dirty:
-                        # A push landed out of order in this bucket; let
-                        # _head() re-sort the undrained tail.
-                        break
                     n = len(bucket)
-                else:
-                    queue._head_pos = pos
+                queue._head_pos = pos
         finally:
             self._events_fired = fired
-
-    def step(self) -> bool:
-        """Fire a single event; return False when the queue is empty."""
-        next_time = self._queue.peek_time()
-        if next_time is not None and next_time > self.max_cycles:
-            raise self._runaway_error()
-        event = self._next_event()
-        if event is None:
-            if self.sleepers:
-                raise self._runaway_error()
-            return False
-        self.now = event.time
-        self._events_fired += 1
-        self.last_event = event
-        event.callback(*event.args)
-        if self.on_step is not None:
-            self.on_step()
-        return True
 
     @property
     def events_fired(self) -> int:
@@ -272,29 +234,8 @@ class Simulator:
     def queue_high_water(self) -> int:
         """The deepest the event queue has ever been.
 
-        Tracked inside the queue's ``push`` as a single integer compare —
-        self-metrics cost nothing measurable per event, so they stay on
-        even when no telemetry sinks are attached (the "~0% overhead with
-        no sinks" claim).  Events/host-second is likewise only *computed*
-        on demand in :meth:`self_metrics`, never per event.
+        Tracked inside the queue's ``push`` as a single integer compare,
+        so it costs nothing measurable per event and stays on even when
+        no telemetry sinks are attached.
         """
         return self._queue.high_water
-
-    @property
-    def host_seconds(self) -> float:
-        """Host wall time spent inside :meth:`run` so far."""
-        return self._host_seconds
-
-    def self_metrics(self) -> Dict[str, float]:
-        """The kernel's own health metrics, for manifests and reports."""
-        per_s = (
-            self._events_fired / self._host_seconds
-            if self._host_seconds > 0
-            else 0.0
-        )
-        return {
-            "events_fired": self._events_fired,
-            "queue_high_water": self._queue.high_water,
-            "host_seconds": self._host_seconds,
-            "events_per_host_s": per_s,
-        }

@@ -120,10 +120,6 @@ class Histogram:
     def p99(self) -> Optional[int]:
         return self.percentile(0.99)
 
-    def bucket_counts(self) -> Dict[int, int]:
-        """Occupied log2 buckets (index -> count), for export."""
-        return dict(self._buckets)
-
     def summary(self) -> Dict[str, object]:
         """A JSON-encodable digest (the metrics-export shape)."""
         return {
@@ -247,10 +243,6 @@ class StatsRegistry:
     def histograms(self) -> Iterator[Histogram]:
         for name in sorted(self._histograms):
             yield self._histograms[name]
-
-    def windowed_counters(self) -> Iterator[WindowedCounter]:
-        for name in sorted(self._windowed):
-            yield self._windowed[name]
 
     def snapshot(self) -> Dict[str, int]:
         """A plain dict of all counter values (for reports and tests)."""

@@ -10,7 +10,6 @@ from repro.harness.experiment import (
     run_app,
     run_workload,
     table3,
-    table3_row,
     table3_with_stats,
 )
 from repro.harness.fairness import FairnessReport, measure_lock_fairness
@@ -79,6 +78,5 @@ __all__ = [
     "SweepResult",
     "table1_rows",
     "table3",
-    "table3_row",
     "table3_with_stats",
 ]

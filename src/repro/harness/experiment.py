@@ -164,7 +164,12 @@ def app_signature(
 
 @dataclasses.dataclass
 class Table3Row:
-    """One benchmark's row of the paper's Table 3."""
+    """One benchmark's row of the paper's Table 3.
+
+    Absolute speedup is "the fraction of the running time on a single
+    node divided by the running time on a 32-node system" for TTS; QOLB
+    and IQOLB are reported relative to the TTS base case (paper §5).
+    """
 
     benchmark: str
     tts_absolute_speedup: float
@@ -174,33 +179,6 @@ class Table3Row:
     qolb_cycles: int
     iqolb_cycles: int
     uniprocessor_cycles: int
-
-
-def table3_row(
-    app_name: str,
-    n_processors: int = 32,
-    model_overrides: Optional[dict] = None,
-) -> Table3Row:
-    """Reproduce one row of Table 3.
-
-    Absolute speedup is "the fraction of the running time on a single
-    node divided by the running time on a 32-node system" for TTS; QOLB
-    and IQOLB are reported relative to the TTS base case (paper §5).
-    """
-    uni = run_app(app_name, "tts", 1, model_overrides)
-    tts = run_app(app_name, "tts", n_processors, model_overrides)
-    qolb = run_app(app_name, "qolb", n_processors, model_overrides)
-    iqolb = run_app(app_name, "iqolb", n_processors, model_overrides)
-    return Table3Row(
-        benchmark=app_name,
-        tts_absolute_speedup=uni.cycles / tts.cycles,
-        qolb_speedup=tts.cycles / qolb.cycles,
-        iqolb_speedup=tts.cycles / iqolb.cycles,
-        tts_cycles=tts.cycles,
-        qolb_cycles=qolb.cycles,
-        iqolb_cycles=iqolb.cycles,
-        uniprocessor_cycles=uni.cycles,
-    )
 
 
 def table3_cells(

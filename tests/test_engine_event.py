@@ -1,13 +1,13 @@
 """Unit tests for the event queue.
 
-Bucket-level cases (demotion, dirty tails, the model comparison) live in
+Bucket-level cases (demotion, the model comparison) live in
 ``test_engine_fastpath.py``.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine.event import Event, EventQueue
+from repro.engine.event import EventQueue
 
 
 def drain(queue):
@@ -36,13 +36,6 @@ class TestOrdering:
         for event in drain(queue):
             event.callback(*event.args)
         assert order == [0, 1, 2, 3, 4]
-
-    def test_priority_breaks_time_ties(self):
-        queue = EventQueue()
-        queue.push(5, lambda: None, priority=2)
-        queue.push(5, lambda: None, priority=0)
-        queue.push(5, lambda: None, priority=1)
-        assert [e.priority for e in drain(queue)] == [0, 1, 2]
 
     @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=50))
     def test_pop_order_is_sorted_by_time(self, times):
@@ -99,20 +92,12 @@ class TestCancellation:
         assert EventQueue().peek_time() is None
 
 
-class TestEvent:
-    def test_cancel_flag(self):
-        event = Event(1, 0, 0, lambda: None, ())
-        assert not event.cancelled
-        event.cancel()
-        assert event.cancelled
-
-
 class TestCandidatesAndExtract:
     def test_candidates_are_the_tied_head_set(self):
         queue = EventQueue()
         a = queue.push(3, lambda: None)
         b = queue.push(3, lambda: None)
-        queue.push(3, lambda: None, priority=1)  # lower priority: not tied
+        queue.push(4, lambda: None)  # a later cycle: not tied
         queue.push(9, lambda: None)
         ties = queue.candidates()
         assert ties == [a, b]

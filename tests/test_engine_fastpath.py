@@ -2,11 +2,11 @@
 
 The simulator has one scheduler, the calendar :class:`EventQueue`, and
 two drain loops over it.  Every cycle count the repo reports depends on
-the queue's ``(time, priority, seq)`` firing order, so this suite holds
+the queue's ``(time, seq)`` firing order, so this suite holds
 it to that contract at three levels:
 
 * **queue level** — Hypothesis drives the queue and :class:`ModelQueue`
-  (a sorted list keyed on ``(time, priority, seq)``) through the same
+  (a sorted list keyed on ``(time, seq)``) through the same
   operation sequences and compares every observable (pop order, peeks,
   tied-head candidates, extraction, signatures, lengths, high-water
   marks);
@@ -14,7 +14,7 @@ it to that contract at three levels:
   through the batched hookless loop (``_run_fast``) and through the
   per-event hook loop (``_run_generic``, entered via a no-op ``on_step``
   or a tie-breaker that always takes the default candidate); cycles,
-  the full counter snapshot and the kernel self-metrics must match;
+  the full counter snapshot, events fired and queue high water must match;
 * **checker level** — one exploration cell's fingerprints are pinned to
   literals.
 
@@ -69,7 +69,7 @@ CALLBACKS = [_cb_a, _cb_b, _cb_c]
 
 def _key(event):
     """An event's model identity: its sort key plus its callback label."""
-    return (event.time, event.priority, event.seq, callback_label(event.callback))
+    return (event.time, event.seq, callback_label(event.callback))
 
 
 class ModelQueue:
@@ -78,8 +78,8 @@ class ModelQueue:
     def __init__(self):
         self.live, self.seq, self.high_water = [], 0, 0
 
-    def push(self, time, callback, args=(), priority=0):
-        key = (time, priority, self.seq, callback_label(callback))
+    def push(self, time, callback, args=()):
+        key = (time, self.seq, callback_label(callback))
         self.seq += 1
         bisect.insort(self.live, key)
         self.high_water = max(self.high_water, len(self.live))
@@ -92,21 +92,20 @@ class ModelQueue:
         return self.live[0][0] if self.live else None
 
     def candidates(self):
-        return [k for k in self.live if k[:2] == self.live[0][:2]]
+        return [k for k in self.live if k[0] == self.live[0][0]]
 
     def cancel(self, key):
         if key in self.live:
             self.live.remove(key)
 
     def signature(self, now):
-        return tuple(sorted((t - now, p, label, 0) for t, p, _, label in self.live))
+        return tuple(sorted((t - now, label, 0) for t, _, label in self.live))
 
 
 _op = st.one_of(
     st.tuples(
         st.just("push"),
         st.integers(min_value=0, max_value=4),  # delay from last pop
-        st.integers(min_value=0, max_value=2),  # priority
         st.integers(min_value=0, max_value=2),  # callback index
     ),
     st.tuples(st.just("pop")),
@@ -119,22 +118,17 @@ _op = st.one_of(
 
 class TestQueueEquivalence:
     @prop_settings
-    @given(
-        ops=st.lists(_op, min_size=1, max_size=60),
-        use_priorities=st.booleans(),
-    )
-    def test_mirrored_operations_agree(self, ops, use_priorities):
+    @given(ops=st.lists(_op, min_size=1, max_size=60))
+    def test_mirrored_operations_agree(self, ops):
         """The queue and the model, fed the same operations, agree."""
         queue, model = EventQueue(), ModelQueue()
         pending = {}  # model key -> queue event, for not-yet-fired events
         now = 0
         for op in ops:
             if op[0] == "push":
-                _, delay, priority, cb = op
-                if not use_priorities:
-                    priority = 0
-                event = queue.push(now + delay, CALLBACKS[cb], (), priority)
-                key = model.push(now + delay, CALLBACKS[cb], (), priority)
+                _, delay, cb = op
+                event = queue.push(now + delay, CALLBACKS[cb])
+                key = model.push(now + delay, CALLBACKS[cb])
                 assert _key(event) == key
                 pending[key] = event
             elif op[0] == "pop":
@@ -182,35 +176,6 @@ class TestQueueEquivalence:
         assert q.pop().time == 3
         assert q.pop().time == 5
         assert q.pop() is None
-
-    def test_dirty_head_bucket_resorts_tail(self):
-        """A low-priority push landing mid-drain is sorted into place."""
-        q = EventQueue()
-        q.push(1, _cb_a, (), 0)
-        q.push(1, _cb_b, (), 2)
-        first = q.pop()
-        assert first.callback is _cb_a
-        # The head bucket is now mid-drain; push priority 1 behind the
-        # remaining priority-2 event — it must still fire first.
-        q.push(1, _cb_c, (), 1)
-        assert q.pop().callback is _cb_c
-        assert q.pop().callback is _cb_b
-
-    def test_priority_orders_within_bucket(self):
-        """Priority beats seq inside one cycle's bucket (a bucket kept in
-        push order alone once fired these out of order)."""
-        queue, model = EventQueue(), ModelQueue()
-        for q in (queue, model):
-            q.push(7, _cb_a, (), 1)
-            q.push(7, _cb_b, (), 0)
-            q.push(7, _cb_c, (), 1)
-        order = [_key(queue.pop()) for _ in range(3)]
-        assert order == [model.pop() for _ in range(3)]
-        assert [k[3] for k in order] == [
-            callback_label(_cb_b),
-            callback_label(_cb_a),
-            callback_label(_cb_c),
-        ]
 
     def test_cancelled_tail_deletes_bucket(self):
         q = EventQueue()
@@ -275,7 +240,7 @@ def _build_pair(n, policy, interconnect, scripts, lines_per):
 
 
 def _assert_same_run(a, b):
-    """Cycles, every counter and the kernel self-metrics agree."""
+    """Cycles, every counter, events fired and queue high water agree."""
     assert a.run() == b.run()
     assert a.stats.snapshot() == b.stats.snapshot()
     assert a.sim.events_fired == b.sim.events_fired
@@ -321,7 +286,7 @@ class TestSystemEquivalence:
         This is the checker's configuration (tie-break hook, per-event
         loop) following the default schedule, so it must reproduce the
         hookless run exactly; every tied set it sees must share one
-        ``(time, priority)`` and be in seq order.
+        time and be in seq order.
         """
         n = data.draw(st.integers(min_value=2, max_value=3), label="threads")
         scripts = _draw_scripts(data, n, 6)
@@ -335,8 +300,8 @@ class TestSystemEquivalence:
         tied.sim.tie_breaker = tie_breaker
         _assert_same_run(hookless, tied)
         for keys in seen:
-            assert len({k[:2] for k in keys}) == 1
-            assert [k[2] for k in keys] == sorted(k[2] for k in keys)
+            assert len({k[0] for k in keys}) == 1
+            assert [k[1] for k in keys] == sorted(k[1] for k in keys)
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +326,7 @@ class TestCheckerEquivalence:
         assert report.statuses == {"finished": 12}
         assert report.distinct_states == 11
         assert digest == (
-            "a630842c59eefc6685da8ddd86bddb888c0b6c9b2bb4838e84c834256ec8bdff"
+            "87b8ff97f9b7d37ae4d805d13cd9e7c81c6aff62e58a63e505afca1a842bb52c"
         )
         assert not report.violations
 

@@ -44,22 +44,3 @@ class TestDraws:
         rng = WorkloadRng(7)
         for _ in range(20):
             assert rng.exponential_int(mean, minimum=5) >= 5
-
-    def test_choice_and_weighted_choice(self):
-        rng = WorkloadRng(7)
-        options = [10, 20, 30]
-        for _ in range(20):
-            assert rng.choice(options) in options
-            assert rng.weighted_choice(options, [1, 1, 1]) in options
-
-    def test_weighted_choice_respects_zero_weight(self):
-        rng = WorkloadRng(7)
-        for _ in range(50):
-            assert rng.weighted_choice([1, 2], [1.0, 0.0]) == 1
-
-    def test_shuffled_is_permutation(self):
-        rng = WorkloadRng(7)
-        items = list(range(10))
-        shuffled = rng.shuffled(items)
-        assert sorted(shuffled) == items
-        assert items == list(range(10))  # input untouched

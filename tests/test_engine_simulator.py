@@ -85,14 +85,6 @@ class TestRun:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_step(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1, fired.append, "x")
-        assert sim.step() is True
-        assert fired == ["x"]
-        assert sim.step() is False
-
     def test_events_fired_counter(self):
         sim = Simulator()
         for t in range(5):
@@ -186,3 +178,13 @@ class TestRunawayDiagnostics:
         message = self._runaway(sim)
         assert "max_cycles=100" in message
         assert "diagnostic provider failed" in message
+
+    def test_parked_sleeper_with_only_cancelled_events_left(self):
+        """A queue holding nothing but a cancelled event is drained: with
+        a loop parked, the run raises instead of returning."""
+        sim = Simulator()
+        sim.cancel(sim.schedule(5, lambda: None))
+        sim.sleepers = 1
+        with pytest.raises(SimulationError, match="queue drained.*parked loop"):
+            sim.run()
+        assert len(sim._queue) == 0

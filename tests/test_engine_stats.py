@@ -115,7 +115,7 @@ class TestHistogram:
         for v in range(10_000):
             h.add(v)
         # 10k distinct samples collapse into <= 15 log2 buckets.
-        assert len(h.bucket_counts()) <= 15
+        assert len(h.summary()["buckets"]) <= 15
 
 
 class TestWindowedCounter:

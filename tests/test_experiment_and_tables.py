@@ -5,7 +5,7 @@ from repro.harness.experiment import (
     PRIMITIVES,
     run_app,
     run_workload,
-    table3_row,
+    table3,
 )
 from repro.harness.tables import (
     render_table,
@@ -43,7 +43,9 @@ class TestPrimitives:
         assert result.n_processors == 4
 
     def test_table3_row_small(self):
-        row = table3_row("raytrace", n_processors=4, model_overrides=FAST_MODEL)
+        row = table3(
+            n_processors=4, apps=["raytrace"], model_overrides=FAST_MODEL
+        )[0]
         assert row.benchmark == "raytrace"
         assert row.uniprocessor_cycles > 0
         # contended single lock: queue primitives should not lose
