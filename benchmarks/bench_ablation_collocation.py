@@ -6,40 +6,35 @@ For the queue-based schemes the collocated data rides the lock hand-off
 for free; for TTS the line ping-pongs either way.
 """
 
+import functools
+
 from conftest import once, publish
-from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, run_workload
+from repro.harness.sweep import sweep
 from repro.harness.tables import render_table
 from repro.workloads.micro import CollocatedCriticalSection, NullCriticalSection
 
 PRIMS = ["tts", "iqolb", "qolb"]
 
 
-def measure(n_processors: int = 16):
-    out = {}
-    for primitive in PRIMS:
-        policy, lock_kind = PRIMITIVES[primitive]
-        config = SystemConfig(n_processors=n_processors, policy=policy)
-        separate = run_workload(
-            NullCriticalSection(
-                lock_kind=lock_kind, acquires_per_proc=20, think_cycles=80
-            ),
-            config,
-            primitive=primitive,
+def measure(n_processors: int = 16, n_jobs: int = 1, cache=None):
+    separate, collocated = (
+        sweep(
+            functools.partial(shape, acquires_per_proc=20, think_cycles=80),
+            PRIMS, [n_processors], n_jobs=n_jobs, cache=cache,
         )
-        collocated = run_workload(
-            CollocatedCriticalSection(
-                lock_kind=lock_kind, acquires_per_proc=20, think_cycles=80
-            ),
-            config,
-            primitive=primitive,
+        for shape in (NullCriticalSection, CollocatedCriticalSection)
+    )
+    return {
+        primitive: (
+            separate.cell(primitive, n_processors),
+            collocated.cell(primitive, n_processors),
         )
-        out[primitive] = (separate, collocated)
-    return out
+        for primitive in PRIMS
+    }
 
 
-def test_collocation_ablation(benchmark):
-    results = once(benchmark, measure)
+def test_collocation_ablation(benchmark, jobs, result_cache):
+    results = once(benchmark, measure, n_jobs=jobs, cache=result_cache)
     rows = []
     for primitive, (separate, collocated) in results.items():
         rows.append(

@@ -7,30 +7,33 @@ indeed be infrequent").  Sweep the bound on a contended lock whose
 critical section is ~200 cycles.
 """
 
+import functools
+
 from conftest import once, publish
-from repro.harness.config import SystemConfig
-from repro.harness.experiment import run_workload
+from repro.harness.sweep import sweep
 from repro.harness.tables import render_table
 from repro.workloads.micro import CollocatedCriticalSection
 
 TIMEOUTS = [50, 200, 1_000, 5_000, 20_000]
 
-
-def measure(n_processors: int = 16):
-    out = {}
-    for timeout in TIMEOUTS:
-        config = SystemConfig(
-            n_processors=n_processors, policy="iqolb", timeout_cycles=timeout
-        )
-        workload = CollocatedCriticalSection(
-            lock_kind="tts", acquires_per_proc=20, think_cycles=80
-        )
-        out[timeout] = run_workload(workload, config, primitive="iqolb")
-    return out
+factory = functools.partial(
+    CollocatedCriticalSection, acquires_per_proc=20, think_cycles=80
+)
 
 
-def test_timeout_ablation(benchmark):
-    results = once(benchmark, measure)
+def measure(n_processors: int = 16, n_jobs: int = 1, cache=None):
+    return {
+        timeout: sweep(
+            factory, ["iqolb"], [n_processors],
+            config_overrides={"timeout_cycles": timeout},
+            n_jobs=n_jobs, cache=cache,
+        ).cell("iqolb", n_processors)
+        for timeout in TIMEOUTS
+    }
+
+
+def test_timeout_ablation(benchmark, jobs, result_cache):
+    results = once(benchmark, measure, n_jobs=jobs, cache=result_cache)
     rows = [
         (
             timeout,

@@ -15,10 +15,10 @@ and asserts them:
 """
 
 import dataclasses
+import functools
 
 from conftest import once, publish, publish_metrics
-from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, run_workload
+from repro.harness.sweep import sweep
 from repro.harness.tables import render_table
 from repro.workloads.micro import ContendedCounter, NullCriticalSection
 
@@ -38,58 +38,58 @@ class Row:
     release_handoffs: int
 
 
-def measure(
-    primitive: str,
+def counter(lock_kind: str, increments: int) -> ContendedCounter:
+    """The RMW workload; its Fetch&Inc takes no lock, so ``lock_kind``
+    (the sweep's per-primitive argument) is unused."""
+    return ContendedCounter(increments_per_proc=increments, think_cycles=40)
+
+
+def run_all(
     n_processors: int = 16,
     increments: int = 30,
     acquires: int = 20,
+    n_jobs: int = 1,
+    cache=None,
 ):
-    """Returns the figure row plus the raw (rmw, lock) RunResults."""
-    policy, lock_kind = PRIMITIVES[primitive]
-    config = SystemConfig(n_processors=n_processors, policy=policy)
-
-    counter = ContendedCounter(increments_per_proc=increments, think_cycles=40)
-    rmw = run_workload(counter, config, primitive=primitive)
-    updates = n_processors * increments
-
-    lock = NullCriticalSection(
-        lock_kind=lock_kind, acquires_per_proc=acquires, think_cycles=80
-    )
-    lock_run = run_workload(lock, config, primitive=primitive)
-    total_acquires = n_processors * acquires
-
-    row = Row(
-        primitive=primitive,
-        rmw_cycles=rmw.cycles,
-        rmw_txns_per_update=rmw.bus_transactions / updates,
-        rmw_sc_failures=rmw.stat("sc_fail"),
-        lock_cycles=lock_run.cycles,
-        lock_txns_per_acquire=lock_run.bus_transactions / total_acquires,
-        tearoffs=lock_run.stat("tearoffs_sent"),
-        release_handoffs=lock_run.stat("handoff_release"),
-    )
-    return row, [rmw, lock_run]
-
-
-def run_all(n_processors: int = 16, increments: int = 30, acquires: int = 20):
     """(primitive -> Row, grid of every raw RunResult keyed for export)."""
+    prims = ["tts"] + POLICY_PRIMS
+    n = n_processors
+    rmw = sweep(
+        functools.partial(counter, increments=increments),
+        prims, [n], n_jobs=n_jobs, cache=cache,
+    )
+    lock = sweep(
+        functools.partial(
+            NullCriticalSection, acquires_per_proc=acquires, think_cycles=80
+        ),
+        prims, [n], n_jobs=n_jobs, cache=cache,
+    )
     rows = {}
     grid = {}
-    for prim in ["tts"] + POLICY_PRIMS:
-        row, results = measure(prim, n_processors, increments, acquires)
-        rows[prim] = row
-        grid[(prim, "rmw")] = results[0]
-        grid[(prim, "lock")] = results[1]
+    for prim in prims:
+        rmw_run, lock_run = rmw.cell(prim, n), lock.cell(prim, n)
+        rows[prim] = Row(
+            primitive=prim,
+            rmw_cycles=rmw_run.cycles,
+            rmw_txns_per_update=rmw_run.bus_transactions / (n * increments),
+            rmw_sc_failures=rmw_run.stat("sc_fail"),
+            lock_cycles=lock_run.cycles,
+            lock_txns_per_acquire=lock_run.bus_transactions / (n * acquires),
+            tearoffs=lock_run.stat("tearoffs_sent"),
+            release_handoffs=lock_run.stat("handoff_release"),
+        )
+        grid[(prim, "rmw")] = rmw_run
+        grid[(prim, "lock")] = lock_run
     return rows, grid
 
 
-def test_fig1_taxonomy(benchmark, smoke):
-    if smoke:
-        rows, grid = once(benchmark, run_all, 4, 10, 8)
-    else:
-        rows, grid = once(benchmark, run_all)
+def test_fig1_taxonomy(benchmark, smoke, jobs, result_cache):
+    scale = (4, 10, 8) if smoke else (16, 30, 20)
+    rows, grid = once(
+        benchmark, run_all, *scale, n_jobs=jobs, cache=result_cache
+    )
     publish_metrics("fig1_taxonomy", grid)
-    n_procs = 4 if smoke else 16
+    n_procs = scale[0]
     table = render_table(
         ["method", "RMW cyc", "txns/RMW", "SC fails",
          "lock cyc", "txns/acq", "tearoffs", "rel-handoffs"],

@@ -8,9 +8,10 @@ baseline's contended-lock cost grows much faster than IQOLB's — i.e.,
 the paper's mechanisms matter *more* as the gap widens.
 """
 
+import functools
+
 from conftest import once, publish
-from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, run_workload
+from repro.harness.sweep import sweep
 from repro.harness.tables import render_table
 from repro.workloads.micro import NullCriticalSection
 
@@ -21,47 +22,37 @@ LATENCIES = [20, 40, 80, 160]
 DIR_LATENCIES = [8, 16, 32, 64]
 PRIMS = ["tts", "iqolb", "qolb"]
 
+factory = functools.partial(
+    NullCriticalSection, acquires_per_proc=15, think_cycles=60
+)
 
-def measure(n_processors: int = 16):
+
+def measure(n_processors: int = 16, n_jobs: int = 1, cache=None):
+    def cycles(overrides):
+        grid = sweep(
+            factory, PRIMS, [n_processors], config_overrides=overrides,
+            n_jobs=n_jobs, cache=cache,
+        )
+        return {prim: grid.cell(prim, n_processors).cycles for prim in PRIMS}
+
+    bus = [cycles({"xbar_line_cycles": lat}) for lat in LATENCIES]
+    # The same sweep on the directory fabric: the gap argument is
+    # protocol-generic, so it must reproduce without a broadcast
+    # medium (line serialization is the mesh's per-link analogue of
+    # the crossbar's transfer cost).
+    mesh = [
+        cycles({"interconnect": "directory", "net_line_ser_cycles": lat})
+        for lat in DIR_LATENCIES
+    ]
     out = {}
     for primitive in PRIMS:
-        policy, lock_kind = PRIMITIVES[primitive]
-        per_latency = []
-        for latency in LATENCIES:
-            config = SystemConfig(
-                n_processors=n_processors,
-                policy=policy,
-                xbar_line_cycles=latency,
-            )
-            workload = NullCriticalSection(
-                lock_kind=lock_kind, acquires_per_proc=15, think_cycles=60
-            )
-            result = run_workload(workload, config, primitive=primitive)
-            per_latency.append(result.cycles)
-        out[primitive] = per_latency
-        # The same sweep on the directory fabric: the gap argument is
-        # protocol-generic, so it must reproduce without a broadcast
-        # medium (line serialization is the mesh's per-link analogue of
-        # the crossbar's transfer cost).
-        per_latency = []
-        for latency in DIR_LATENCIES:
-            config = SystemConfig(
-                n_processors=n_processors,
-                policy=policy,
-                interconnect="directory",
-                net_line_ser_cycles=latency,
-            )
-            workload = NullCriticalSection(
-                lock_kind=lock_kind, acquires_per_proc=15, think_cycles=60
-            )
-            result = run_workload(workload, config, primitive=primitive)
-            per_latency.append(result.cycles)
-        out[f"dir/{primitive}"] = per_latency
+        out[primitive] = [point[primitive] for point in bus]
+        out[f"dir/{primitive}"] = [point[primitive] for point in mesh]
     return out
 
 
-def test_network_gap(benchmark):
-    results = once(benchmark, measure)
+def test_network_gap(benchmark, jobs, result_cache):
+    results = once(benchmark, measure, n_jobs=jobs, cache=result_cache)
     rows = [
         [prim] + list(cycles) + [f"{cycles[-1] / cycles[0]:.2f}x"]
         for prim, cycles in results.items()

@@ -15,7 +15,7 @@ paper's qualitative claims:
 """
 
 from conftest import PAPER_TABLE3, RESULTS_DIR, once, publish
-from repro.harness.experiment import table3_with_stats
+from repro.harness.experiment import table3
 from repro.harness.tables import render_table3
 
 #: Smoke mode: an 8-processor machine with half the work per app.
@@ -30,7 +30,7 @@ def test_table3_regenerates(benchmark, smoke, jobs, result_cache):
     RESULTS_DIR.mkdir(exist_ok=True)
     rows, stats = once(
         benchmark,
-        table3_with_stats,
+        table3,
         n_procs,
         n_jobs=jobs,
         cache=result_cache,

@@ -9,13 +9,13 @@ vs. placed in separate lines, under TTS, IQOLB and QOLB.
 """
 
 from repro import System, SystemConfig
-from repro.harness.experiment import PRIMITIVES
+from repro.harness.experiment import primitive_pair
 from repro.harness.tables import render_table
 from repro.workloads.micro import CollocatedCriticalSection, NullCriticalSection
 
 
 def run(primitive: str, collocated: bool, n_processors: int = 16) -> int:
-    policy, lock_kind = PRIMITIVES[primitive]
+    policy, lock_kind = primitive_pair(primitive)
     system = System(SystemConfig(n_processors=n_processors, policy=policy))
     if collocated:
         workload = CollocatedCriticalSection(

@@ -10,13 +10,13 @@ Prints cycles-per-acquire for each primitive at each machine size.
 """
 
 from repro import System, SystemConfig
-from repro.harness.experiment import PRIMITIVES
+from repro.harness.experiment import primitive_pair
 from repro.harness.tables import render_table
 from repro.workloads.micro import NullCriticalSection
 
 
 def cycles_per_acquire(primitive: str, n_processors: int, acquires: int = 15):
-    policy, lock_kind = PRIMITIVES[primitive]
+    policy, lock_kind = primitive_pair(primitive)
     system = System(SystemConfig(n_processors=n_processors, policy=policy))
     workload = NullCriticalSection(
         lock_kind=lock_kind, acquires_per_proc=acquires, think_cycles=60

@@ -8,18 +8,18 @@ end-to-end completion time and a traffic summary per primitive, plus the
 full protocol report for IQOLB.
 """
 
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, run_workload
+from repro.harness.experiment import run_workload
 from repro.harness.report import render_report
 from repro.harness.tables import render_table
 from repro.workloads.pipeline import ProducerConsumer
 
 
 def run(primitive: str, n_processors: int = 8):
-    policy, lock_kind = PRIMITIVES[primitive]
-    config = SystemConfig(n_processors=n_processors, policy=policy)
+    config = SystemConfig(n_processors=n_processors)
     workload = ProducerConsumer(
-        lock_kind=lock_kind,
+        lock_kind=get_primitive(primitive).lock_kind,
         items_per_producer=15,
         queue_capacity=6,
         produce_cycles=80,

@@ -25,12 +25,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.registry import interconnect_names, policy_names
+from repro.core.registry import PRIMITIVE_SPECS, interconnect_names, policy_names
 from repro.harness.cache import ResultCache
 from repro.harness.config import SystemConfig
 from repro.harness.diagram import render_sequence_diagram
-from repro.harness.experiment import PRIMITIVES, run_app, table3_with_stats
+from repro.harness.experiment import table3
 from repro.harness.fairness import measure_lock_fairness
+from repro.harness.runner import app_cell, execute_cell
 from repro.harness.tables import (
     render_table,
     render_table1,
@@ -77,7 +78,7 @@ def _cmd_table3(args: argparse.Namespace) -> int:
             f"(choose from {', '.join(APP_ORDER)})"
         )
     cache = None if args.no_cache else ResultCache()
-    rows, stats = table3_with_stats(
+    rows, stats = table3(
         n_processors=args.processors,
         apps=apps,
         n_jobs=args.jobs,
@@ -109,22 +110,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.harness.experiment import app_signature
     from repro.harness.report import render_report
 
-    result = run_app(
-        args.app,
-        args.primitive,
-        args.processors,
-        config_overrides={"interconnect": args.interconnect},
-    )
+    cell = app_cell(args.app, args.primitive, args.processors, args.interconnect)
+    result = execute_cell(cell)
     print(render_report(result))
-    signature = app_signature(
-        args.app,
-        args.primitive,
-        args.processors,
-        config_overrides={"interconnect": args.interconnect},
-    )
+    signature = cell.signature()
     if signature is not None:
         # the same description `repro predict` models — see docs/prediction.md
         print(
@@ -155,13 +146,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     elif args.scenario in APP_ORDER:
         dispatcher = TraceDispatcher()
         dispatcher.attach(sink)
-        result = run_app(
-            args.scenario,
-            args.primitive,
-            args.processors,
-            config_overrides={"interconnect": args.interconnect},
-            telemetry=dispatcher,
+        cell = app_cell(
+            args.scenario, args.primitive, args.processors, args.interconnect
         )
+        result = execute_cell(cell, telemetry=dispatcher)
         dispatcher.close()
         events = dispatcher.events_dispatched
         print(f"  cycles: {result.cycles}")
@@ -182,11 +170,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.harness.report import histogram_rows
 
-    result = run_app(
-        args.app,
-        args.primitive,
-        args.processors,
-        config_overrides={"interconnect": args.interconnect},
+    result = execute_cell(
+        app_cell(args.app, args.primitive, args.processors, args.interconnect)
     )
     rows = histogram_rows(result)
     if rows:
@@ -402,7 +387,8 @@ PREDICT_LADDER = ("tts", "aggressive", "delayed", "iqolb", "qolb")
 
 
 def _processor_count(text: str) -> int:
-    """argparse type for a machine size: an integer of at least 1."""
+    """argparse type for a machine size or a per-processor count: an
+    integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -460,16 +446,10 @@ def _predict_params(args: argparse.Namespace):
 def _predict_signature(
     args: argparse.Namespace, primitive: str, fabric: str, procs: int
 ):
-    from repro.harness.experiment import app_signature
     from repro.harness.signature import WorkloadSignature
 
     if args.app:
-        return app_signature(
-            args.app,
-            primitive,
-            procs,
-            config_overrides={"interconnect": fabric},
-        )
+        return app_cell(args.app, primitive, procs, fabric).signature()
     return WorkloadSignature.micro_lock(
         primitive,
         fabric=fabric,
@@ -631,7 +611,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_policies(args: argparse.Namespace) -> int:
     print("protocol policies:", ", ".join(policy_names()))
-    print("primitives:", ", ".join(sorted(PRIMITIVES)))
+    print("primitives:", ", ".join(sorted(PRIMITIVE_SPECS)))
     print("interconnects:", ", ".join(interconnect_names()))
     return 0
 
@@ -651,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the empty default against the choice list; validated in the handler.
     p3.add_argument("apps", nargs="*",
                     help=f"benchmarks (default: {' '.join(APP_ORDER)})")
-    p3.add_argument("-p", "--processors", type=int, default=32)
+    p3.add_argument("-p", "--processors", type=_processor_count, default=32)
     p3.add_argument("-j", "--jobs", type=int, default=1,
                     help="worker processes for the sweep (default 1)")
     p3.add_argument("--no-cache", action="store_true",
@@ -664,8 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("run", help="run one benchmark on one primitive")
     pr.add_argument("app", choices=APP_ORDER)
-    pr.add_argument("--primitive", default="iqolb", choices=sorted(PRIMITIVES))
-    pr.add_argument("-p", "--processors", type=int, default=32)
+    pr.add_argument("--primitive", default="iqolb", choices=sorted(PRIMITIVE_SPECS))
+    pr.add_argument("-p", "--processors", type=_processor_count, default=32)
     pr.add_argument("--interconnect", default="bus",
                     choices=interconnect_names(),
                     help="coherence fabric (default: bus)")
@@ -684,9 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="chrome trace_event JSON (Perfetto-loadable) "
                          "or JSON Lines (default: chrome)")
     pt.add_argument("--primitive", default="iqolb",
-                    choices=sorted(PRIMITIVES),
+                    choices=sorted(PRIMITIVE_SPECS),
                     help="primitive for benchmark scenarios")
-    pt.add_argument("-p", "--processors", type=int, default=8)
+    pt.add_argument("-p", "--processors", type=_processor_count, default=8)
     pt.add_argument("--interconnect", default="bus",
                     choices=interconnect_names(),
                     help="coherence fabric for benchmark scenarios")
@@ -695,8 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="latency percentiles and run manifest for one run"
     )
     ps.add_argument("app", choices=APP_ORDER)
-    ps.add_argument("--primitive", default="iqolb", choices=sorted(PRIMITIVES))
-    ps.add_argument("-p", "--processors", type=int, default=32)
+    ps.add_argument("--primitive", default="iqolb", choices=sorted(PRIMITIVE_SPECS))
+    ps.add_argument("-p", "--processors", type=_processor_count, default=32)
     ps.add_argument("--interconnect", default="bus",
                     choices=interconnect_names(),
                     help="coherence fabric (default: bus)")
@@ -717,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="analytical throughput prediction — no simulation",
     )
     pp.add_argument("--primitive", nargs="+", metavar="PRIM",
-                    choices=sorted(PRIMITIVES),
+                    choices=sorted(PRIMITIVE_SPECS),
                     help="primitives to model (default: the 5-rung ladder "
                          f"{' '.join(PREDICT_LADDER)})")
     pp.add_argument("--fabric", nargs="+", metavar="FABRIC",
@@ -730,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--app", choices=APP_ORDER,
                     help="model a synthetic SPLASH-2 app instead of the "
                          "null-critical-section microbenchmark")
-    pp.add_argument("--acquires", type=int, default=20,
+    pp.add_argument("--acquires", type=_processor_count, default=20,
                     help="microbenchmark acquires per processor (default 20)")
     pp.add_argument("--think", type=int, default=100,
                     help="microbenchmark local compute between acquires "
@@ -757,8 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pq = sub.add_parser("fairness", help="measure lock fairness")
     pq.add_argument("--primitive", nargs="+", default=["tts", "iqolb", "qolb"],
-                    choices=sorted(PRIMITIVES))
-    pq.add_argument("-p", "--processors", type=int, default=8)
+                    choices=sorted(PRIMITIVE_SPECS))
+    pq.add_argument("-p", "--processors", type=_processor_count, default=8)
     pq.add_argument("--interconnect", default="bus",
                     choices=interconnect_names(),
                     help="coherence fabric (default: bus)")
@@ -783,13 +763,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "sleep sets + dynamic backtrack seeding "
                          "(default: none — the exhaustive oracle)")
     pc.add_argument("--primitives", nargs="+", metavar="PRIM",
-                    choices=sorted(PRIMITIVES),
+                    choices=sorted(PRIMITIVE_SPECS),
                     help="primitives to sweep (default: the 5-rung ladder)")
     pc.add_argument("--interconnects", nargs="+", metavar="FABRIC",
                     choices=interconnect_names(),
                     help="fabrics to sweep (default: bus and directory)")
-    pc.add_argument("-p", "--processors", type=int, default=4)
-    pc.add_argument("--acquires", type=int, default=2,
+    pc.add_argument("-p", "--processors", type=_processor_count, default=4)
+    pc.add_argument("--acquires", type=_processor_count, default=2,
                     help="lock acquires per processor (default 2)")
     pc.add_argument("--max-schedules", type=int, default=1200,
                     help="schedules explored per cell (default 1200)")

@@ -1,17 +1,9 @@
 """Experiment harness: configuration, system builder, runners, tables."""
 
-from repro.harness.cache import ResultCache, default_cache_dir, stable_hash
+from repro.harness.cache import ResultCache, default_cache_dir
 from repro.harness.config import SystemConfig, table1_rows
 from repro.harness.diagram import render_sequence_diagram
-from repro.harness.experiment import (
-    PRIMITIVES,
-    RunResult,
-    Table3Row,
-    run_app,
-    run_workload,
-    table3,
-    table3_with_stats,
-)
+from repro.harness.experiment import RunResult, Table3Row, run_workload, table3
 from repro.harness.fairness import FairnessReport, measure_lock_fairness
 from repro.harness.layout import MemoryLayout
 from repro.harness.report import render_report, report_rows
@@ -22,7 +14,7 @@ from repro.harness.runner import (
     RunnerStats,
     run_cells,
 )
-from repro.harness.sweep import SweepResult, sweep, sweep_config
+from repro.harness.sweep import SweepResult, sweep
 from repro.harness.system import System
 from repro.harness.tables import (
     render_table,
@@ -33,7 +25,6 @@ from repro.harness.tables import (
 )
 from repro.harness.traces import (
     ScenarioResult,
-    TraceEvent,
     TraceRecorder,
     figure2_scenario,
     figure3_scenario,
@@ -46,7 +37,6 @@ __all__ = [
     "FactorySpec",
     "FairnessReport",
     "MemoryLayout",
-    "PRIMITIVES",
     "ResultCache",
     "RunResult",
     "RunnerStats",
@@ -54,11 +44,9 @@ __all__ = [
     "System",
     "SystemConfig",
     "Table3Row",
-    "TraceEvent",
     "TraceRecorder",
     "default_cache_dir",
     "run_cells",
-    "stable_hash",
     "figure2_scenario",
     "figure3_scenario",
     "figure4_scenario",
@@ -71,12 +59,9 @@ __all__ = [
     "render_report",
     "render_sequence_diagram",
     "report_rows",
-    "run_app",
     "run_workload",
     "sweep",
-    "sweep_config",
     "SweepResult",
     "table1_rows",
     "table3",
-    "table3_with_stats",
 ]

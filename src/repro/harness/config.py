@@ -59,6 +59,12 @@ class SystemConfig:
     # Runaway guard — turns livelock into a reportable outcome
     max_cycles: int = 500_000_000
 
+    def __post_init__(self) -> None:
+        if self.n_processors < 1:
+            raise ValueError(
+                f"n_processors must be at least 1, got {self.n_processors}"
+            )
+
     def policy_kwargs(self) -> Dict[str, Any]:
         """Keyword arguments forwarded to the policy factory.
 

@@ -19,23 +19,16 @@ import dataclasses
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.core.registry import PRIMITIVE_SPECS, get_primitive
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
 from repro.harness.system import System
 from repro.telemetry.manifest import RunManifest, workload_seed
 from repro.workloads.base import Workload
-from repro.workloads.splash import APP_ORDER, make_app
+from repro.workloads.splash import APP_ORDER
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a runtime import cycle
     from repro.harness.cache import ResultCache
     from repro.harness.runner import RunnerStats
-
-#: primitive name -> (protocol policy, lock kind), derived from the
-#: central registry (:data:`repro.core.registry.PRIMITIVE_SPECS`)
-PRIMITIVES: Dict[str, tuple] = {
-    name: (spec.policy, spec.lock_kind)
-    for name, spec in PRIMITIVE_SPECS.items()
-}
 
 
 def primitive_pair(primitive: str) -> tuple:
@@ -90,8 +83,7 @@ def run_workload(
     import repro
 
     start = time.perf_counter()
-    policy, _lock_kind = primitive_pair(primitive)
-    run_config = config.with_(policy=policy)
+    run_config = config.with_(policy=get_primitive(primitive).policy)
     system = System(run_config)
     if telemetry is not None:
         system.attach_telemetry(telemetry)
@@ -119,47 +111,6 @@ def run_workload(
         histograms=system.stats.histogram_snapshot(),
         manifest=manifest,
     )
-
-
-def run_app(
-    app_name: str,
-    primitive: str,
-    n_processors: int,
-    model_overrides: Optional[dict] = None,
-    config_overrides: Optional[dict] = None,
-    telemetry: Optional[Any] = None,
-) -> RunResult:
-    """Run one synthetic SPLASH-2 model under one primitive."""
-    policy, lock_kind = primitive_pair(primitive)
-    app = make_app(app_name, lock_kind=lock_kind, model_overrides=model_overrides)
-    config = SystemConfig(n_processors=n_processors, policy=policy)
-    if config_overrides:
-        config = config.with_(**config_overrides)
-    return run_workload(
-        app, config, primitive=primitive, verify=False, telemetry=telemetry
-    )
-
-
-def app_signature(
-    app_name: str,
-    primitive: str,
-    n_processors: int,
-    model_overrides: Optional[dict] = None,
-    config_overrides: Optional[dict] = None,
-):
-    """The :class:`~repro.harness.signature.WorkloadSignature` that
-    :func:`run_app` with the same arguments would simulate — the shared
-    description ``repro run`` reports and ``repro predict`` models."""
-    from repro.harness.signature import WorkloadSignature
-
-    policy, lock_kind = primitive_pair(primitive)
-    app = make_app(
-        app_name, lock_kind=lock_kind, model_overrides=model_overrides
-    )
-    config = SystemConfig(n_processors=n_processors, policy=policy)
-    if config_overrides:
-        config = config.with_(**config_overrides)
-    return WorkloadSignature.from_workload(app, config, primitive)
 
 
 @dataclasses.dataclass
@@ -192,7 +143,7 @@ def table3_cells(
     QOLB and IQOLB on the ``n_processors`` machine — keyed
     ``(app, label)`` so the grid reassembles into :class:`Table3Row`.
     """
-    from repro.harness.runner import AppSpec, CellSpec
+    from repro.harness.runner import app_cell
 
     names = apps if apps is not None else APP_ORDER
     cells = []
@@ -202,24 +153,14 @@ def table3_cells(
             for primitive in ("tts", "qolb", "iqolb")
         ]
         for label, primitive, procs in runs:
-            policy, lock_kind = primitive_pair(primitive)
-            cells.append(
-                CellSpec(
-                    key=(name, label),
-                    primitive=primitive,
-                    config=SystemConfig(n_processors=procs, policy=policy),
-                    workload=AppSpec(
-                        app_name=name,
-                        lock_kind=lock_kind,
-                        model_overrides=model_overrides,
-                    ),
-                    verify=False,
-                )
+            cell = app_cell(
+                name, primitive, procs, model_overrides=model_overrides
             )
+            cells.append(dataclasses.replace(cell, key=(name, label)))
     return cells
 
 
-def table3_with_stats(
+def table3(
     n_processors: int = 32,
     apps: Optional[List[str]] = None,
     n_jobs: int = 1,
@@ -227,7 +168,7 @@ def table3_with_stats(
     model_overrides: Optional[dict] = None,
     metrics_out: Optional[str] = None,
 ) -> Tuple[List[Table3Row], "RunnerStats"]:
-    """Reproduce Table 3 through the parallel runner.
+    """Reproduce the paper's Table 3 through the parallel runner.
 
     Returns the rows plus the :class:`~repro.harness.runner.RunnerStats`
     (simulated vs. cache-hit cell counts) for the batch.  With
@@ -261,21 +202,3 @@ def table3_with_stats(
             )
         )
     return rows, stats
-
-
-def table3(
-    n_processors: int = 32,
-    apps: Optional[List[str]] = None,
-    n_jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
-    model_overrides: Optional[dict] = None,
-) -> List[Table3Row]:
-    """Reproduce the paper's Table 3 (all benchmarks)."""
-    rows, _stats = table3_with_stats(
-        n_processors,
-        apps,
-        n_jobs=n_jobs,
-        cache=cache,
-        model_overrides=model_overrides,
-    )
-    return rows

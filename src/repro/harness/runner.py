@@ -23,6 +23,7 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
+from repro.core.registry import get_primitive
 from repro.harness.cache import ResultCache
 from repro.harness.config import SystemConfig
 from repro.harness.experiment import RunResult, run_workload
@@ -101,10 +102,11 @@ class CellSpec:
     def __post_init__(self) -> None:
         # Reject unregistered primitives at construction, with the
         # registry's choice-listing message — a typo'd sweep spec fails
-        # before any cell is simulated, not deep inside a worker.
-        from repro.core.registry import get_primitive
-
-        get_primitive(self.primitive)
+        # before any cell is simulated, not deep inside a worker.  The
+        # primitive alone selects the protocol, so the cache key names
+        # the policy that actually runs.
+        policy = get_primitive(self.primitive).policy
+        self.config = self.config.with_(policy=policy)
 
     def describe(self) -> Any:
         """The content description hashed into the cache key."""
@@ -154,11 +156,39 @@ class RunnerStats:
         print(self.summary(), file=file if file is not None else sys.stderr)
 
 
-def execute_cell(spec: CellSpec) -> RunResult:
-    """Run one cell to completion (also the worker-process entry point)."""
-    workload = spec.workload.make()
+def app_cell(
+    app: str,
+    primitive: str,
+    n_processors: int,
+    interconnect: str = "bus",
+    model_overrides: Optional[dict] = None,
+) -> CellSpec:
+    """One synthetic SPLASH-2 model on one primitive (unverified, as in
+    Table 3), keyed ``(interconnect, app, primitive, n_processors)``."""
+    return CellSpec(
+        key=(interconnect, app, primitive, n_processors),
+        primitive=primitive,
+        config=SystemConfig(n_processors=n_processors, interconnect=interconnect),
+        workload=AppSpec(
+            app_name=app,
+            lock_kind=get_primitive(primitive).lock_kind,
+            model_overrides=model_overrides,
+        ),
+        verify=False,
+    )
+
+
+def execute_cell(spec: CellSpec, telemetry: Optional[Any] = None) -> RunResult:
+    """Run one cell to completion (also the worker-process entry point).
+
+    ``telemetry`` is passed through to :func:`run_workload`.
+    """
     return run_workload(
-        workload, spec.config, primitive=spec.primitive, verify=spec.verify
+        spec.workload.make(),
+        spec.config,
+        primitive=spec.primitive,
+        verify=spec.verify,
+        telemetry=telemetry,
     )
 
 
@@ -194,13 +224,6 @@ def map_parallel(
     return [fn(item) for item in items]
 
 
-def _execute_batch(
-    specs: Sequence[CellSpec], n_jobs: int
-) -> List[RunResult]:
-    """Execute specs in order; parallel when possible, serial otherwise."""
-    return map_parallel(execute_cell, specs, n_jobs)
-
-
 def run_cells(
     specs: Sequence[CellSpec],
     n_jobs: int = 1,
@@ -225,7 +248,7 @@ def run_cells(
         else:
             pending.append(spec)
     if pending:
-        for spec, result in zip(pending, _execute_batch(pending, n_jobs)):
+        for spec, result in zip(pending, map_parallel(execute_cell, pending, n_jobs)):
             results[spec.key] = result
             stats.executed += 1
             if cache:

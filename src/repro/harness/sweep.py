@@ -1,10 +1,11 @@
 """Parameter-sweep utilities.
 
-A small declarative helper for the grid experiments the benches and
-examples run: sweep one or two axes (machine size, protocol, timeout,
-network latency, ...) over a workload factory and collect
-:class:`~repro.harness.experiment.RunResult` objects into a grid that
-renders straight into a table.
+A small declarative helper for the grid experiments the benches run:
+sweep primitive x machine size over a workload factory and collect
+:class:`~repro.harness.experiment.RunResult` objects into a grid keyed
+``(primitive, procs)``.  Other axes (timeout, network latency, fabric,
+...) are swept by calling :func:`sweep` once per value with
+``config_overrides``.
 
 Cells are described as picklable
 :class:`~repro.harness.runner.CellSpec` objects and executed through
@@ -19,11 +20,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.registry import get_primitive
 from repro.harness.cache import ResultCache
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, RunResult
+from repro.harness.experiment import RunResult
 from repro.harness.runner import CellSpec, FactorySpec, RunnerStats, run_cells
-from repro.harness.tables import render_table
 from repro.workloads.base import Workload
 
 
@@ -38,11 +39,6 @@ class SweepResult:
     grid: Dict[Tuple[Any, Any], RunResult]
     #: Execution accounting for the batch (simulated vs. cache hits).
     runner_stats: Optional[RunnerStats] = None
-    #: Model-facing signature per cell key (``None`` where the shape has
-    #: no closed form) — the bridge to :mod:`repro.predict`.
-    signatures: Dict[Tuple[Any, Any], Any] = dataclasses.field(
-        default_factory=dict
-    )
 
     def cell(self, row: Any, col: Any) -> RunResult:
         try:
@@ -53,28 +49,6 @@ class SweepResult:
                 f"values are {self.rows!r} and valid {self.col_axis} "
                 f"values are {self.cols!r}"
             ) from None
-
-    def metric_grid(
-        self, metric: Callable[[RunResult], Any]
-    ) -> List[List[Any]]:
-        return [
-            [metric(self.grid[(row, col)]) for col in self.cols]
-            for row in self.rows
-        ]
-
-    def render(
-        self,
-        metric: Callable[[RunResult], Any] = lambda r: r.cycles,
-        title: str = "",
-    ) -> str:
-        headers = [f"{self.row_axis}\\{self.col_axis}"] + [
-            str(col) for col in self.cols
-        ]
-        body = [
-            [str(row)] + [str(metric(self.grid[(row, col)])) for col in self.cols]
-            for row in self.rows
-        ]
-        return render_table(headers, body, title=title)
 
 
 def sweep(
@@ -95,11 +69,9 @@ def sweep(
     """
     specs = []
     for primitive in primitives:
-        policy, lock_kind = PRIMITIVES[primitive]
+        lock_kind = get_primitive(primitive).lock_kind
         for n in processor_counts:
-            config = SystemConfig(n_processors=n, policy=policy)
-            if config_overrides:
-                config = config.with_(**config_overrides)
+            config = SystemConfig(n_processors=n, **(config_overrides or {}))
             specs.append(
                 CellSpec(
                     key=(primitive, n),
@@ -117,43 +89,4 @@ def sweep(
         cols=list(processor_counts),
         grid=grid,
         runner_stats=stats,
-        signatures={spec.key: spec.signature() for spec in specs},
-    )
-
-
-def sweep_config(
-    workload_factory: Callable[[str], Workload],
-    primitive: str,
-    axis_name: str,
-    axis_values: Sequence[Any],
-    n_processors: int = 16,
-    verify: bool = True,
-    n_jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> SweepResult:
-    """Sweep one SystemConfig field for a single primitive."""
-    policy, lock_kind = PRIMITIVES[primitive]
-    specs = []
-    for value in axis_values:
-        config = SystemConfig(
-            n_processors=n_processors, policy=policy, **{axis_name: value}
-        )
-        specs.append(
-            CellSpec(
-                key=(primitive, value),
-                primitive=primitive,
-                config=config,
-                workload=FactorySpec(workload_factory, lock_kind),
-                verify=verify,
-            )
-        )
-    grid, stats = run_cells(specs, n_jobs=n_jobs, cache=cache)
-    return SweepResult(
-        row_axis="primitive",
-        col_axis=axis_name,
-        rows=[primitive],
-        cols=list(axis_values),
-        grid=grid,
-        runner_stats=stats,
-        signatures={spec.key: spec.signature() for spec in specs},
     )

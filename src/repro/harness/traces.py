@@ -21,9 +21,6 @@ from repro.harness.system import System
 from repro.sync.tts import TTSLock
 from repro.telemetry import TelemetryEvent, TraceDispatcher, TraceSink
 
-#: Back-compat alias: the recorder's event type is the telemetry event.
-TraceEvent = TelemetryEvent
-
 
 class TraceRecorder(TraceSink):
     """An in-memory sink with the filtering/rendering API tests use.

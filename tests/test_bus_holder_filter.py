@@ -17,7 +17,8 @@ from repro.coherence.controller import CacheController, Obligation
 from repro.coherence.mshr import Mshr
 from repro.core.registry import PRIMITIVE_SPECS
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import run_app, run_workload
+from repro.harness.experiment import run_workload
+from repro.harness.runner import app_cell, execute_cell
 from repro.harness.system import System
 from repro.interconnect.messages import NO_STATE, BusOp, BusTransaction
 from repro.mem.line import State
@@ -103,14 +104,16 @@ def test_every_primitive_matches_broadcast(monkeypatch, primitive):
 @pytest.mark.parametrize("primitive", ["tts", "iqolb"])
 @pytest.mark.parametrize("app", ["raytrace", "radiosity"])
 def test_applications_match_broadcast(monkeypatch, app, primitive):
-    _check(monkeypatch, lambda: run_app(app, primitive, 4))
+    _check(monkeypatch, lambda: execute_cell(app_cell(app, primitive, 4)))
 
 
 def test_pushes_to_pruned_nodes_match_broadcast(monkeypatch):
     """A pushed line lands on nodes the bus had stopped snooping for it;
     the receiver must register at install (at 8p radiosity a missing
     registration leaves two owners of one line)."""
-    _check(monkeypatch, lambda: run_app("radiosity", "iqolb+gen", 8))
+    _check(
+        monkeypatch, lambda: execute_cell(app_cell("radiosity", "iqolb+gen", 8))
+    )
 
 
 @pytest.mark.parametrize(

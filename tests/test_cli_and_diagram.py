@@ -120,3 +120,24 @@ class TestCli:
             main(["predict", "--processors", procs])
         assert exc.value.code == 2
         assert "-p/--processors: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["table3", "raytrace", "-p", "0"], "-p/--processors"),
+            (["run", "raytrace", "-p", "0"], "-p/--processors"),
+            (["trace", "raytrace", "--out", "t.json", "-p", "0"],
+             "-p/--processors"),
+            (["stats", "barnes", "-p", "0"], "-p/--processors"),
+            (["fairness", "-p", "0"], "-p/--processors"),
+            (["check", "--primitives", "iqolb", "-p", "0"], "-p/--processors"),
+            (["check", "--primitives", "tts", "-p", "0"], "-p/--processors"),
+            (["check", "--acquires", "0"], "--acquires"),
+            (["predict", "--acquires", "0"], "--acquires"),
+        ],
+    )
+    def test_counts_below_one_rejected(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{flag}: must be at least 1" in capsys.readouterr().err

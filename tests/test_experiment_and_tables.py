@@ -1,12 +1,8 @@
 """Tests for the experiment runner and the table renderers."""
 
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import (
-    PRIMITIVES,
-    run_app,
-    run_workload,
-    table3,
-)
+from repro.harness.experiment import primitive_pair, run_workload, table3
+from repro.harness.runner import app_cell, execute_cell
 from repro.harness.tables import (
     render_table,
     render_table1,
@@ -22,10 +18,10 @@ FAST_MODEL = {"total_work": 32, "phases": 2, "serial_compute": 500,
 
 class TestPrimitives:
     def test_the_papers_three(self):
-        assert PRIMITIVES["tts"] == ("baseline", "tts")
-        assert PRIMITIVES["qolb"] == ("qolb", "qolb")
+        assert primitive_pair("tts") == ("baseline", "tts")
+        assert primitive_pair("qolb") == ("qolb", "qolb")
         # IQOLB runs the *TTS software* on the IQOLB protocol.
-        assert PRIMITIVES["iqolb"] == ("iqolb", "tts")
+        assert primitive_pair("iqolb") == ("iqolb", "tts")
 
     def test_run_workload_returns_stats(self):
         config = SystemConfig(n_processors=2, policy="baseline")
@@ -37,15 +33,16 @@ class TestPrimitives:
         assert result.stat("sc_attempts") >= 10
 
     def test_run_app_small(self):
-        result = run_app("raytrace", "iqolb", 4, FAST_MODEL)
+        cell = app_cell("raytrace", "iqolb", 4, model_overrides=FAST_MODEL)
+        result = execute_cell(cell)
         assert result.workload == "raytrace"
         assert result.primitive == "iqolb"
         assert result.n_processors == 4
 
     def test_table3_row_small(self):
-        row = table3(
+        (row,), _stats = table3(
             n_processors=4, apps=["raytrace"], model_overrides=FAST_MODEL
-        )[0]
+        )
         assert row.benchmark == "raytrace"
         assert row.uniprocessor_cycles > 0
         # contended single lock: queue primitives should not lose

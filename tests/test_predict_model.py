@@ -185,7 +185,7 @@ def reference_mva(n, think, f0, n_locks, cost, couple):
     )
 
 
-def app_signature(app, primitive, fabric, n):
+def splash_signature(app, primitive, fabric, n):
     return WorkloadSignature.from_app_model(
         APP_MODELS[app], primitive, fabric, n
     )
@@ -247,7 +247,7 @@ class TestSolverAgainstReference:
         params.straggle = straggle
         params.barrier_per_proc = barrier
         params.storm_couple = couple
-        sig = app_signature(app, primitive, fabric, n)
+        sig = splash_signature(app, primitive, fabric, n)
         x_items = equilibrium(sig, params).x_items
         cycles = _app_cycles(sig, params, x_items)[0]
         assert cycles == predict(sig, params).cycles
@@ -261,6 +261,6 @@ class TestImpossibleMachines:
 
     @pytest.mark.parametrize("n", [1, 8])
     def test_no_phases_is_rejected(self, n):
-        sig = app_signature("barnes", "iqolb", "bus", n).with_(phases=0)
+        sig = splash_signature("barnes", "iqolb", "bus", n).with_(phases=0)
         with pytest.raises(ValueError, match="phases"):
             predict(sig)

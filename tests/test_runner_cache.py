@@ -1,13 +1,16 @@
 """Tests for the parallel runner and the content-addressed result cache."""
 
+import dataclasses
 import functools
 import json
 
-from repro.harness.cache import ResultCache, stable_hash
+from repro.core.registry import get_primitive
+from repro.harness.cache import ResultCache
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, table3_with_stats
-from repro.harness.runner import CellSpec, FactorySpec, run_cells
+from repro.harness.experiment import table3, table3_cells
+from repro.harness.runner import CellSpec, FactorySpec, app_cell, run_cells
 from repro.harness.sweep import sweep
+from repro.telemetry.manifest import stable_hash
 from repro.workloads.micro import NullCriticalSection
 
 #: Picklable factory: partial of a module-level class, lock_kind positional.
@@ -19,13 +22,12 @@ fast_factory = functools.partial(
 FAST_MODEL = {"total_work": 64, "local_compute": 200, "serial_compute": 500}
 
 
-def make_spec(primitive="iqolb", n=2, verify=True, factory=fast_factory):
-    policy, lock_kind = PRIMITIVES[primitive]
+def make_spec(primitive="iqolb", n=2, verify=True, factory=fast_factory, **config):
     return CellSpec(
         key=(primitive, n),
         primitive=primitive,
-        config=SystemConfig(n_processors=n, policy=policy),
-        workload=FactorySpec(factory, lock_kind),
+        config=SystemConfig(n_processors=n, **config),
+        workload=FactorySpec(factory, get_primitive(primitive).lock_kind),
         verify=verify,
     )
 
@@ -57,14 +59,28 @@ class TestRunner:
         assert grid2[("iqolb", 2)] == result
 
     def test_table3_parallel_matches_serial(self):
-        serial, _ = table3_with_stats(
+        serial, _ = table3(
             4, ["raytrace"], n_jobs=1, model_overrides=FAST_MODEL
         )
-        parallel, stats = table3_with_stats(
+        parallel, stats = table3(
             4, ["raytrace"], n_jobs=2, model_overrides=FAST_MODEL
         )
         assert stats.total == 4 and stats.executed == 4
         assert serial == parallel
+
+    def test_app_cell_is_the_table3_cell(self):
+        cells = table3_cells(8, ["raytrace", "barnes"], FAST_MODEL)
+        for cell in cells:
+            app, label = cell.key
+            primitive = "tts" if label == "uni" else label
+            built = app_cell(
+                app,
+                primitive,
+                cell.config.n_processors,
+                model_overrides=FAST_MODEL,
+            )
+            assert dataclasses.replace(built, key=cell.key) == cell
+            assert built.config.policy == get_primitive(primitive).policy
 
     def test_empty_batch(self):
         grid, stats = run_cells([])
@@ -114,6 +130,25 @@ class TestCache:
             make_spec(verify=False).describe()
         )
 
+    def test_policy_comes_from_the_primitive(self):
+        """Leaving out ``policy=`` keeps the key a cell built with the
+        primitive's policy had, so existing cache entries stay valid."""
+        cache = ResultCache()
+        for primitive in ("tts", "iqolb", "qolb", "mcs"):
+            implicit = make_spec(primitive)
+            explicit = make_spec(
+                primitive, policy=get_primitive(primitive).policy
+            )
+            assert implicit.config.policy == get_primitive(primitive).policy
+            assert cache.key(implicit.describe()) == cache.key(
+                explicit.describe()
+            )
+
+    def test_conflicting_policy_is_replaced(self):
+        spec = make_spec("iqolb", policy="baseline")
+        assert spec.config.policy == "iqolb"
+        assert spec == make_spec("iqolb")
+
     def test_key_changes_with_package_version(self, tmp_path):
         description = make_spec().describe()
         v1 = ResultCache(tmp_path, version="1.0.0")
@@ -160,12 +195,12 @@ class TestCache:
 class TestTable3Cached:
     def test_second_invocation_runs_zero_simulations(self, tmp_path):
         cache = ResultCache(tmp_path)
-        rows, stats = table3_with_stats(
+        rows, stats = table3(
             4, ["raytrace"], cache=cache, model_overrides=FAST_MODEL
         )
         assert stats.executed == 4 and stats.cache_hits == 0
 
-        rows2, stats2 = table3_with_stats(
+        rows2, stats2 = table3(
             4,
             ["raytrace"],
             cache=ResultCache(tmp_path),
@@ -176,9 +211,9 @@ class TestTable3Cached:
 
     def test_model_overrides_change_the_key(self, tmp_path):
         cache = ResultCache(tmp_path)
-        table3_with_stats(4, ["raytrace"], cache=cache, model_overrides=FAST_MODEL)
+        table3(4, ["raytrace"], cache=cache, model_overrides=FAST_MODEL)
         smaller = dict(FAST_MODEL, total_work=32)
-        _, stats = table3_with_stats(
+        _, stats = table3(
             4, ["raytrace"], cache=cache, model_overrides=smaller
         )
         assert stats.executed == 4 and stats.cache_hits == 0

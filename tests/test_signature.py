@@ -9,8 +9,7 @@ shapes) and the serialization contract.
 from __future__ import annotations
 
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import app_signature
-from repro.harness.runner import AppSpec, CellSpec, FactorySpec
+from repro.harness.runner import AppSpec, CellSpec, FactorySpec, app_cell
 from repro.harness.signature import (
     KIND_APP,
     KIND_LOCK,
@@ -84,10 +83,7 @@ class TestAppSignatures:
         assert sig.serial_compute == model.serial_compute
 
     def test_app_signature_helper_matches_run_app_inputs(self):
-        sig = app_signature(
-            "radiosity", "iqolb", 16,
-            config_overrides={"interconnect": "directory"},
-        )
+        sig = app_cell("radiosity", "iqolb", 16, "directory").signature()
         assert sig.kind == KIND_APP
         assert sig.primitive == "iqolb"
         assert sig.fabric == "directory"

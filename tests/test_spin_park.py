@@ -21,7 +21,8 @@ from repro.cpu.processor import Processor
 from repro.engine.event import callback_label
 from repro.engine.simulator import SimulationError
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import run_app, run_workload
+from repro.harness.experiment import run_workload
+from repro.harness.runner import app_cell, execute_cell
 from repro.harness.system import System
 from repro.mem.line import State
 from repro.sync import qcore
@@ -123,7 +124,9 @@ def test_software_queues_at_8p_match_reference(
 @pytest.mark.parametrize("app", ["barnes", "raytrace"])
 def test_barrier_backoff_matches_reference(monkeypatch, app, primitive):
     """Barrier waits back off exponentially up to a cap."""
-    parked = _compare(monkeypatch, lambda: run_app(app, primitive, 8))
+    parked = _compare(
+        monkeypatch, lambda: execute_cell(app_cell(app, primitive, 8))
+    )
     assert _skipped_tests(parked) > 0
 
 
@@ -377,9 +380,7 @@ def test_woken_events_fire_in_reference_order(monkeypatch, interconnect):
     queued after, and runs first in the wake cycle if queued first."""
 
     def run():
-        return run_app(
-            "raytrace", "mcs", 8, config_overrides={"interconnect": interconnect}
-        )
+        return execute_cell(app_cell("raytrace", "mcs", 8, interconnect))
 
     parked = _fired(monkeypatch, System, run)
     reference = _fired(monkeypatch, ReferenceSystem, run)
@@ -398,5 +399,7 @@ def test_loops_woken_together_keep_their_order(monkeypatch):
     """At 16 processors barrier waiters spin in lockstep; one release
     wakes them together, and their misses must reach the bus in the
     order their loops had (walked back to where the loops part)."""
-    parked = _compare(monkeypatch, lambda: run_app("barnes", "tts", 16))
+    parked = _compare(
+        monkeypatch, lambda: execute_cell(app_cell("barnes", "tts", 16))
+    )
     assert _skipped_tests(parked) > 0

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
 from repro.harness.experiment import run_workload
 from repro.harness.report import render_report, report_rows
-from repro.harness.sweep import sweep, sweep_config
+from repro.harness.sweep import sweep
 from repro.workloads.micro import NullCriticalSection
 
 
@@ -23,17 +24,6 @@ class TestSweep:
         assert len(result.grid) == 4
         assert result.cell("tts", 2).cycles > 0
 
-    def test_metric_grid(self):
-        result = sweep(null_cs_factory, ["iqolb"], [2, 4])
-        (row,) = result.metric_grid(lambda r: r.cycles)
-        assert len(row) == 2
-        assert all(isinstance(v, int) for v in row)
-
-    def test_render(self):
-        result = sweep(null_cs_factory, ["iqolb"], [2])
-        text = result.render(title="T")
-        assert "T" in text and "iqolb" in text and "2" in text
-
     def test_config_overrides_apply(self):
         slow = sweep(
             null_cs_factory, ["iqolb"], [4],
@@ -44,16 +34,6 @@ class TestSweep:
             config_overrides={"xbar_line_cycles": 20},
         )
         assert slow.cell("iqolb", 4).cycles > fast.cell("iqolb", 4).cycles
-
-    def test_sweep_config_axis(self):
-        result = sweep_config(
-            null_cs_factory, "iqolb", "xbar_line_cycles", [20, 80],
-            n_processors=4,
-        )
-        assert result.cols == [20, 80]
-        assert (
-            result.cell("iqolb", 80).cycles > result.cell("iqolb", 20).cycles
-        )
 
     def test_cell_unknown_key_is_descriptive(self):
         result = sweep(null_cs_factory, ["iqolb"], [2])
@@ -67,13 +47,11 @@ class TestSweep:
 
 class TestReport:
     def _result(self, primitive="iqolb"):
-        from repro.harness.experiment import PRIMITIVES
-
-        policy, lock_kind = PRIMITIVES[primitive]
-        config = SystemConfig(n_processors=4, policy=policy)
         return run_workload(
-            NullCriticalSection(lock_kind=lock_kind, acquires_per_proc=6),
-            config,
+            NullCriticalSection(
+                lock_kind=get_primitive(primitive).lock_kind, acquires_per_proc=6
+            ),
+            SystemConfig(n_processors=4),
             primitive=primitive,
         )
 

@@ -25,6 +25,13 @@ class TestSystemConfig:
         assert config.policy == "iqolb"
         assert SystemConfig().n_processors == 32  # original untouched
 
+    @pytest.mark.parametrize("procs", [0, -2])
+    def test_machine_without_processors_rejected(self, procs):
+        with pytest.raises(ValueError, match="n_processors"):
+            SystemConfig(n_processors=procs)
+        with pytest.raises(ValueError, match="n_processors"):
+            SystemConfig().with_(n_processors=procs)
+
     def test_policy_kwargs_only_for_deferral_schemes(self):
         assert SystemConfig(policy="baseline", timeout_cycles=99).policy_kwargs() == {}
         assert SystemConfig(policy="iqolb", timeout_cycles=99).policy_kwargs() == {

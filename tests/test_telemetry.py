@@ -13,7 +13,8 @@ import pytest
 
 from repro.cpu.ops import LL, SC, Compute, Read, Write
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import run_app, run_workload
+from repro.harness.experiment import run_workload
+from repro.harness.runner import app_cell, execute_cell
 from repro.harness.system import System
 from repro.harness.traces import figure4_scenario
 from repro.sync.tts import TTSLock
@@ -221,7 +222,7 @@ class TestChromeTraceSink:
 
 class TestRunManifest:
     def test_run_workload_populates_manifest(self):
-        result = run_app("barnes", "iqolb", 4)
+        result = execute_cell(app_cell("barnes", "iqolb", 4))
         manifest = result.manifest
         assert manifest is not None
         assert manifest.cache_hit is False
@@ -233,8 +234,8 @@ class TestRunManifest:
         assert manifest.host.get("python")
 
     def test_config_hash_tracks_config(self):
-        a = run_app("barnes", "iqolb", 2).manifest
-        b = run_app("barnes", "iqolb", 4).manifest
+        a = execute_cell(app_cell("barnes", "iqolb", 2)).manifest
+        b = execute_cell(app_cell("barnes", "iqolb", 4)).manifest
         assert a.config_hash != b.config_hash
 
     def test_seed_extracted_from_app_model(self):
@@ -263,7 +264,7 @@ class TestRunManifest:
 
 class TestMetricsExport:
     def test_payload_from_results(self, tmp_path):
-        results = [run_app("barnes", "iqolb", 2)]
+        results = [execute_cell(app_cell("barnes", "iqolb", 2))]
         path = tmp_path / "metrics.json"
         payload = write_metrics(path, results)
         assert payload["schema"] == "repro-metrics/1"
@@ -273,7 +274,7 @@ class TestMetricsExport:
         assert cell["counters"]["bus.transactions"] > 0
 
     def test_payload_includes_handoff_percentiles(self):
-        result = run_app("barnes", "iqolb", 8)
+        result = execute_cell(app_cell("barnes", "iqolb", 8))
         payload = metrics_payload([result])
         digest = payload["cells"][0]["histograms"]["handoff.defer_cycles"]
         assert digest["count"] > 0
@@ -284,7 +285,7 @@ class TestMetricsExport:
         import gzip
         import json
 
-        results = [run_app("barnes", "iqolb", 2)]
+        results = [execute_cell(app_cell("barnes", "iqolb", 2))]
         base = tmp_path / "BENCH_x.json"
         full = write_metrics_archive(base, results)
 
@@ -311,7 +312,7 @@ class TestMetricsExport:
         assert gz.read_bytes() == first
 
     def test_summary_payload_counts_bodies(self):
-        result = run_app("barnes", "iqolb", 2)
+        result = execute_cell(app_cell("barnes", "iqolb", 2))
         full = metrics_payload([result])
         summary = summary_payload(full)
         assert summary["schema"] == "repro-metrics-summary/1"

@@ -3,8 +3,9 @@
 import pytest
 
 from conftest import build_system
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, run_workload
+from repro.harness.experiment import run_workload
 from repro.workloads.base import LOCK_KINDS, LockSet
 from repro.workloads.micro import (
     CollocatedCriticalSection,
@@ -51,15 +52,15 @@ class TestLockSet:
 
 class TestMicroWorkloads:
     def test_contended_counter_verifies(self, main_policy):
-        config = SystemConfig(n_processors=3, policy=PRIMITIVES["tts"][0])
+        config = SystemConfig(n_processors=3)
         workload = ContendedCounter(increments_per_proc=10)
         result = run_workload(workload, config, primitive="tts")
         assert result.cycles > 0
 
     def test_null_cs_all_primitives(self):
         for primitive in ("tts", "iqolb", "qolb", "ticket", "mcs"):
-            policy, lock_kind = PRIMITIVES[primitive]
-            config = SystemConfig(n_processors=3, policy=policy)
+            lock_kind = get_primitive(primitive).lock_kind
+            config = SystemConfig(n_processors=3)
             workload = NullCriticalSection(
                 lock_kind=lock_kind, acquires_per_proc=6
             )
@@ -97,8 +98,8 @@ class TestMicroWorkloads:
             def exit(self, tid):
                 self.calls.append(("exit", tid))
 
-        policy, lock_kind = PRIMITIVES[primitive]
-        config = SystemConfig(n_processors=3, policy=policy)
+        lock_kind = get_primitive(primitive).lock_kind
+        config = SystemConfig(n_processors=3)
         log = Log()
         watched = NullCriticalSection(lock_kind, 4, 30, observer=log)
         result = run_workload(watched, config, primitive=primitive)
