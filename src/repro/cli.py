@@ -195,6 +195,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"  config hash: {manifest.config_hash[:16]}…")
         print(f"  version: {manifest.version}")
         print(f"  events fired: {manifest.events_fired}")
+        print(f"  events skipped: {manifest.events_skipped}")
         print(f"  events/host-s: {manifest.events_per_host_s:,.0f}")
         print(f"  queue high water: {manifest.queue_high_water}")
         print(f"  wall time: {manifest.wall_time_s:.3f}s")

@@ -36,7 +36,7 @@ from repro.coherence.mshr import Mshr
 from repro.core.policy import ProtocolPolicy
 from repro.cpu.ops import Op
 from repro.engine.event import Event
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import SimulationError, Simulator
 from repro.engine.stats import StatsRegistry
 from repro.interconnect.bus import AddressBus, BusClient
 from repro.interconnect.crossbar import Crossbar
@@ -107,7 +107,8 @@ class CacheController(BusClient):
         #: (Generalized IQOLB, paper §6); value = receiving node
         self.forwarded: Dict[int, int] = {}
         #: this node's processor while its spin loop is parked on an L1
-        #: line (see :meth:`quiet_line`); woken by any install here
+        #: line (see :meth:`quiet_line`); woken by any install here and
+        #: by the fabric serializing a transaction that changes the copy
         self.spinner: Optional[Any] = None
 
         # LL/SC architectural state: the link flag and locked physical
@@ -221,9 +222,11 @@ class CacheController(BusClient):
 
         Only while re-reading it could not change anything: the line sits
         in the L1 as a coherent copy (not a tear-off), this node holds no
-        MSHR, obligation, successor, loan or push on it, and no node has
-        a miss open on it.  From then on only an install here or a new
-        miss on the line can touch the copy, and both wake the spinner.
+        MSHR, obligation, successor, loan or push on it, and the fabric
+        has no transaction that would change the copy between its
+        serialization and its snoop.  From then on only an install here
+        or the fabric serializing such a transaction can touch the copy,
+        and both wake the spinner before it changes.
         """
         line = self.hierarchy.l1.lookup(line_addr, touch=False)
         return (
@@ -236,8 +239,26 @@ class CacheController(BusClient):
             and line_addr not in self.loan_return_to
             and line_addr not in self.on_loan
             and line_addr not in self.forwarded
-            and not self.bus.miss_open(line_addr)
+            and not self.bus.in_flight(line_addr, line.is_owner)
         )
+
+    def replay_lls(self, op: Op, count: int) -> None:
+        """Charge ``count`` LLs a parked linked spin skipped on its quiet
+        copy of ``op``'s line.
+
+        Skipped LLs are idempotent: each would have set the link exactly
+        as the last real one did (a coherent copy, so ``link_tearoff`` is
+        False) and read the same value, and nothing could reset the link
+        in between -- an ownership snoop, an eviction, a supply, lend,
+        discharge or push on the line either wakes the loop before it
+        happens or is ruled out by :meth:`quiet_line`.  So rewriting the
+        link changes nothing, and only ``ll_ops`` moves.
+        """
+        self.link_valid = True
+        self.link_addr = op.addr
+        self.current_ll_pc = op.pc
+        self.link_tearoff = False
+        self._count("ll_ops", count)
 
     # ==================================================================
     # CPU side
@@ -520,9 +541,6 @@ class CacheController(BusClient):
             existing.done_cb = done
             return
         self.bus.note_holder(line_addr, self.node_id)
-        # Spinners parked on this line go back to real reads before the
-        # request goes out (its first snoop is an address phase away).
-        self.bus.wake_spinners(line_addr)
         mshr = Mshr(line_addr, op, done, self.sim.now)
         mshr.bus_op = bus_op
         self.mshrs[line_addr] = mshr
@@ -600,12 +618,20 @@ class CacheController(BusClient):
     # ==================================================================
     def snoop(self, txn: BusTransaction) -> SnoopReply:
         line_addr = txn.line_addr
-        spinner = self.spinner
-        if spinner is not None and spinner.parked_line == line_addr:
-            # Only a request whose miss already closed reaches a parked
-            # line (a directory invalidation still in flight); wake first.
-            spinner.wake()
         line = self.hierarchy.peek(line_addr)
+        spinner = self.spinner
+        if (
+            spinner is not None
+            and spinner.parked_line == line_addr
+            and (txn.op is not BusOp.GETS or line.is_owner)
+        ):
+            # The fabric wakes a spinner when it serializes a transaction
+            # that will change its copy (a GETS changes only an owner's),
+            # a cycle or more before the snoop.
+            raise SimulationError(
+                f"{txn!r} reached {spinner.describe_state()}: the fabric "
+                f"serialized it without waking the spinner"
+            )
         if (
             line is None
             and line_addr not in self.mshrs

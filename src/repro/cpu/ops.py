@@ -10,6 +10,7 @@ each operation's result back from the processor::
         ok = yield SC(lock, 1, pc=ACQ_PC)   # store-conditional -> bool
         yield Compute(25)                   # 25 cycles of local work
         value = yield Spin(flag, 1, pc=WAIT_PC)  # re-read until it reads 1
+        yield Spin(lock, 0, pc=ACQ_PC, linked=True)  # LL until it reads 0
 
 This mirrors the paper's methodology: an execution-driven simulator whose
 ISA includes Swap, Load-Linked, Store-Conditional, EnQOLB and DeQOLB
@@ -58,14 +59,15 @@ class Spin(Read):
     """Re-read a word until ``accept`` holds; result is the accepted value.
 
     One op for a whole spin loop: the processor runs it as a ``Read``
-    per test, with ``pause`` cycles of local work between failed tests
-    (doubling up to ``max_pause`` when that is given).  Each test counts
-    as the ``Read`` and each pause as the ``Compute`` the loop would
-    have yielded.  See :mod:`repro.cpu.processor` for how a spin on an
-    unchanged L1 line parks.
+    per test (an ``LL`` per test when ``linked``), with ``pause`` cycles
+    of local work between failed tests (doubling up to ``max_pause``
+    when that is given).  Each test counts as the ``Read`` or ``LL`` and
+    each pause as the ``Compute`` the loop would have yielded.  See
+    :mod:`repro.cpu.processor` for how a spin on an unchanged L1 line
+    parks.
     """
 
-    __slots__ = ("accept", "pause", "max_pause")
+    __slots__ = ("accept", "pause", "max_pause", "kind")
 
     def __init__(
         self,
@@ -74,11 +76,19 @@ class Spin(Read):
         pc: int = 0,
         pause: int = 0,
         max_pause: Optional[int] = None,
+        linked: bool = False,
     ) -> None:
         super().__init__(addr=addr, pc=pc)
         self.accept = accept
         self.pause = pause
         self.max_pause = max_pause
+        #: the controller runs each test as this kind of load
+        self.kind = "ll" if linked else "read"
+
+    @property
+    def linked(self) -> bool:
+        """Is each test a load-linked?"""
+        return self.kind == "ll"
 
     def accepts(self, value: int) -> bool:
         accept = self.accept

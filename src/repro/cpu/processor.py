@@ -13,19 +13,30 @@ them globally.
 
 Spin loops
 ----------
-A :class:`~repro.cpu.ops.Spin` op is a whole ``wait_until`` loop, run
-here: each test is a ``Read`` through the controller and each failed
-test waits ``issue_overhead + pause`` before the next, exactly as the
-``Read``/``Compute`` pairs it replaces (three events per failed test).
-When a test fails on an L1 hit and the controller reports the line
-quiet (:meth:`~repro.coherence.controller.CacheController.quiet_line`),
-the processor *parks*: it schedules nothing, because every further test
-would re-read the same value from the same L1 copy.  Two things wake it:
-any node opening a miss on the line (the fabric's wake table) and any
-install into this node's caches.  On waking it charges the tests the
+A :class:`~repro.cpu.ops.Spin` op is a whole spin loop, run here: a
+``wait_until`` loop, each test a ``Read``, or TTS's test loop, a
+*linked* spin, each test an ``LL``.  Each failed test waits
+``issue_overhead + pause`` before the next, exactly as the
+``Read``/``Compute`` (or ``LL``/``Compute``) pairs it replaces (three
+events per failed test).  When a test fails on an L1 hit and the
+controller reports the line quiet
+(:meth:`~repro.coherence.controller.CacheController.quiet_line`), the
+processor *parks*: it schedules nothing, because every further test
+would re-read the same value from the same L1 copy.  Two things wake
+it: the fabric serializing a transaction that will change the copy
+(:class:`~repro.interconnect.bus.ParkedSpinners`: the bus issuing it,
+the directory sending an invalidation or forward; its snoop is at
+least a cycle later) and any install into this node's caches.  A miss
+that merely opens on the line, like the GETS refills that keep a
+saturated bus busy, wakes nobody.  On waking it charges the tests the
 loop would have run so far — ops, ``mem_ops``, L1 hits and LRU touches,
-backoff — and queues the one event the loop would have pending, at its
-exact time and in its exact place among the events due with it.
+backoff, and for a linked spin ``ll_ops`` and the link register
+(:meth:`~repro.coherence.controller.CacheController.replay_lls`: each
+skipped LL would have set it to what the last real one left, and
+nothing could reset it in between) — and queues the one event the loop
+would have pending, at its exact time and in its exact place among the
+events due with it.  A linked spin does not park while a tracer is
+attached: every LL emits an ``ll`` trace event.
 
 That place is where the loop would have queued it.  Events due in one
 cycle fire in the order they were queued; events queued in one cycle, in
@@ -40,10 +51,11 @@ doing the waking was.  Two ties stay unresolved and go the loop event
 last: another event queued in the same cycle as the loop event, and a
 waking event queued in the same cycle as it.  No outcome depends on
 them: a loop event touches only its own thread, its L1 hit counter and
-LRU stamp and its read of a copy nothing has changed yet (a miss
-opening wakes it at least an address phase before its first snoop),
-so it commutes with any event of another node; what does not commute,
-two loops' misses reaching the bus together, is ordered by the walk.
+LRU stamp, its link register and its read of a copy nothing has changed
+yet (the serialization of a change wakes it a cycle or more before the
+snoop), so it commutes with any event of another node; what does not
+commute, two loops' misses reaching the bus together, is ordered by the
+walk.
 ``tests/test_spin_park.py`` holds every outcome to a loop that never
 parks.
 """
@@ -59,7 +71,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.stats import StatsRegistry
 
 #: where a woken spin loop resumes: the pause-end ``_advance``, the
-#: test's ``cpu_request``, or the L1 hit's ``_finish_read``
+#: test's ``cpu_request``, or the L1 hit's ``_finish_read``/``_finish_ll``
 _ADVANCE, _REQUEST, _FINISH = range(3)
 
 
@@ -208,8 +220,13 @@ class Processor:
 
     def _may_park(self) -> bool:
         """Park after this failed L1-hit test?  Yes whenever the line is
-        quiet; a reference that runs every test overrides it."""
-        return self.controller.quiet_line(self._spin_line)
+        quiet, except a linked spin under a tracer (each LL emits an
+        ``ll`` trace event); a reference that runs every test overrides
+        it."""
+        controller = self.controller
+        if self._spin.linked and controller.tracer is not None:
+            return False
+        return controller.quiet_line(self._spin_line)
 
     def _replay(
         self, now: int, trigger_born: Optional[int] = None
@@ -286,6 +303,9 @@ class Processor:
         self._c_mem_ops.value += reads
         if hits:
             controller.hierarchy.replay_l1_hits(line_addr, hits)
+        spin = self._spin
+        if tests and spin.linked:
+            controller.replay_lls(spin, tests)
         self.tests_skipped += tests
         sim.events_skipped += reads + hits + tests
         self._pause = pause
@@ -295,7 +315,6 @@ class Processor:
             history.append(
                 _SkippedTests(self, self._parked_at, parked_pause, tests)
             )
-        spin = self._spin
         io = self.issue_overhead
         if resume == _ADVANCE:
             callback, args = self._advance, (None,)
@@ -307,7 +326,7 @@ class Processor:
                 queued_at = issued
             else:
                 # The L1 hit's completion, as the controller queued it.
-                callback, args = controller._finish_read, (spin, self._tested)
+                callback, args = self._finish_hit(), (spin, self._tested)
                 queued_at = issued + io
         self._woken = self._queue_in_order(when, queued_at, callback, args)
 
@@ -399,8 +418,15 @@ class Processor:
         elif resume == _REQUEST:
             callback, nargs = self.controller.cpu_request, 2
         else:
-            callback, nargs = self.controller._finish_read, 2
+            callback, nargs = self._finish_hit(), 2
         return ops + reads + tests, (when - now, callback_label(callback), nargs)
+
+    def _finish_hit(self) -> Callable[..., None]:
+        """The controller step that completes a test's L1 hit."""
+        controller = self.controller
+        if self._spin.linked:
+            return controller._finish_ll
+        return controller._finish_read
 
     def describe_state(self) -> str:
         """One-line digest of a parked spin, for runaway diagnostics."""

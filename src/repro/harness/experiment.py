@@ -98,6 +98,7 @@ def run_workload(
         seed=workload_seed(workload),
         wall_time_s=wall_time_s,
         events_fired=system.sim.events_fired,
+        events_skipped=system.sim.events_skipped,
         queue_high_water=system.sim.queue_high_water,
     )
     return RunResult(

@@ -19,8 +19,8 @@ building blocks:
     waiter generates, which is exactly the axis the paper's taxonomy
     measures.  The whole loop is one :class:`~repro.cpu.ops.Spin` op
     that the processor runs: a waiter whose test fails on a quiet L1
-    copy parks until a miss opens on the line or its own caches fill,
-    so a local spin costs no events while it waits (paper §3.3's "no
+    copy parks until the fabric serializes a write to the line or its
+    own caches fill, so a local spin costs no events while it waits (paper §3.3's "no
     traffic until the hand-off", for the simulator too).
 
 ``signal``
@@ -93,10 +93,11 @@ def wait_until(
     One :class:`~repro.cpu.ops.Spin` op: the processor runs the loop,
     each test a ``Read`` and each failed test a ``pause``, counted as
     the ``Read``/``Compute`` pairs they are.  After a test that fails
-    on an L1 hit of a quiet line (no miss open on it anywhere, no
-    queue, loan or push state for it here) the processor parks; any
-    node opening a miss on the line, or any fill into this node's
-    caches, wakes it at the exact point the loop had reached."""
+    on an L1 hit of a quiet line (no transaction that would change the
+    copy in flight on the fabric, no queue, loan or push state for it
+    here) the processor parks; the fabric serializing such a
+    transaction, or any fill into this node's caches, wakes it at the
+    exact point the loop had reached."""
     value = yield Spin(addr, accept, pc=pc, pause=pause, max_pause=max_pause)
     return value
 

@@ -6,13 +6,20 @@ the LL itself — which is exactly what lets IQOLB speculate on it: the LL
 miss becomes an LPRFO, waiting processors spin on tear-off copies, and
 the line travels once per acquire/release pair.
 
+The test loop is one linked :class:`~repro.cpu.ops.Spin`: an LL per
+test and ``SPIN_PAUSE`` cycles between failed tests, run by the
+processor.  A waiter whose LL hits a coherent L1 copy (TTS, adaptive)
+parks there until the fabric serializes a transaction that changes the
+copy; a waiter on a tear-off or behind a deferred request holds an MSHR
+and keeps running its LLs (see :mod:`repro.cpu.processor`).
+
 :class:`TSLock` is the plain swap-based test&set with optional backoff,
 provided for the wider primitive comparison (paper §2 related work).
 """
 
 from __future__ import annotations
 
-from repro.cpu.ops import LL, SC, Compute, Swap, Write
+from repro.cpu.ops import SC, Compute, Spin, Swap, Write
 from repro.sync.primitives import Lock, synthetic_pc
 
 #: cycles of local pause between failed lock tests (branch + loop cost)
@@ -31,12 +38,11 @@ class TTSLock(Lock):
 
     def acquire(self):
         while True:
-            value = yield LL(self.addr, pc=self.pc_acquire)
-            if value != 0:
-                # Lock held: spin on the LL (locally, when the protocol
-                # gives us a cached or tear-off copy).
-                yield Compute(SPIN_PAUSE)
-                continue
+            # Spin on the LL until the lock reads free (locally, when the
+            # protocol gives us a cached or tear-off copy).
+            yield Spin(
+                self.addr, 0, pc=self.pc_acquire, pause=SPIN_PAUSE, linked=True
+            )
             ok = yield SC(self.addr, 1, pc=self.pc_acquire)
             if ok:
                 return

@@ -89,6 +89,7 @@ def summary_payload(full: Dict[str, Any]) -> Dict[str, Any]:
                 "bus_transactions": cell["bus_transactions"],
                 "wall_time_s": cell["wall_time_s"],
                 "events_fired": manifest.get("events_fired", 0),
+                "events_skipped": manifest.get("events_skipped", 0),
                 "events_per_host_s": manifest.get("events_per_host_s", 0.0),
                 "n_counters": len(cell.get("counters") or {}),
                 "n_histograms": len(cell.get("histograms") or {}),

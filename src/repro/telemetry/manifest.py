@@ -77,6 +77,9 @@ class RunManifest:
     wall_time_s: float = 0.0
     cache_hit: bool = False
     events_fired: int = 0
+    #: events parked spin loops did not fire; ``events_fired +
+    #: events_skipped`` is what a run that never parks would fire
+    events_skipped: int = 0
     events_per_host_s: float = 0.0
     queue_high_water: int = 0
     host: Dict[str, str] = dataclasses.field(default_factory=dict)
@@ -99,6 +102,7 @@ class RunManifest:
         seed: Optional[int] = None,
         wall_time_s: float = 0.0,
         events_fired: int = 0,
+        events_skipped: int = 0,
         queue_high_water: int = 0,
     ) -> "RunManifest":
         """Build a manifest for a freshly simulated run."""
@@ -110,6 +114,7 @@ class RunManifest:
             wall_time_s=wall_time_s,
             cache_hit=False,
             events_fired=events_fired,
+            events_skipped=events_skipped,
             events_per_host_s=per_s,
             queue_high_water=queue_high_water,
             host=host_info(),

@@ -1,7 +1,8 @@
 """The golden-value gate and its failure diagnostics.
 
 The gate fails when any golden cell drifts on ``cycles``,
-``bus_transactions`` or ``events_fired``, and a failure in CI must be
+``bus_transactions``, ``events_fired`` or ``events_total`` (fired plus
+skipped, the count of a run that never parks), and a failure in CI must be
 diagnosable from the log alone: the gate prints a per-cell
 expected-vs-got diff with relative deltas rather than only the failing
 assertion.
@@ -24,21 +25,22 @@ perf_gate = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(perf_gate)
 
 
-def cell(key, cycles=100, bus=10, events=1000, rate=5000.0):
+def cell(key, cycles=100, bus=10, events=1000, skipped=0, rate=5000.0):
     return {
         "key": key,
         "cycles": cycles,
         "bus_transactions": bus,
         "events_fired": events,
+        "events_skipped": skipped,
         "events_per_host_s": rate,
         "wall_time_s": events / rate,
     }
 
 
 def golden(*cells):
-    return perf_gate.build_baseline(
-        {"/".join(map(str, c["key"])): c for c in cells}
-    )["cells"]
+    return perf_gate.build_baseline(perf_gate.index_cells({"cells": cells}))[
+        "cells"
+    ]
 
 
 def write_summary(path, cells):
@@ -49,16 +51,36 @@ def write_summary(path, cells):
 
 class TestDiffCollection:
     def test_determinism_divergence_is_recorded(self):
-        fresh = {"a": cell(["a"], events=1100)}
+        fresh = perf_gate.index_cells({"cells": [cell(["a"], events=1100)]})
         failures, diffs = [], []
         perf_gate.check_golden(fresh, golden(cell(["a"])), failures, diffs)
         assert any("determinism" in f for f in failures)
         assert diffs == [
-            {"cell": "a", "field": "events_fired", "expected": 1000, "got": 1100}
+            {"cell": "a", "field": "events_fired", "expected": 1000, "got": 1100},
+            {"cell": "a", "field": "events_total", "expected": 1000, "got": 1100},
+        ]
+
+    def test_parking_moves_events_fired_but_not_the_total(self):
+        """Events a parked loop skips leave ``events_total`` alone; a
+        change to the never-parking count is a drift of its own."""
+        parked = perf_gate.index_cells(
+            {"cells": [cell(["a"], events=700, skipped=300)]}
+        )
+        failures, diffs = [], []
+        perf_gate.check_golden(parked, golden(cell(["a"])), failures, diffs)
+        assert [d["field"] for d in diffs] == ["events_fired"]
+        assert parked["a"]["events_total"] == 1000
+        more = perf_gate.index_cells(
+            {"cells": [cell(["a"], events=1000, skipped=1)]}
+        )
+        diffs = []
+        perf_gate.check_golden(more, golden(cell(["a"])), [], diffs)
+        assert diffs == [
+            {"cell": "a", "field": "events_total", "expected": 1000, "got": 1001}
         ]
 
     def test_clean_run_records_nothing(self):
-        grid = {"a": cell(["a"])}
+        grid = perf_gate.index_cells({"cells": [cell(["a"])]})
         failures, diffs = [], []
         perf_gate.check_golden(grid, golden(cell(["a"])), failures, diffs)
         assert failures == []
@@ -96,8 +118,10 @@ class TestGate:
         exported = []
         for events in (1000, 1001):
             full = cell(["barnes", "iqolb"], cycles=5000, events=events)
-            del full["events_fired"]
-            full["manifest"] = {"events_fired": events, "version": "x"}
+            del full["events_fired"], full["events_skipped"]
+            full["manifest"] = {
+                "events_fired": events, "events_skipped": 7, "version": "x"
+            }
             exported.append(
                 {"schema": perf_gate.METRICS_SCHEMA, "cells": [full]}
             )
@@ -110,6 +134,7 @@ class TestGate:
         drifted.write_text(json.dumps(exported[1]))
         cells = perf_gate.load_cells(str(fresh))
         assert cells["barnes/iqolb"]["events_fired"] == 1000
+        assert cells["barnes/iqolb"]["events_total"] == 1007
         assert perf_gate.load_golden(str(gold)) == cells
         assert perf_gate.main([str(fresh), "--golden", str(gold)]) == 0
         assert perf_gate.main([str(drifted), "--golden", str(gold)]) == 1

@@ -3,14 +3,18 @@
 
 Compares a fresh bench artifact against golden per-cell values and
 fails if any golden cell is missing or drifted on a deterministic
-field: ``cycles``, ``bus_transactions`` or ``events_fired``.  The
-simulator is deterministic, so these values are host-independent; a
-mismatch means the protocol, the workload or the event order changed.
+field: ``cycles``, ``bus_transactions``, ``events_fired`` or
+``events_total``.  The simulator is deterministic, so these values are
+host-independent; a mismatch means the protocol, the workload or the
+event order changed.  ``events_total`` is ``events_fired +
+events_skipped``, the events a run whose spin loops never park would
+fire: a change to parking may move ``events_fired`` (and refresh the
+goldens), but never ``events_total``.
 
 FRESH is a metrics summary (``repro-metrics-summary/1``, e.g.
 ``results/BENCH_lock_ladder.summary.json``) or a full metrics export
 (``repro-metrics/1``, e.g. ``results/BENCH_table3.json``, whose cells
-carry ``events_fired`` in their manifest).  The golden file is either
+carry the event counts in their manifest).  The golden file is either
 of those or the checked-in ``results/PERF_baseline.json``
 (``repro-perf-baseline/2``, the smoke cells).
 
@@ -35,19 +39,21 @@ SUMMARY_SCHEMA = "repro-metrics-summary/1"
 METRICS_SCHEMA = "repro-metrics/1"
 
 #: the deterministic per-cell fields the golden values pin
-GOLDEN_FIELDS = ("cycles", "bus_transactions", "events_fired")
+GOLDEN_FIELDS = ("cycles", "bus_transactions", "events_fired", "events_total")
 
 
 def index_cells(payload: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
     """Index a metrics document's cells by their joined key.
 
-    A ``repro-metrics/1`` cell keeps ``events_fired`` in its manifest;
-    it is read from there, so both document kinds gate alike.
+    A ``repro-metrics/1`` cell keeps its event counts in its manifest;
+    they are read from there, so both document kinds gate alike.
     """
     cells = {}
     for cell in payload["cells"]:
-        if "events_fired" not in cell and "manifest" in cell:
-            cell = {**cell, "events_fired": cell["manifest"].get("events_fired")}
+        counts = cell.get("manifest") or cell
+        fired = counts.get("events_fired")
+        total = None if fired is None else fired + counts.get("events_skipped", 0)
+        cell = {**cell, "events_fired": fired, "events_total": total}
         cells["/".join(map(str, cell["key"]))] = cell
     return cells
 
