@@ -35,6 +35,6 @@ Quick start::
 from repro.harness.config import SystemConfig
 from repro.harness.system import System
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = ["System", "SystemConfig", "__version__"]

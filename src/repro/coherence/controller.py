@@ -107,9 +107,12 @@ class CacheController(BusClient):
         #: (Generalized IQOLB, paper §6); value = receiving node
         self.forwarded: Dict[int, int] = {}
         #: this node's processor while its spin loop is parked on an L1
-        #: line (see :meth:`quiet_line`); woken by any install here and
-        #: by the fabric serializing a transaction that changes the copy
+        #: line (see :meth:`quiet_line`); woken by any install here, by
+        #: the fabric serializing a transaction that changes a coherent
+        #: copy, and by the MSHR behind a tear-off copy closing
         self.spinner: Optional[Any] = None
+        #: the parked copy is a tear-off (kept out of the fabric's table)
+        self.spinner_on_tearoff = False
 
         # LL/SC architectural state: the link flag and locked physical
         # address register (paper §2), plus the PC of the live LL for the
@@ -220,19 +223,30 @@ class CacheController(BusClient):
     def quiet_line(self, line_addr: int) -> bool:
         """May a spinner park on this node's copy of ``line_addr``?
 
-        Only while re-reading it could not change anything: the line sits
-        in the L1 as a coherent copy (not a tear-off), this node holds no
-        MSHR, obligation, successor, loan or push on it, and the fabric
-        has no transaction that would change the copy between its
-        serialization and its snoop.  From then on only an install here
-        or the fabric serializing such a transaction can touch the copy,
-        and both wake the spinner before it changes.
+        Only while re-reading it could not change anything.  A coherent
+        copy in the L1 is quiet while this node holds no MSHR,
+        obligation, successor, loan or push on it and the fabric has no
+        transaction that would change the copy between its serialization
+        and its snoop; from then on only an install here or the fabric
+        serializing such a transaction can touch it, and both wake the
+        spinner before it changes.  A tear-off copy in the L1 is quiet
+        while its MSHR is open and the line is not borrowed, lent out or
+        pushed: snoops never touch a tear-off, so only an install here
+        or the MSHR closing can change what an LL on it returns, and
+        both wake the spinner first (:meth:`park`).
         """
         line = self.hierarchy.l1.lookup(line_addr, touch=False)
+        if line is None:
+            return False
+        if line.state is State.TEAROFF:
+            return (
+                line_addr in self.mshrs
+                and line_addr not in self.loan_return_to
+                and line_addr not in self.on_loan
+                and line_addr not in self.forwarded
+            )
         return (
-            line is not None
-            and line.readable
-            and line.state is not State.TEAROFF
+            line.readable
             and line_addr not in self.mshrs
             and line_addr not in self.obligations
             and line_addr not in self.successor
@@ -242,22 +256,59 @@ class CacheController(BusClient):
             and not self.bus.in_flight(line_addr, line.is_owner)
         )
 
+    def park(self, spinner: Any) -> None:
+        """``spinner`` parks on its line, which :meth:`quiet_line` found
+        quiet.  A coherent copy goes into the fabric's wake table; a
+        tear-off stays out of it, because no snoop changes a tear-off
+        and every queued request would otherwise wake every waiter."""
+        line_addr = spinner.parked_line
+        self.spinner = spinner
+        if self.hierarchy.peek(line_addr).state is State.TEAROFF:
+            self.spinner_on_tearoff = True
+        else:
+            self.bus.park(line_addr, spinner)
+
+    def unpark(self, spinner: Any) -> None:
+        """``spinner`` wakes.  A tear-off park must wake before its copy
+        changes: while the line is still the tear-off and its MSHR is
+        still open.  A wake that finds otherwise came after a change
+        that should have woken it, and raises."""
+        line_addr = spinner.parked_line
+        if self.spinner_on_tearoff:
+            line = self.hierarchy.peek(line_addr)
+            if line is None or line.state is not State.TEAROFF:
+                lost = "an install replaced its tear-off"
+            elif line_addr not in self.mshrs:
+                lost = "its tear-off's MSHR closed"
+            else:
+                lost = None
+            if lost is not None:
+                raise SimulationError(
+                    f"{spinner.describe_state()}: {lost} without waking it"
+                )
+            self.spinner_on_tearoff = False
+        else:
+            self.bus.unpark(line_addr, spinner)
+        self.spinner = None
+
     def replay_lls(self, op: Op, count: int) -> None:
         """Charge ``count`` LLs a parked linked spin skipped on its quiet
         copy of ``op``'s line.
 
         Skipped LLs are idempotent: each would have set the link exactly
-        as the last real one did (a coherent copy, so ``link_tearoff`` is
-        False) and read the same value, and nothing could reset the link
-        in between -- an ownership snoop, an eviction, a supply, lend,
-        discharge or push on the line either wakes the loop before it
-        happens or is ruled out by :meth:`quiet_line`.  So rewriting the
-        link changes nothing, and only ``ll_ops`` moves.
+        as the last real one did (``link_tearoff`` when the copy is a
+        tear-off) and read the same value, and nothing could reset the
+        link in between -- an ownership snoop, an eviction, a supply,
+        lend, discharge or push on the line, or a fill replacing a
+        tear-off, either wakes the loop before it happens or is ruled
+        out by :meth:`quiet_line`.  So rewriting the link changes
+        nothing, and only ``ll_ops`` moves.
         """
+        line = self.hierarchy.peek(self.amap.line_addr(op.addr))
         self.link_valid = True
         self.link_addr = op.addr
         self.current_ll_pc = op.pc
-        self.link_tearoff = False
+        self.link_tearoff = line.state is State.TEAROFF
         self._count("ll_ops", count)
 
     # ==================================================================
@@ -557,9 +608,17 @@ class CacheController(BusClient):
         mshr.issued = False
         self.bus.request(txn)
 
+    def _close_mshr(self, line_addr: int) -> None:
+        """Remove ``line_addr``'s MSHR.  A tear-off copy is readable only
+        while its MSHR is open, so a spinner parked on one wakes first."""
+        spinner = self.spinner
+        if spinner is not None and spinner.parked_line == line_addr:
+            spinner.wake()
+        self.mshrs.pop(line_addr, None)
+
     def _retire_mshr(self, mshr: Mshr) -> None:
         """Remove an MSHR, settling its bus-transaction accounting."""
-        self.mshrs.pop(mshr.line_addr, None)
+        self._close_mshr(mshr.line_addr)
         if mshr.txn is None:
             return
         if mshr.issued:
@@ -595,7 +654,7 @@ class CacheController(BusClient):
     def _complete_upgrade(self, mshr: Mshr) -> None:
         """The UPGRADE reached its coherence point: permission granted."""
         done = mshr.take_waiter()
-        self.mshrs.pop(mshr.line_addr, None)
+        self._close_mshr(mshr.line_addr)
         if done is None:
             return
         op = mshr.pending_op
@@ -623,11 +682,13 @@ class CacheController(BusClient):
         if (
             spinner is not None
             and spinner.parked_line == line_addr
+            and not self.spinner_on_tearoff
             and (txn.op is not BusOp.GETS or line.is_owner)
         ):
             # The fabric wakes a spinner when it serializes a transaction
-            # that will change its copy (a GETS changes only an owner's),
-            # a cycle or more before the snoop.
+            # that will change its coherent copy (a GETS changes only an
+            # owner's), a cycle or more before the snoop.  No snoop
+            # changes a tear-off.
             raise SimulationError(
                 f"{txn!r} reached {spinner.describe_state()}: the fabric "
                 f"serialized it without waking the spinner"
@@ -810,7 +871,7 @@ class CacheController(BusClient):
             return
         mshr.txn.cancelled = True
         done = mshr.take_waiter()
-        self.mshrs.pop(txn.line_addr, None)
+        self._close_mshr(txn.line_addr)
         self._count("upgrade_races")
         if done is None:
             return
@@ -1226,7 +1287,7 @@ class CacheController(BusClient):
         if mshr is None or mshr.txn is not None:
             return
         done = mshr.take_waiter()
-        self.mshrs.pop(line_addr, None)
+        self._close_mshr(line_addr)
         if done is None:
             return
         current = self.hierarchy.peek(line_addr)

@@ -12,6 +12,11 @@ LL/SC sequence is being used:
   is forwarded as soon as the SC completes (the delayed-response
   behaviour).
 
+In the simulator a queued waiter's LL loop parks on its tear-off
+(:mod:`repro.cpu.processor`): no snoop changes a tear-off, so the loop
+sleeps until its node installs a line or the MSHR holding its queue
+place closes, and its skipped LLs are charged on waking.
+
 Training follows §3.4: a successful LL/SC to an address followed some
 time later by a plain store to the same address marks the LL's PC as a
 lock; the held-lock table recognizes the release store and keeps writes

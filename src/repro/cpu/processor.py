@@ -22,15 +22,20 @@ events per failed test).  When a test fails on an L1 hit and the
 controller reports the line quiet
 (:meth:`~repro.coherence.controller.CacheController.quiet_line`), the
 processor *parks*: it schedules nothing, because every further test
-would re-read the same value from the same L1 copy.  Two things wake
-it: the fabric serializing a transaction that will change the copy
+would re-read the same value from the same L1 copy.  The copy may be a
+coherent one or IQOLB's tear-off, backed by the queued request's open
+MSHR.  What wakes it is what can change the copy.  For a coherent copy,
+that is the fabric serializing a transaction that will change it
 (:class:`~repro.interconnect.bus.ParkedSpinners`: the bus issuing it,
 the directory sending an invalidation or forward; its snoop is at
-least a cycle later) and any install into this node's caches.  A miss
-that merely opens on the line, like the GETS refills that keep a
-saturated bus busy, wakes nobody.  On waking it charges the tests the
-loop would have run so far — ops, ``mem_ops``, L1 hits and LRU touches,
-backoff, and for a linked spin ``ll_ops`` and the link register
+least a cycle later).  No snoop touches a tear-off; its MSHR closing
+does, since the tear-off is readable only while the MSHR is open.  Any
+install into this node's caches wakes either kind.  A miss that merely
+opens on the line, like the GETS refills that keep a saturated bus
+busy, or another node's request joining the queue, wakes nobody.  On
+waking it charges the tests the loop would have run so far — ops,
+``mem_ops``, L1 hits and LRU touches, backoff, and for a linked spin
+``ll_ops`` and the link register
 (:meth:`~repro.coherence.controller.CacheController.replay_lls`: each
 skipped LL would have set it to what the last real one left, and
 nothing could reset it in between) — and queues the one event the loop
@@ -45,19 +50,23 @@ it was queued in (``Event.born``), and each loop keeps the times, queue
 cycles and seqs of its tests (real and skipped), so a woken event goes
 behind the events queued before its loop would have queued it, ahead of
 those queued after, and among other loops' events queued in the same
-cycle by walking both loops back until they part.  A loop event due in
-the wake cycle itself already ran if it was queued before the event
-doing the waking was.  Two ties stay unresolved and go the loop event
-last: another event queued in the same cycle as the loop event, and a
-waking event queued in the same cycle as it.  No outcome depends on
-them: a loop event touches only its own thread, its L1 hit counter and
-LRU stamp, its link register and its read of a copy nothing has changed
-yet (the serialization of a change wakes it a cycle or more before the
-snoop), so it commutes with any event of another node; what does not
-commute, two loops' misses reaching the bus together, is ordered by the
-walk.
-``tests/test_spin_park.py`` holds every outcome to a loop that never
-parks.
+cycle by walking both loops back until they part.  A walk stops at the
+first step where both loops' events were real, since their seqs decide;
+so a test issued after every woken event's due time, and finished with
+no loop parked, is as far back as any walk can reach (every loop's event
+in its issue cycle was real), and the loop drops the tests before it.
+A loop event due in the wake cycle itself already ran if it was queued
+before the event doing the waking was.  Two ties stay unresolved and go
+the loop event last: another event queued in the same cycle as the loop
+event, and a waking event queued in the same cycle as it.  A loop event
+touches only its own thread, its L1 hit counter and LRU stamp, its link
+register and its read of its copy.  Against a serialization wake no
+outcome depends on the ties: the copy changes a cycle or more later, so
+the loop event commutes with any event of another node, and what does
+not commute, two loops' misses reaching the bus together, is ordered by
+the walk.  An install or an MSHR closing changes the copy in the waking
+event itself; there the check is ``tests/test_spin_park.py``, which
+holds every outcome to a loop that never parks.
 """
 
 from __future__ import annotations
@@ -107,10 +116,11 @@ class Processor:
         self.parked_line: Optional[int] = None
         #: time of the last failed test before parking
         self._parked_at = 0
-        #: the loop's tests so far, oldest first, to order its events
-        #: against other loops' (see :meth:`_events_back`): per real
-        #: test ``[issued, queued_at, seq, finished, queued_at, seq]``
-        #: for the events that issued and finished it, and one
+        #: the loop's tests back to the last point a tie walk could
+        #: reach, oldest first, to order its events against other
+        #: loops' (see :meth:`_events_back`): per real test ``[issued,
+        #: queued_at, seq, request_seq, finished, queued_at, seq]`` for
+        #: the events that issued, requested and finished it, and one
         #: :class:`_SkippedTests` run per park
         self._history: List[Any] = []
         #: the event a wake queued, until it fires (its seq is not one
@@ -184,9 +194,12 @@ class Processor:
         sim = self.sim
         self._c_mem_ops.value += 1
         self._issued = sim.now
-        self._history.append([sim.now, *self._firing(), None, None, None])
-        sim.schedule(
+        born, seq = self._firing()
+        request = sim.schedule(
             self.issue_overhead, self.controller.cpu_request, spin, self._tested
+        )
+        self._history.append(
+            [sim.now, born, seq, request.seq, None, None, None]
         )
 
     def _firing(self) -> Tuple[int, Optional[float]]:
@@ -203,20 +216,30 @@ class Processor:
             self._advance(value)
             return
         self.thread.ops_executed += 1  # the pause, a Compute in the loop
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         hit = (
             now - self._issued
             == self.issue_overhead + self.controller.hierarchy.l1_hit_cycles
         )
-        self._history[-1][3:] = (now, *self._firing())
+        history = self._history
+        history[-1][4:] = (now, *self._firing())
+        if (
+            sim.sleepers == 0
+            and sim.woken_until < self._issued
+            and len(history) > 1
+        ):
+            # Nothing was parked or woken from this test's issue on, so
+            # every loop's event in that cycle is a real one: a tie walk
+            # stops there, and the tests before it are never read.
+            del history[:-1]
         if hit and self._may_park():
             self.parked_line = self._spin_line
             self._parked_at = now
-            self.controller.spinner = self
-            self.controller.bus.park(self._spin_line, self)
-            self.sim.sleepers += 1
+            self.controller.park(self)
+            sim.sleepers += 1
             return
-        self.sim.schedule(self.issue_overhead + self._pause, self._advance, None)
+        sim.schedule(self.issue_overhead + self._pause, self._advance, None)
 
     def _may_park(self) -> bool:
         """Park after this failed L1-hit test?  Yes whenever the line is
@@ -285,10 +308,9 @@ class Processor:
         line_addr = self.parked_line
         if line_addr is None:
             return
-        self.parked_line = None
         controller = self.controller
-        controller.spinner = None
-        controller.bus.unpark(line_addr, self)
+        controller.unpark(self)
+        self.parked_line = None
         sim = self.sim
         sim.sleepers -= 1
         parked_pause = self._pause
@@ -320,7 +342,7 @@ class Processor:
             callback, args = self._advance, (None,)
             queued_at = after
         else:
-            history.append([issued, after, None, None, None, None])
+            history.append([issued, after, None, None, None, None, None])
             if resume == _REQUEST:
                 callback, args = controller.cpu_request, (spin, self._tested)
                 queued_at = issued
@@ -329,6 +351,8 @@ class Processor:
                 callback, args = self._finish_hit(), (spin, self._tested)
                 queued_at = issued + io
         self._woken = self._queue_in_order(when, queued_at, callback, args)
+        if when > sim.woken_until:
+            sim.woken_until = when
 
     def _queue_in_order(
         self, when: int, queued_at: int, callback, args: tuple
@@ -372,23 +396,27 @@ class Processor:
         the ``queued_at``; otherwise by something outside the loop."""
         io = self.issue_overhead
         tests = self._tests_back()
-        issued, issued_at, issued_seq, finished, finished_at, finished_seq = (
-            next(tests)
-        )
+        (
+            issued, issued_at, issued_seq, request_seq,
+            finished, finished_at, finished_seq,
+        ) = next(tests)
         if finished is None:  # pending: its request or its L1 hit
             if when == issued + io:
                 yield when, issued, seq
             else:
                 yield when, issued + io, seq
-                yield issued + io, issued, None
+                yield issued + io, issued, request_seq
         else:  # pending: the pause's end
             yield when, finished, seq
             yield finished, finished_at, finished_seq
-            yield issued + io, issued, None
+            yield issued + io, issued, request_seq
         yield issued, issued_at, issued_seq
-        for issued, issued_at, issued_seq, finished, finished_at, seq in tests:
+        for (
+            issued, issued_at, issued_seq, request_seq,
+            finished, finished_at, seq,
+        ) in tests:
             yield finished, finished_at, seq
-            yield issued + io, issued, None
+            yield issued + io, issued, request_seq
             yield issued, issued_at, issued_seq
 
     def _tests_back(self) -> Iterator[list]:
@@ -474,11 +502,14 @@ class _SkippedTests:
         last = issued[-1]
         for k in range(self.count, steady, -1):
             at = last + (k - steady) * period
-            yield [at, at - period + io + hit, None, at + io + hit, at + io, None]
+            yield [
+                at, at - period + io + hit, None, None,
+                at + io + hit, at + io, None,
+            ]
         for k in range(steady - 1, -1, -1):
             at = issued[k]
             before = issued[k - 1] + io + hit if k else self.after
-            yield [at, before, None, at + io + hit, at + io, None]
+            yield [at, before, None, None, at + io + hit, at + io, None]
 
 
 def _spin_owner(event: Event) -> Optional[Processor]:

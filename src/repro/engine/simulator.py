@@ -44,7 +44,8 @@ class Simulator:
     rely on another event to wake them; ``events_skipped`` counts the
     events their loops would have fired.  A queue that drains while a
     sleeper is parked is the runaway the loop would have hit at
-    ``max_cycles``, and raises the same error.
+    ``max_cycles``, and raises the same error.  ``woken_until`` is the
+    latest time an event a wake queued is due.
 
     With no hook installed, :meth:`run` drains the queue through a
     batched loop (:meth:`_run_fast`); with either hook it takes the
@@ -66,6 +67,8 @@ class Simulator:
         self.diagnostic_providers: List[Callable[[], str]] = []
         self.sleepers = 0
         self.events_skipped = 0
+        #: the latest time a woken loop's event is due
+        self.woken_until = -1
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -65,8 +65,12 @@ class ParkedSpinners:
     later, so every woken spinner is back on real events a cycle or more
     before its copy can change.  A GETS changes only an owner's copy (it
     supplies and downgrades); every other snooped transaction changes
-    any copy.  A miss merely opening, or waiting for arbitration,
-    changes nothing and wakes nobody.
+    any coherent copy.  A miss merely opening, or waiting for
+    arbitration, changes nothing and wakes nobody.  Spinners parked on
+    IQOLB tear-off copies never enter the table: no snoop changes a
+    tear-off, and their own node wakes them (an install, or the MSHR
+    behind the tear-off closing), so a queued request does not wake
+    every waiter in the queue.
     """
 
     def __init__(self) -> None:

@@ -10,8 +10,10 @@ The test loop is one linked :class:`~repro.cpu.ops.Spin`: an LL per
 test and ``SPIN_PAUSE`` cycles between failed tests, run by the
 processor.  A waiter whose LL hits a coherent L1 copy (TTS, adaptive)
 parks there until the fabric serializes a transaction that changes the
-copy; a waiter on a tear-off or behind a deferred request holds an MSHR
-and keeps running its LLs (see :mod:`repro.cpu.processor`).
+copy.  An IQOLB waiter whose LL hit its tear-off copy parks there until
+its node installs a line or the MSHR holding its queue place closes.
+A delayed-response waiter behind a deferred request has no copy to hit:
+each LL blocks on the MSHR (see :mod:`repro.cpu.processor`).
 
 :class:`TSLock` is the plain swap-based test&set with optional backoff,
 provided for the wider primitive comparison (paper §2 related work).

@@ -3,7 +3,8 @@
 A :class:`~repro.cpu.ops.Spin` loop (a ``wait_until`` loop, or TTS's
 linked LL loop) whose test fails on a quiet L1 line parks: it schedules
 nothing until the fabric serializes a transaction that will change its
-copy or its node installs a line, and then charges the skipped tests
+coherent copy, its node installs a line, or the MSHR behind its
+tear-off copy closes, and then charges the skipped tests
 arithmetically.  ``NeverParks`` runs every test as real events, which
 is the loop as it was written.  Both runs must agree on every
 deterministic output -- cycles, bus transactions, every counter and
@@ -36,6 +37,8 @@ from repro.workloads.micro import NullCriticalSection
 SWQUEUES = ["ticket", "mcs", "anderson", "clh", "reciprocating", "fissile"]
 #: primitives whose waiters spin on a coherent L1 copy of the lock line
 L1_SPINNERS = ["tts", "adaptive"]
+#: primitives whose queued waiters spin on tear-off copies
+TEAROFF_SPINNERS = ["iqolb", "iqolb+retention", "iqolb+gen"]
 
 
 class NeverParks(Processor):
@@ -109,8 +112,9 @@ def _null_cs(primitive, n_processors, interconnect, acquires=20):
 @pytest.mark.parametrize("primitive", list(PRIMITIVE_SPECS))
 def test_every_primitive_matches_reference(monkeypatch, interconnect, primitive):
     """Software-queue waiters and TTS-style LL spinners on a coherent L1
-    copy skip tests; IQOLB and delayed waiters hold an MSHR or a
-    tear-off, so they run every LL."""
+    copy skip tests, and so do IQOLB's queued waiters on their tear-off
+    copies (asserted at 8p below); a delayed waiter's LL blocks on its
+    deferred request's MSHR, with no copy to spin on."""
     parked = _compare(
         monkeypatch, lambda: _null_cs(primitive, 4, interconnect)
     )
@@ -140,6 +144,27 @@ def test_l1_spinners_at_8p_match_reference(
         monkeypatch, lambda: _null_cs(primitive, 8, interconnect)
     )
     assert _skipped_tests(parked) > 0
+
+
+@pytest.mark.parametrize("primitive", TEAROFF_SPINNERS + ["qolb"])
+def test_queued_waiters_at_8p_match_reference(
+    monkeypatch, interconnect, primitive
+):
+    """IQOLB's queued waiters park on their tear-off copies and skip
+    whole tests; QOLB's ``EnQOLB`` loop is not a ``Spin`` and must only
+    agree.  (On the directory, iqolb+retention's queue never forms in
+    this cell: one deferral, then loans, and no tear-off to spin on.)"""
+    parked = _compare(
+        monkeypatch, lambda: _null_cs(primitive, 8, interconnect)
+    )
+    if primitive in TEAROFF_SPINNERS:
+        tearoffs = sum(
+            value
+            for name, value in parked.stats.snapshot().items()
+            if name.endswith(".tearoffs_received")
+        )
+        assert (_skipped_tests(parked) > 0) == (tearoffs > 0)
+        assert tearoffs > 0 or primitive == "iqolb+retention"
 
 
 @pytest.mark.parametrize("n_processors", [8, 16])
@@ -297,6 +322,101 @@ def test_dropped_serialization_wake_fails_loudly(
     message = str(exc.value)
     assert "parked on 0x" in message and "tests skipped" in message
     assert "<Txn#" in message and "without waking the spinner" in message
+
+
+def test_mshr_closing_under_a_parked_tearoff_wakes_it(
+    monkeypatch, interconnect
+):
+    """Seeded mutation: the MSHR behind a parked tear-off closes
+    without waking the spinner.  Its LLs would have missed from then
+    on, so the next wake finds the premise of the park broken and
+    raises, naming the spinner.  (The first tear-off park has its MSHR
+    retired 50 cycles later, with no fill.)"""
+    original_park = CacheController.park
+    closing = []
+
+    def park_then_close(self, spinner):
+        original_park(self, spinner)
+        if self.spinner_on_tearoff and not closing:
+            closing.append(self.mshrs[spinner.parked_line])
+            self.sim.schedule(50, self._retire_mshr, closing[0])
+
+    def pop_only(self, line_addr):
+        self.mshrs.pop(line_addr, None)
+
+    monkeypatch.setattr(CacheController, "park", park_then_close)
+    monkeypatch.setattr(CacheController, "_close_mshr", pop_only)
+    with pytest.raises(SimulationError) as exc:
+        _null_cs("iqolb", 4, interconnect)
+    message = str(exc.value)
+    assert "parked on 0x" in message and "tests skipped" in message
+    assert "its tear-off's MSHR closed without waking it" in message
+
+
+def test_dropped_tearoff_install_wake_fails_loudly(monkeypatch, interconnect):
+    """Seeded mutation: an install at a node parked on a tear-off does
+    not wake it.  The fill that ends the wait replaces the tear-off and
+    then closes its MSHR; that wake finds the copy changed and raises,
+    naming the spinner."""
+    original = CacheController._install_line
+
+    def no_tearoff_wake(self, line_addr, state, data):
+        if not self.spinner_on_tearoff:
+            return original(self, line_addr, state, data)
+        spinner, self.spinner = self.spinner, None
+        try:
+            return original(self, line_addr, state, data)
+        finally:
+            self.spinner = spinner
+
+    monkeypatch.setattr(CacheController, "_install_line", no_tearoff_wake)
+    with pytest.raises(SimulationError) as exc:
+        _null_cs("iqolb", 4, interconnect)
+    message = str(exc.value)
+    assert "parked on 0x" in message and "tests skipped" in message
+    assert "an install replaced its tear-off without waking it" in message
+
+
+def _history_high_water(processor_class, fabric, primitive, n_processors):
+    """The most tests and skipped runs any loop of a ladder cell keeps
+    in its history at once."""
+    high_water = [0]
+
+    class Watched(processor_class):
+        def _issue_test(self, spin):
+            super()._issue_test(spin)
+            high_water[0] = max(high_water[0], len(self._history))
+
+        def wake(self):
+            super().wake()
+            high_water[0] = max(high_water[0], len(self._history))
+
+    system = System(
+        SystemConfig(
+            n_processors=n_processors,
+            policy=PRIMITIVE_SPECS[primitive].policy,
+            interconnect=fabric,
+        )
+    )
+    for processor in system.processors:
+        processor.__class__ = Watched
+    NullCriticalSection(
+        lock_kind=PRIMITIVE_SPECS[primitive].lock_kind,
+        acquires_per_proc=4,
+        think_cycles=60,
+    ).build(system)
+    system.run()
+    return high_water[0]
+
+
+def test_spin_history_stays_bounded():
+    """A loop's history is cut at the last test no tie walk can pass.
+    With nothing parked a loop keeps at most its previous test and the
+    one in flight; among parked IQOLB waiters at 64p a loop keeps a few
+    dozen entries.  An uncut history reaches 708 entries on the parked
+    cell and 593 on the reference one."""
+    assert _history_high_water(Processor, "bus", "iqolb", 64) <= 64
+    assert _history_high_water(NeverParks, "bus", "iqolb", 32) <= 2
 
 
 def test_linked_spin_does_not_park_under_a_tracer():
@@ -528,6 +648,15 @@ def test_woken_ll_loops_fire_in_reference_order(monkeypatch, interconnect):
     woken loop's link register is what its skipped LLs would have left
     (``link_valid``, ``link_addr``, ``current_ll_pc``)."""
     _assert_reference_order(monkeypatch, "tts", interconnect)
+
+
+def test_woken_tearoff_loops_fire_in_reference_order(
+    monkeypatch, interconnect
+):
+    """IQOLB waiters park on their tear-off copies: the same strict
+    order, and a woken loop's link register, linked to a tear-off, is
+    the reference's."""
+    _assert_reference_order(monkeypatch, "iqolb", interconnect)
 
 
 def test_loops_woken_together_keep_their_order(monkeypatch):
