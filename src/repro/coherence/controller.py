@@ -206,6 +206,28 @@ class CacheController(BusClient):
         if self.link_valid and self.amap.line_addr(self.link_addr) == line_addr:
             self.link_valid = False
 
+    def _drop(self, line_addr: int) -> None:
+        """Give up our copy of a line: drop it and any link on it."""
+        self.hierarchy.drop(line_addr)
+        self._reset_link_if(line_addr)
+
+    def _note_line(self, line_addr: int) -> None:
+        """Tell the fabric whether our snoop reply on ``line_addr`` is a
+        plain ``shared`` to a GETS or a plain ``defer`` to an LPRFO or
+        QOLB_ENQ (:class:`~repro.interconnect.bus.BusClient`).  Called
+        wherever a change to the line's state, residency, queued MSHR,
+        successor, loan or push can change either; a push in flight
+        makes every snoop retry."""
+        mshr = self.mshrs.get(line_addr)
+        queued = mshr is not None and mshr.queued
+        plain = line_addr not in self.forwarded
+        line = self.hierarchy.peek(line_addr)
+        sharer = (
+            plain and not queued and line is not None
+            and line.state is State.SHARED and line_addr not in self.on_loan
+        )
+        deferrer = plain and queued and line_addr in self.successor
+        self.bus.note_reply(line_addr, self.node_id, sharer, deferrer)
 
     def _readable_now(self, line, line_addr: int) -> bool:
         """May a load/LL be satisfied by this line right now?
@@ -591,7 +613,6 @@ class CacheController(BusClient):
             existing.cpu_op = op
             existing.done_cb = done
             return
-        self.bus.note_holder(line_addr, self.node_id)
         mshr = Mshr(line_addr, op, done, self.sim.now)
         mshr.bus_op = bus_op
         self.mshrs[line_addr] = mshr
@@ -614,7 +635,9 @@ class CacheController(BusClient):
         spinner = self.spinner
         if spinner is not None and spinner.parked_line == line_addr:
             spinner.wake()
-        self.mshrs.pop(line_addr, None)
+        mshr = self.mshrs.pop(line_addr, None)
+        if mshr is not None and mshr.queued:
+            self._note_line(line_addr)
 
     def _retire_mshr(self, mshr: Mshr) -> None:
         """Remove an MSHR, settling its bus-transaction accounting."""
@@ -647,7 +670,10 @@ class CacheController(BusClient):
             self._complete_upgrade(mshr)
             return
         if deferred:
+            # Queued: snoops must see us from now on.
             mshr.queued = True
+            self.bus.note_holder(txn.line_addr, self.node_id)
+            self._note_line(txn.line_addr)
             self._count("waits_in_queue")
             self._trace("queued", txn.line_addr, supplier=supplier)
 
@@ -670,6 +696,7 @@ class CacheController(BusClient):
                 done(None)
             return
         line.state = State.MODIFIED
+        self._note_line(mshr.line_addr)
         self._finish_filled_op(mshr, line, done)
 
     # ==================================================================
@@ -693,15 +720,20 @@ class CacheController(BusClient):
                 f"{txn!r} reached {spinner.describe_state()}: the fabric "
                 f"serialized it without waking the spinner"
             )
+        mshr = self.mshrs.get(line_addr)
         if (
             line is None
-            and line_addr not in self.mshrs
+            and (
+                mshr is None
+                or not (mshr.queued or mshr.bus_op is BusOp.UPGRADE)
+            )
             and line_addr not in self.obligations
             and line_addr not in self.on_loan
             and line_addr not in self.forwarded
         ):
             # Nothing here to supply, defer, retry, invalidate or squash
-            # (claiming a successor needs an MSHR or an obligation).
+            # (claiming a successor needs a queued MSHR or an obligation;
+            # a miss that is merely open answers nothing either).
             return NO_STATE
 
         # Distributed-queue bookkeeping: the tail of the queue claims the
@@ -722,6 +754,7 @@ class CacheController(BusClient):
         deferring_owner = line_addr in self.obligations
         if queued_waiter or deferring_owner:
             self.successor[line_addr] = txn.requester
+            self._note_line(line_addr)
             self._count("successors_claimed")
             self._trace("successor", line_addr, successor=txn.requester)
 
@@ -751,9 +784,11 @@ class CacheController(BusClient):
                 self._send_tearoff(txn.requester, line, txn.txn_id)
                 return SnoopReply(supply=True)
             self._send_line(txn.requester, line, GrantState.SHARED, txn_id=txn.txn_id)
-            line.state = (
-                State.SHARED if line.state is State.EXCLUSIVE else State.OWNED
-            )
+            if line.state is State.EXCLUSIVE:
+                line.state = State.SHARED
+                self._note_line(line.addr)
+            else:
+                line.state = State.OWNED
             return SnoopReply(supply=True, shared=True)
         if line.state is State.SHARED:
             return SnoopReply(shared=True)
@@ -794,9 +829,10 @@ class CacheController(BusClient):
             return SnoopReply()
 
         if not line.is_owner:
-            # Shared copy: invalidate; someone is about to write.
-            self.hierarchy.drop(line_addr)
-            self._reset_link_if(line_addr)
+            # Shared copy: invalidate; someone is about to write.  (Only
+            # such a copy can be a plain sharer, so only its drop is noted.)
+            self._drop(line_addr)
+            self._note_line(line_addr)
             return SnoopReply()
 
         # ---- we own the line ----
@@ -830,8 +866,7 @@ class CacheController(BusClient):
                 self._count("stale_upgrades_ignored")
                 return SnoopReply()
             # Requester already holds the data; we just invalidate.
-            self.hierarchy.drop(line_addr)
-            self._reset_link_if(line_addr)
+            self._drop(line_addr)
             return SnoopReply()
         self._supply_exclusive(txn.requester, line, txn.txn_id)
         return SnoopReply(supply=True)
@@ -857,6 +892,7 @@ class CacheController(BusClient):
             return
         mshr.queued = False
         self.successor.pop(txn.line_addr, None)
+        self._note_line(txn.line_addr)
         if mshr.txn is not None and mshr.issued:
             self.bus.transaction_complete(mshr.txn)
         self._count("squashes")
@@ -926,14 +962,12 @@ class CacheController(BusClient):
     def _supply_exclusive(self, dst: int, line: CacheLine, txn_id: int) -> None:
         """Normal MOESI ownership transfer: send and invalidate."""
         self._send_line(dst, line, GrantState.EXCLUSIVE, txn_id=txn_id)
-        self.hierarchy.drop(line.addr)
-        self._reset_link_if(line.addr)
+        self._drop(line.addr)
 
     def _lend_line(self, dst: int, line: CacheLine, txn_id: int) -> None:
         """Queue retention: loan the line; borrower must return it."""
         self._send_line(dst, line, GrantState.EXCLUSIVE, loan=True, txn_id=txn_id)
-        self.hierarchy.drop(line.addr)
-        self._reset_link_if(line.addr)
+        self._drop(line.addr)
         self.on_loan[line.addr] = dst
         obligation = self.obligations.get(line.addr)
         if obligation is not None:
@@ -955,8 +989,7 @@ class CacheController(BusClient):
             dst=lender,
             data=list(line.data),
         )
-        self.hierarchy.drop(line_addr)
-        self._reset_link_if(line_addr)
+        self._drop(line_addr)
         self._count("loan_returns")
         self._trace("loan_return", line_addr, to=lender)
         self.crossbar.send(msg)
@@ -1054,8 +1087,7 @@ class CacheController(BusClient):
         self.stats.windowed("handoff.rate").record(self.sim.now)
         self._trace("handoff", line_addr, to=successor, reason=reason)
         self._send_line(successor, line, GrantState.EXCLUSIVE)
-        self.hierarchy.drop(line_addr)
-        self._reset_link_if(line_addr)
+        self._drop(line_addr)
         if reason == "release":
             # Generalized IQOLB (paper §6): the critical section's data
             # lines travel to the next lock holder with the lock.
@@ -1081,8 +1113,7 @@ class CacheController(BusClient):
             data=list(line.data),
             grant=GrantState.EXCLUSIVE,
         )
-        self.hierarchy.drop(line_addr)
-        self._reset_link_if(line_addr)
+        self._drop(line_addr)
         self.forwarded[line_addr] = dst
         self._count("pushes_sent")
         self._trace("push", line_addr, to=dst)
@@ -1102,6 +1133,7 @@ class CacheController(BusClient):
             self._on_push(msg)
         elif msg.kind is DataKind.PUSH_ACK:
             self.forwarded.pop(msg.line_addr, None)
+            self._note_line(msg.line_addr)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown message kind {msg.kind}")
 
@@ -1321,15 +1353,18 @@ class CacheController(BusClient):
         if existing is not None:
             existing.state = state
             existing.data = data
+            self._note_line(line_addr)
             return existing
         line = CacheLine(line_addr, state, data)
         for victim in self.hierarchy.install(line):
             self._handle_eviction(victim)
+        self._note_line(line_addr)
         return line
 
     def _handle_eviction(self, victim: CacheLine) -> None:
         """Evicted lines with waiters hand off; dirty lines write back."""
         self._reset_link_if(victim.addr)
+        self._note_line(victim.addr)
         if victim.addr in self.successor and victim.is_owner:
             # Eviction is treated as a time-out (paper §3.3): ownership
             # and data transfer to the next requestor in line.

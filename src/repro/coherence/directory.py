@@ -139,6 +139,12 @@ class DirectoryInterconnect(ParkedSpinners):
         """No-op: the home already snoops only the line's owner, sharers
         and queue tail, and reads a NO_STATE reply as the empty reply."""
 
+    def note_reply(
+        self, line_addr: int, node_id: int, sharer: bool, deferrer: bool
+    ) -> None:
+        """No-op: the home forwards each request to the nodes that must
+        act on it and never broadcasts, so it has no snoops to skip."""
+
     def home(self, line_addr: int) -> int:
         """The line's home node (line-interleaved across the mesh)."""
         return (line_addr // self.memory.amap.line_bytes) % self.n_nodes

@@ -8,11 +8,13 @@ Models the Gigaplane-style address bus of the paper's target (Table 1):
   observes every transaction on it, which is what lets the
   delayed-response/IQOLB protocols build their distributed queue purely
   from locally observed bus order (paper 3.2).  The bus skips only nodes
-  whose reply would be empty: it keeps a per-line mask of nodes that may
-  hold state, set by :meth:`AddressBus.note_holder` and cleared when a
-  node answers :data:`~repro.interconnect.messages.NO_STATE`.  Holders
-  are snooped in ascending node id, the order of a full broadcast, so
-  every outcome is the one a full broadcast would give;
+  whose reply cannot change the outcome, read off per-line masks the
+  controllers keep (:class:`BusClient`): nodes that hold no state, plain
+  sharers (a GETS reads their ``shared`` off the mask) and queued
+  waiters that already hold a successor (an LPRFO or QOLB_ENQ takes the
+  lowest of them as a deferrer).  The rest are snooped in ascending
+  node id, the order of a full broadcast, so every outcome is the one a
+  full broadcast would give;
 * 12-cycle address access latency and a bounded number of outstanding
   transactions (117 in Table 1).
 
@@ -21,7 +23,9 @@ The *issue order* of transactions is the system's global coherence order.
 Per-line blocking: while a (non-deferred) fill for a line is in flight,
 further transactions for that same line wait — this models the
 snoop-hit-on-pending-MSHR retry of real buses, and is what makes
-concurrent misses to one line coherent.  A *deferred* response releases
+concurrent misses to one line coherent.  Freeing the line puts its
+waiters back at the front of the arbitration queue as one entry.  A
+*deferred* response releases
 the line block immediately: the owner retains the line and keeps
 answering snoops, so subsequent LPRFOs broadcast freely and the
 distributed queue can form (paper 3.2).
@@ -36,6 +40,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.stats import Counter, StatsRegistry
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.messages import (
+    DEFERRABLE_OPS,
     MEMORY_NODE,
     NO_STATE,
     BusOp,
@@ -158,7 +163,13 @@ class AddressBus(ParkedSpinners):
         #: line -> bitmask of nodes that may hold state for it (bit n is
         #: node n); a clear bit means that node's snoop reply is empty
         self._holders: Dict[int, int] = {}
-        self._queue: Deque[BusTransaction] = deque()
+        #: line -> holders whose GETS reply is a plain ``shared``
+        self._sharers: Dict[int, int] = {}
+        #: line -> holders whose LPRFO/QOLB_ENQ reply is a plain ``defer``
+        self._deferrers: Dict[int, int] = {}
+        #: transactions awaiting arbitration, and freed lines' waiters
+        #: (a deque of them per entry, see :meth:`_unblock_line`)
+        self._queue: Deque[Any] = deque()
         self._next_issue_time = 0
         self._issue_scheduled = False
         self._outstanding = 0
@@ -190,6 +201,19 @@ class AddressBus(ParkedSpinners):
         """Snoop ``node_id`` on ``line_addr`` until it answers NO_STATE."""
         holders = self._holders
         holders[line_addr] = holders.get(line_addr, 0) | (1 << node_id)
+
+    def note_reply(
+        self, line_addr: int, node_id: int, sharer: bool, deferrer: bool
+    ) -> None:
+        """Record which reply ``node_id`` would give on ``line_addr``
+        without being snooped: a plain ``shared`` to a GETS when
+        ``sharer``, a plain ``defer`` to an LPRFO or QOLB_ENQ when
+        ``deferrer``.  The bus skips it for those ops while it is set."""
+        bit = 1 << node_id
+        for masks, on in ((self._sharers, sharer), (self._deferrers, deferrer)):
+            mask = masks.get(line_addr, 0)
+            if on != bool(mask & bit):
+                masks[line_addr] = mask ^ bit
 
     def describe_state(self) -> str:
         """One-line digest of in-flight bus state, for runaway diagnostics."""
@@ -278,8 +302,14 @@ class AddressBus(ParkedSpinners):
 
     def _pick_issuable(self) -> Optional[BusTransaction]:
         """Pop the first live transaction whose line is not blocked."""
-        while self._queue:
-            txn = self._queue.popleft()
+        queue = self._queue
+        while queue:
+            txn = queue.popleft()
+            if txn.__class__ is deque:
+                txn = self._pick_waiter(txn)
+                if txn is None:
+                    continue
+                return txn
             if txn.cancelled:
                 self.stats.counter("bus.cancelled").inc()
                 # A retried transaction may already hold its line's block
@@ -303,14 +333,33 @@ class AddressBus(ParkedSpinners):
             return txn
         return None
 
+    def _pick_waiter(self, waiters: Deque[BusTransaction]) -> Optional[BusTransaction]:
+        """The first live waiter of a freed line, the rest left at the
+        queue front behind it, as if each sat there on its own: cancelled
+        ones drop, and if the line is blocked again, all of them park."""
+        live = deque(txn for txn in waiters if not txn.cancelled)
+        if len(live) < len(waiters):
+            self.stats.counter("bus.cancelled").inc(len(waiters) - len(live))
+        if not live:
+            return None
+        line_addr = live[0].line_addr
+        if line_addr in self._line_blocked:
+            self._line_wait[line_addr] = live
+            self.stats.counter("bus.line_conflicts").inc(len(live))
+            return None
+        txn = live.popleft()
+        if live:
+            self._queue.appendleft(live)
+        return txn
+
     def _unblock_line(self, txn: BusTransaction) -> None:
         if self._line_blocked.get(txn.line_addr) != txn.txn_id:
             return
         del self._line_blocked[txn.line_addr]
         waiters = self._line_wait.pop(txn.line_addr, None)
         if waiters:
-            # Re-enter at the front, preserving arrival order.
-            self._queue.extendleft(reversed(waiters))
+            # Re-enter at the front as one entry, in arrival order.
+            self._queue.appendleft(waiters)
 
     # ------------------------------------------------------------------
     # Snoop resolution
@@ -336,11 +385,21 @@ class AddressBus(ParkedSpinners):
         # clients that gave a real reply, in snoop order
         replied: List["BusClient"] = []
         line_addr = txn.line_addr
+        op = txn.op
         holders = self._holders
         # A writeback changes no cache's state; only memory takes note.
-        pending = 0
-        if txn.op is not BusOp.WRITEBACK:
+        pending = quiet = 0
+        if op is not BusOp.WRITEBACK:
             pending = holders.get(line_addr, 0) & ~(1 << txn.requester)
+            if op is BusOp.GETS:
+                # Plain sharers can only answer ``shared``: read it off.
+                quiet = self._sharers.get(line_addr, 0) & pending
+                shared = quiet != 0
+            elif op in DEFERRABLE_OPS:
+                # Queued waiters holding a successor can only answer
+                # ``defer``; the lowest of them joins the snooped ones.
+                quiet = self._deferrers.get(line_addr, 0) & pending
+            pending &= ~quiet
         while pending:
             # Lowest set bit first: ascending node id, the snoop order
             # that decides "two owners" and the first deferrer.
@@ -365,6 +424,10 @@ class AddressBus(ParkedSpinners):
                 defer_node = node_id
             if reply.retry:
                 retry = True
+        if quiet and op is not BusOp.GETS:
+            lowest = (quiet & -quiet).bit_length() - 1
+            if defer_node is None or lowest < defer_node:
+                defer_node = lowest
 
         if supply_node is None and retry:
             # The line is in flight between caches; NACK and reissue — the
@@ -470,12 +533,18 @@ class BusClient:
     """Interface controllers implement to sit on the address bus.
 
     The bus snoops a client on a line only after the client called
-    ``note_holder(line_addr, node_id)`` for it.  So a client calls it
-    before it gains any state for a line, and answers ``snoop`` with
-    :data:`~repro.interconnect.messages.NO_STATE` (and no side effect)
-    when it holds none; the bus then stops snooping it on that line
-    until it calls ``note_holder`` again.  ``post_snoop`` reaches only
-    clients that gave a real reply, and writebacks are not snooped.
+    ``note_holder(line_addr, node_id)`` for it: when a line installs,
+    and when its miss is deferred (the MSHR is queued).  A client with
+    no state for the line answers
+    :data:`~repro.interconnect.messages.NO_STATE` (and has no side
+    effect), and the bus stops snooping it there until it registers
+    again; an open miss counts as no state unless it is queued or an
+    UPGRADE, which a winning snoop must squash.  Wherever its state for
+    a line changes, a client also reports through ``note_reply``
+    whether its reply is a plain ``shared`` to a GETS or a plain
+    ``defer`` to an LPRFO or QOLB_ENQ; those ops then skip it.
+    ``post_snoop`` reaches only clients that gave a real reply, and
+    writebacks are not snooped.
     """
 
     def snoop(self, txn: BusTransaction) -> SnoopReply:  # pragma: no cover

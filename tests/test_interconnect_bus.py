@@ -180,6 +180,27 @@ class TestCancellation:
         sim.run()
         assert parked.issue_time is None
 
+    def test_freed_line_requeues_its_waiters_as_one_entry(self):
+        """The waiters go back as one queue entry; the first live one
+        issues, a cancelled one drops, and the rest park again, each
+        counted as a conflict as if it had been re-queued on its own."""
+        sim, bus, clients, _, _ = make_bus()
+        blocker = BusTransaction(BusOp.GETX, 0x100, 0)
+        waiters = [BusTransaction(BusOp.GETX, 0x100, node) for node in (1, 2, 1)]
+        for txn in [blocker, *waiters]:
+            bus.request(txn)
+        sim.run()
+        assert bus.stats.value("bus.line_conflicts") == 3
+        waiters[1].cancelled = True
+        bus.transaction_complete(blocker)
+        assert len(bus._queue) == 1
+        sim.run()
+        assert waiters[0].issue_time is not None
+        assert waiters[2].issue_time is None
+        assert list(bus._line_wait[0x100]) == [waiters[2]]
+        assert bus.stats.value("bus.line_conflicts") == 4
+        assert bus.stats.value("bus.cancelled") == 1
+
     def test_cancelled_in_flight_never_snooped(self):
         sim, bus, clients, _, deliveries = make_bus(addr_latency=12)
         txn = BusTransaction(BusOp.UPGRADE, 0x100, 0)
@@ -319,6 +340,46 @@ class TestHolderFilter:
         bus.request(BusTransaction(BusOp.GETS, 0x200, 0))
         with pytest.raises(RuntimeError, match="P2 and P3"):
             sim.run()
+
+
+class TestReplyMasks:
+    def test_gets_reads_shared_off_the_sharer_mask(self):
+        sim, bus, clients, _, _ = make_bus(n_clients=4)
+        bus.note_reply(0x100, 2, sharer=True, deferrer=False)
+        bus.request(BusTransaction(BusOp.GETS, 0x100, 0))
+        bus.request(BusTransaction(BusOp.GETX, 0x200, 0))
+        sim.run()
+        assert [t.op for t in clients[2].snoops] == [BusOp.GETX]  # per line
+        assert [t.op for t in clients[1].snoops] == [BusOp.GETS, BusOp.GETX]
+        assert clients[0].issues[0][2] is True  # shared, from the mask
+
+    def test_sharer_mask_is_per_op_and_cleared_by_a_new_note(self):
+        sim, bus, clients, _, _ = make_bus()
+        bus.note_reply(0x100, 1, sharer=True, deferrer=False)
+        first = BusTransaction(BusOp.GETX, 0x100, 0)
+        bus.request(first)
+        sim.run()
+        bus.transaction_complete(first)
+        bus.note_reply(0x100, 1, sharer=False, deferrer=False)
+        second = BusTransaction(BusOp.GETS, 0x100, 0)
+        bus.request(second)
+        sim.run()
+        assert clients[1].snoops == [first, second]  # a GETX asks sharers
+        assert clients[0].issues[1][2] is False
+
+    @pytest.mark.parametrize("quiet, snooped, expected", [(1, 2, 1), (2, 1, 1)])
+    def test_lowest_quiet_or_snooped_deferrer_answers(
+        self, quiet, snooped, expected
+    ):
+        sim, bus, clients, _, _ = make_bus()
+        bus.note_reply(0x100, quiet, sharer=False, deferrer=True)
+        clients[snooped].reply = SnoopReply(defer=True)
+        bus.request(BusTransaction(BusOp.LPRFO, 0x100, 0))
+        sim.run()
+        assert clients[quiet].snoops == []
+        assert len(clients[snooped].snoops) == 1
+        _, supplier, _, deferred = clients[0].issues[0]
+        assert (supplier, deferred) == (expected, True)
 
 
 class TestWriteback:

@@ -2,7 +2,8 @@
 
 The gate fails when any golden cell drifts on ``cycles``,
 ``bus_transactions``, ``events_fired`` or ``events_total`` (fired plus
-skipped, the count of a run that never parks), and a failure in CI must be
+skipped, the count of a run that never parks), or, between two full
+metrics exports, on any counter or histogram, and a failure in CI must be
 diagnosable from the log alone: the gate prints a per-cell
 expected-vs-got diff with relative deltas rather than only the failing
 assertion.
@@ -138,6 +139,38 @@ class TestGate:
         assert perf_gate.load_golden(str(gold)) == cells
         assert perf_gate.main([str(fresh), "--golden", str(gold)]) == 0
         assert perf_gate.main([str(drifted), "--golden", str(gold)]) == 1
+
+    def test_metrics_export_pins_counters_and_histograms(
+        self, tmp_path, capsys
+    ):
+        """Between two ``repro-metrics/1`` exports a counter drift fails
+        even with cycles, transactions and events unchanged; a golden
+        without breakdowns (a summary) still gates only the fields."""
+        def export(conflicts, path):
+            full = cell(["barnes", "tts"], cycles=5000)
+            full["counters"] = {
+                "bus.line_conflicts": conflicts, "bus.transactions": 10
+            }
+            full["histograms"] = {"bus.arb_wait": {"count": 10, "max": 4}}
+            path.write_text(
+                json.dumps({"schema": perf_gate.METRICS_SCHEMA, "cells": [full]})
+            )
+            return str(path)
+
+        gold = export(334331, tmp_path / "golden.json")
+        assert perf_gate.main([gold, "--golden", gold]) == 0
+        drifted = export(334332, tmp_path / "drifted.json")
+        assert perf_gate.main([drifted, "--golden", gold]) == 1
+        err = capsys.readouterr().err
+        assert (
+            "barnes/tts counters bus.line_conflicts is 334332, golden says "
+            "334331" in err
+        )
+        assert "counters[bus.line_conflicts]" in err
+        summary = write_summary(
+            tmp_path / "summary.json", [cell(["barnes", "tts"], cycles=5000)]
+        )
+        assert perf_gate.main([drifted, "--golden", summary]) == 0
 
     def test_unknown_golden_schema_fails(self, tmp_path, capsys):
         gold = tmp_path / "old.json"

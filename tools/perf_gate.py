@@ -4,9 +4,12 @@
 Compares a fresh bench artifact against golden per-cell values and
 fails if any golden cell is missing or drifted on a deterministic
 field: ``cycles``, ``bus_transactions``, ``events_fired`` or
-``events_total``.  The simulator is deterministic, so these values are
-host-independent; a mismatch means the protocol, the workload or the
-event order changed.  ``events_total`` is ``events_fired +
+``events_total``.  When both documents are full metrics exports, every
+counter and every histogram must match too, so a drift such as
+``bus.line_conflicts`` fails the gate even with the cycles unchanged.
+The simulator is deterministic, so these values are host-independent;
+a mismatch means the protocol, the workload or the event order
+changed.  ``events_total`` is ``events_fired +
 events_skipped``, the events a run whose spin loops never park would
 fire: a change to parking may move ``events_fired`` (and refresh the
 goldens), but never ``events_total``.
@@ -40,6 +43,9 @@ METRICS_SCHEMA = "repro-metrics/1"
 
 #: the deterministic per-cell fields the golden values pin
 GOLDEN_FIELDS = ("cycles", "bus_transactions", "events_fired", "events_total")
+#: per-cell breakdowns a full metrics export carries, pinned name by name
+#: when both documents have them
+DETAIL_FIELDS = ("counters", "histograms")
 
 
 def index_cells(payload: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
@@ -133,7 +139,8 @@ def print_cell_diffs(diffs, file=None) -> None:
 
 
 def check_golden(fresh, golden, failures, diffs=None) -> None:
-    """Compare every golden cell's deterministic fields with ``fresh``."""
+    """Compare every golden cell's deterministic fields with ``fresh``,
+    and its counters and histograms where both cells carry them."""
     for key, expected in sorted(golden.items()):
         cell = fresh.get(key)
         if cell is None:
@@ -147,6 +154,20 @@ def check_golden(fresh, golden, failures, diffs=None) -> None:
                     f"says {want} (intended? re-run with --update)"
                 )
                 record_diff(diffs, key, field, want, got)
+        for field in DETAIL_FIELDS:
+            want, got = expected.get(field), cell.get(field)
+            if want is None or got is None:
+                continue
+            for name in sorted(set(want) | set(got)):
+                if want.get(name) != got.get(name):
+                    failures.append(
+                        f"determinism: cell {key} {field} {name} is "
+                        f"{got.get(name)}, golden says {want.get(name)}"
+                    )
+                    record_diff(
+                        diffs, key, f"{field}[{name}]", want.get(name),
+                        got.get(name),
+                    )
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -187,9 +208,14 @@ def main(argv: Optional[list] = None) -> int:
             print(f"FAIL {failure}", file=sys.stderr)
         print_cell_diffs(diffs)
         return 1
+    detailed = sum(
+        all(field in cell and field in fresh[key] for field in DETAIL_FIELDS)
+        for key, cell in golden.items()
+    )
     print(
         f"perf gate: OK ({len(golden)} golden cell(s) x "
-        f"{len(GOLDEN_FIELDS)} fields match)"
+        f"{len(GOLDEN_FIELDS)} fields match; counters and histograms "
+        f"match on {detailed})"
     )
     return 0
 
