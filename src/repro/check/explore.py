@@ -59,6 +59,7 @@ from repro.check.oracles import (
     OUTCOME_BUDGET,
     OUTCOME_FINISHED,
     OUTCOME_RUNAWAY,
+    CoherentCopies,
     DataValueOracle,
     HandoffOracle,
     Oracle,
@@ -347,9 +348,10 @@ def run_once(
     handoff_oracle = HandoffOracle(
         system, built.workload.handoff_lines(system), fifo=retention
     )
+    copies = CoherentCopies(system, built.tracked_lines)
     oracles: List[Oracle] = [
-        SwmrOracle(built.tracked_lines),
-        DataValueOracle(built.tracked_lines),
+        SwmrOracle(copies),
+        DataValueOracle(copies),
         handoff_oracle,
         ProgressOracle(primitive),
     ]

@@ -5,7 +5,7 @@ most directly:
 
 * state-scan oracles (:class:`SwmrOracle`, :class:`DataValueOracle`)
   inspect the caches after every fired event via the kernel's ``on_step``
-  hook;
+  hook, through one :class:`CoherentCopies` view built once per event;
 * event-stream oracles (:class:`HandoffOracle`) consume the structured
   telemetry stream through an :class:`OracleSink` attached to the run's
   :class:`~repro.telemetry.tracer.TraceDispatcher` — dispatch is
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.registry import PrimitiveSpec
-from repro.mem.line import State
+from repro.mem.line import CacheLine, State
 from repro.telemetry.events import TelemetryEvent
 
 #: run outcomes handed to ``Oracle.at_end``
@@ -94,6 +94,47 @@ class OracleSink:
         pass
 
 
+class CoherentCopies:
+    """Per tracked line, the copies that carry coherence permission.
+
+    The state-scan oracles share one instance.  After each fired event
+    the first of them to ask builds the view from every node's L2 index:
+    per tracked line, the ``(node_id, line)`` pairs of the valid copies
+    that are not tear-offs (those carry no permission by design, paper
+    3.3), in node order.  The others reuse it until the next event.
+    """
+
+    def __init__(self, system, tracked_lines: List[int]) -> None:
+        self.tracked = tracked_lines
+        self._sim = system.sim
+        self._indexes = [
+            (controller.node_id, controller.hierarchy.l2.index)
+            for controller in system.controllers
+        ]
+        self._built_at = -1
+        self._copies: List[Tuple[int, List[Tuple[int, CacheLine]]]] = []
+
+    def per_line(self) -> List[Tuple[int, List[Tuple[int, CacheLine]]]]:
+        """``(line_addr, copies)`` for each tracked line, as of now."""
+        fired = self._sim.events_fired
+        if fired != self._built_at:
+            self._built_at = fired
+            invalid, tearoff = State.INVALID, State.TEAROFF
+            indexes = self._indexes
+            view = []
+            for line_addr in self.tracked:
+                copies = []
+                for node_id, index in indexes:
+                    line = index.get(line_addr)
+                    if line is not None:
+                        state = line.state
+                        if state is not invalid and state is not tearoff:
+                            copies.append((node_id, line))
+                view.append((line_addr, copies))
+            self._copies = view
+        return self._copies
+
+
 class SwmrOracle(Oracle):
     """Single-writer / multiple-reader over the tracked lines.
 
@@ -104,22 +145,14 @@ class SwmrOracle(Oracle):
 
     name = "swmr"
 
-    def __init__(self, tracked_lines: List[int]) -> None:
-        self.tracked = tracked_lines
+    def __init__(self, copies: CoherentCopies) -> None:
+        self.copies = copies
 
     def on_step(self, system) -> None:
-        for line_addr in self.tracked:
-            writers = []
-            holders = []
-            for controller in system.controllers:
-                line = controller.hierarchy.peek(line_addr)
-                if line is None or not line.valid:
-                    continue
-                if line.state is State.TEAROFF:
-                    continue
-                holders.append((controller.node_id, line.state))
-                if line.writable:
-                    writers.append(controller.node_id)
+        for line_addr, copies in self.copies.per_line():
+            if len(copies) < 2:
+                continue  # one copy, writable or not, breaks nothing
+            writers = [node for node, line in copies if line.writable]
             if len(writers) > 1:
                 raise Violation(
                     self.name,
@@ -127,11 +160,12 @@ class SwmrOracle(Oracle):
                     f"{['P%d' % w for w in writers]}",
                     time=system.sim.now,
                 )
-            if writers and len(holders) > 1:
+            if writers:
+                holders = [(f"P{n}", line.state.value) for n, line in copies]
                 raise Violation(
                     self.name,
                     f"line {line_addr:#x} writable at P{writers[0]} while "
-                    f"also held: {[(f'P{n}', s.value) for n, s in holders]}",
+                    f"also held: {holders}",
                     time=system.sim.now,
                 )
 
@@ -145,28 +179,21 @@ class DataValueOracle(Oracle):
 
     name = "data-value"
 
-    def __init__(self, tracked_lines: List[int]) -> None:
-        self.tracked = tracked_lines
+    def __init__(self, copies: CoherentCopies) -> None:
+        self.copies = copies
 
     def on_step(self, system) -> None:
-        for line_addr in self.tracked:
-            reference = None
-            ref_node = None
-            for controller in system.controllers:
-                line = controller.hierarchy.peek(line_addr)
-                if line is None or not line.valid:
-                    continue
-                if line.state is State.TEAROFF:
-                    continue
-                if reference is None:
-                    reference = list(line.data)
-                    ref_node = controller.node_id
-                elif list(line.data) != reference:
+        for line_addr, copies in self.copies.per_line():
+            if len(copies) < 2:
+                continue
+            ref_node, reference = copies[0]
+            for node, line in copies[1:]:
+                if line.data != reference.data:
                     raise Violation(
                         self.name,
                         f"line {line_addr:#x} diverged: "
-                        f"P{ref_node}={reference} vs "
-                        f"P{controller.node_id}={list(line.data)}",
+                        f"P{ref_node}={list(reference.data)} vs "
+                        f"P{node}={list(line.data)}",
                         time=system.sim.now,
                     )
 

@@ -22,6 +22,8 @@ from repro.core.registry import get_primitive, unknown_choice
 from repro.cpu.ops import Compute, Read, Swap, Write
 from repro.harness.config import SystemConfig
 from repro.harness.system import System
+from repro.interconnect.messages import GrantState
+from repro.mem.line import CacheLine, State
 from repro.sync.barrier import Barrier
 from repro.sync.fetchop import fetch_and_add
 from repro.sync.reciprocating import GATE_OFFSET
@@ -237,6 +239,43 @@ def _mutate_skip_release_handoff(system: System, workload: Workload) -> None:
         controller.discharge = patched
 
 
+def _mutate_sharer_keeps_copy(system: System, workload: Workload) -> None:
+    """A sharer keeps its copy through an invalidating snoop: a stale
+    read-only copy survives next to the new writer.  No data differs
+    until that writer stores, and the copy carries no write permission,
+    so only the SWMR oracle sees it, at the step the writer's grant
+    lands.  (Only the snoop's sharer invalidation drops a SHARED copy;
+    owners give theirs up through the same ``_drop``, unchanged.)"""
+    for controller in system.controllers:
+        original = controller._drop
+
+        def patched(line_addr, _controller=controller, _original=original):
+            line = _controller.hierarchy.peek(line_addr)
+            if line is not None and line.state is State.SHARED:
+                return None
+            return _original(line_addr)
+
+        controller._drop = patched
+
+
+def _mutate_gets_fill_from_memory(system: System, workload: Workload) -> None:
+    """An owner answering a GETS ships memory's copy of the line instead
+    of its own: the reader installs stale data while the dirty owner
+    keeps the new value.  Both copies are read-only afterwards, so only
+    the data-value oracle sees it, at the step the fill lands."""
+    memory = system.memory
+    for controller in system.controllers:
+        original = controller._send_line
+
+        def patched(dst, line, grant, _original=original, **kwargs):
+            if grant is GrantState.SHARED:
+                stale = memory.read_line(line.addr)
+                line = CacheLine(line.addr, line.state, stale)
+            return _original(dst, line, grant, **kwargs)
+
+        controller._send_line = patched
+
+
 def _require(workload: Workload, cls: type, mutation: str):
     if not isinstance(workload, cls):
         raise ValueError(
@@ -339,11 +378,14 @@ def _mutate_fissile_skip_anti_collapse(system: System, workload) -> None:
     lock._promote_successor = lambda node_addr: iter(())
 
 
-#: mutation registry: protocol-level mutations patch the controllers,
+#: mutation registry: protocol-level mutations patch the controllers
+#: (the sharer and GETS-fill ones, one per state-scan oracle, too),
 #: the barrier ones arm a bug in the workload, and the lock-level ones
 #: patch the shipped lock instance the ``lock`` scenario runs.
 MUTATIONS: Dict[str, Callable[[System, Workload], None]] = {
     "skip_release_handoff": _mutate_skip_release_handoff,
+    "sharer_keeps_copy": _mutate_sharer_keeps_copy,
+    "gets_fill_from_memory": _mutate_gets_fill_from_memory,
     "barrier_skip_sense_flip": _mutate_barrier_skip_sense_flip,
     "barrier_early_release": _mutate_barrier_early_release,
     "mcs_drop_handoff": _mutate_mcs_drop_handoff,

@@ -257,7 +257,7 @@ class CacheController(BusClient):
         or the MSHR closing can change what an LL on it returns, and
         both wake the spinner first (:meth:`park`).
         """
-        line = self.hierarchy.l1.lookup(line_addr, touch=False)
+        line = self.hierarchy.l1.index.get(line_addr)
         if line is None:
             return False
         if line.state is State.TEAROFF:
@@ -1349,7 +1349,7 @@ class CacheController(BusClient):
             # Any fill may evict the spun line and moves the L1 LRU clock.
             self.spinner.wake()
         self.bus.note_holder(line_addr, self.node_id)
-        existing = self.hierarchy.l2.lookup(line_addr, touch=False)
+        existing = self.hierarchy.l2.index.get(line_addr)
         if existing is not None:
             existing.state = state
             existing.data = data

@@ -10,10 +10,10 @@ tear-off words and ownership-return tokens — cost less than full lines.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.engine.simulator import Simulator
-from repro.engine.stats import StatsRegistry
+from repro.engine.stats import Counter, Histogram, StatsRegistry
 from repro.interconnect.messages import DataKind, DataMessage
 
 
@@ -39,6 +39,28 @@ class Crossbar:
         #: optional fault injector (repro.check.faults) — may delay a
         #: message before it claims its ports, or drop it outright.
         self.fault_hook = None
+        # Per-message stats, resolved on the first send (so a crossbar
+        # that carries nothing registers nothing), then kept: send()
+        # runs for every data transfer.
+        self._c_messages: Optional[Counter] = None
+        self._h_queueing: Optional[Histogram] = None
+        #: per kind: (transfer cycles, "xbar.<kind>" counter)
+        self._by_kind: Dict[DataKind, Tuple[int, Counter]] = {}
+
+    def _resolve(self, kind: DataKind) -> Tuple[int, Counter]:
+        """Resolve the stats a ``kind`` message updates, once."""
+        if self._c_messages is None:
+            self._c_messages = self.stats.counter("xbar.messages")
+            self._h_queueing = self.stats.histogram("xbar.queueing")
+        cost = (
+            self.line_transfer_cycles
+            if kind in (DataKind.LINE, DataKind.PUSH)
+            else self.word_transfer_cycles
+        )
+        entry = self._by_kind[kind] = (
+            cost, self.stats.counter(f"xbar.{kind.value}")
+        )
+        return entry
 
     def attach(self, node_id: int, receiver: Callable[[DataMessage], None]) -> None:
         """Register the delivery callback for a node (or memory)."""
@@ -64,22 +86,22 @@ class Crossbar:
                 self.stats.counter("xbar.faulted_drops").inc()
                 return -1
             entry_delay = self.fault_hook.data_delay(msg)
-        cost = (
-            self.line_transfer_cycles
-            if msg.kind in (DataKind.LINE, DataKind.PUSH)
-            else self.word_transfer_cycles
-        )
+        entry = self._by_kind.get(msg.kind)
+        if entry is None:
+            entry = self._resolve(msg.kind)
+        cost, kind_counter = entry
+        now = self.sim.now
         start = max(
-            self.sim.now + entry_delay,
+            now + entry_delay,
             self._port_free.get(msg.src, 0),
             self._out_free.get(msg.dst, 0),
         )
         delivery = start + cost
         self._port_free[msg.src] = delivery
         self._out_free[msg.dst] = delivery
-        self.stats.counter("xbar.messages").inc()
-        self.stats.counter(f"xbar.{msg.kind.value}").inc()
-        self.stats.histogram("xbar.queueing").add(start - self.sim.now)
+        self._c_messages.value += 1
+        kind_counter.value += 1
+        self._h_queueing.add(start - now)
         self.sim.schedule_at(delivery, self._deliver, msg)
         return delivery
 

@@ -64,6 +64,8 @@ class MeshNetwork:
         self.width = max(1, math.ceil(math.sqrt(n_nodes)))
         #: (src, dst, vc) -> cycle the directed link frees up
         self._link_free: Dict[Tuple[int, int, str], int] = {}
+        #: (src, dst, vc) -> the route's ``_link_free`` keys, in hop order
+        self._links: Dict[Tuple[int, int, str], Tuple[Tuple[int, int, str], ...]] = {}
         self._receivers: Dict[int, Callable[[DataMessage], None]] = {}
         #: called with (line_addr, node) when an ownership-carrying
         #: message is committed to a node (see ``send``)
@@ -122,23 +124,33 @@ class MeshNetwork:
         flit); ``vc`` selects the virtual channel's occupancy book.
         """
         ser = self.line_ser_cycles if line else self.word_ser_cycles
-        path = self._route_nodes(src, dst)
-        t = self.sim.now
+        hop = self.hop_cycles
+        links = self._links.get((src, dst, vc))
+        if links is None:
+            path = self._route_nodes(src, dst)
+            links = self._links[(src, dst, vc)] = tuple(
+                (u, v, vc) for u, v in zip(path, path[1:])
+            )
+        now = self.sim.now
+        t = now
         if self.fault_hook is not None:
             # Injection-point delay: the message sits at the source's
             # network interface before entering the mesh proper.
             t += self.fault_hook.route_delay(src, dst, vc)
-        if len(path) == 1:
+        if not links:
             # Local delivery (e.g. the home node answering itself): no
             # link crossed, but the switch traversal still costs a hop.
-            t += self.hop_cycles
-        for u, v in zip(path, path[1:]):
-            start = max(t, self._link_free.get((u, v, vc), 0))
-            self._link_free[(u, v, vc)] = start + ser
-            t = start + ser + self.hop_cycles
+            t += hop
+        link_free = self._link_free
+        for link in links:
+            start = link_free.get(link, 0)
+            if start < t:
+                start = t
+            link_free[link] = start + ser
+            t = start + ser + hop
         self._c_messages.value += 1
-        self._c_hops.value += len(path) - 1
-        self._h_latency.add(t - self.sim.now)
+        self._c_hops.value += len(links)
+        self._h_latency.add(t - now)
         self.sim.schedule_at(t, callback)
         return t
 

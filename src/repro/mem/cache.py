@@ -6,7 +6,7 @@ live in the controller, not here.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.mem.line import CacheLine
 
@@ -14,9 +14,12 @@ from repro.mem.line import CacheLine
 class CacheArray:
     """A set-associative array of :class:`CacheLine` frames.
 
-    Capacity and associativity are in lines.  Lookup, insertion, and victim
-    selection are O(associativity).  Pinned lines (lines with outstanding
-    misses or active deferrals) are never chosen as victims.
+    Capacity and associativity are in lines.  One address-keyed index
+    serves lookups and removals with a single dict probe; a set exists
+    only once a line was inserted into it, and is consulted only for
+    occupancy and the LRU victim choice, both O(associativity).  Pinned
+    lines (lines with outstanding misses or active deferrals) are never
+    chosen as victims.
     """
 
     def __init__(self, n_sets: int, assoc: int, line_bytes: int) -> None:
@@ -27,7 +30,10 @@ class CacheArray:
         self.n_sets = n_sets
         self.assoc = assoc
         self.line_bytes = line_bytes
-        self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(n_sets)]
+        #: every resident line, by line address
+        self.index: Dict[int, CacheLine] = {}
+        #: set index -> that set's lines, made on the set's first insert
+        self._sets: Dict[int, Dict[int, CacheLine]] = {}
         self._tick = 0
 
     @classmethod
@@ -42,9 +48,7 @@ class CacheArray:
 
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line for ``line_addr``, updating LRU state."""
-        # _set_index inlined: this runs a few times per memory operation.
-        index = (line_addr // self.line_bytes) & (self.n_sets - 1)
-        line = self._sets[index].get(line_addr)
+        line = self.index.get(line_addr)
         if line is not None and touch:
             self._tick += 1
             line.last_used = self._tick
@@ -54,7 +58,7 @@ class CacheArray:
         """The LRU state ``times`` touching lookups of a resident line
         leave, applied at once."""
         self._tick += times
-        self._sets[self._set_index(line_addr)][line_addr].last_used = self._tick
+        self.index[line_addr].last_used = self._tick
 
     def insert(self, line: CacheLine, force: bool = False) -> None:
         """Install a line.  The set must have room (evict first if needed).
@@ -64,23 +68,33 @@ class CacheArray:
         only when every frame in the set is pinned by outstanding misses,
         and counts the occurrences.
         """
-        bucket = self._sets[self._set_index(line.addr)]
-        if line.addr not in bucket and len(bucket) >= self.assoc and not force:
+        addr = line.addr
+        set_index = self._set_index(addr)
+        bucket = self._sets.get(set_index)
+        if bucket is None:
+            bucket = self._sets[set_index] = {}
+        if addr not in bucket and len(bucket) >= self.assoc and not force:
             raise RuntimeError(
-                f"set for {line.addr:#x} is full; select_victim/remove first"
+                f"set for {addr:#x} is full; select_victim/remove first"
             )
         self._tick += 1
         line.last_used = self._tick
-        bucket[line.addr] = line
+        bucket[addr] = line
+        self.index[addr] = line
 
     def remove(self, line_addr: int) -> Optional[CacheLine]:
         """Remove and return the line, or None if absent."""
-        return self._sets[self._set_index(line_addr)].pop(line_addr, None)
+        line = self.index.pop(line_addr, None)
+        if line is not None:
+            del self._sets[self._set_index(line_addr)][line_addr]
+        return line
 
     def needs_eviction(self, line_addr: int) -> bool:
         """True when installing ``line_addr`` requires evicting a resident."""
-        bucket = self._sets[self._set_index(line_addr)]
-        return line_addr not in bucket and len(bucket) >= self.assoc
+        if line_addr in self.index:
+            return False
+        bucket = self._sets.get(self._set_index(line_addr))
+        return bucket is not None and len(bucket) >= self.assoc
 
     def select_victim(self, line_addr: int) -> Optional[CacheLine]:
         """Pick the LRU non-pinned line of the target set, or None.
@@ -88,17 +102,18 @@ class CacheArray:
         Returns None either when no eviction is needed or when every frame
         in the set is pinned (the caller must then stall or bypass).
         """
-        bucket = self._sets[self._set_index(line_addr)]
-        if line_addr in bucket or len(bucket) < self.assoc:
+        if not self.needs_eviction(line_addr):
             return None
+        bucket = self._sets[self._set_index(line_addr)]
         candidates = [line for line in bucket.values() if not line.pinned]
         if not candidates:
             return None
         return min(candidates, key=lambda line: line.last_used)
 
     def lines(self) -> Iterator[CacheLine]:
-        for bucket in self._sets:
-            yield from bucket.values()
+        """Every resident line, in set-index order."""
+        for set_index in sorted(self._sets):
+            yield from self._sets[set_index].values()
 
     def resident_count(self) -> int:
-        return sum(len(bucket) for bucket in self._sets)
+        return len(self.index)

@@ -76,7 +76,7 @@ class NodeCacheHierarchy:
 
     def peek(self, line_addr: int) -> Optional[CacheLine]:
         """Find a line without timing or LRU effects (for snooping)."""
-        line = self.l2.lookup(line_addr, touch=False)
+        line = self.l2.index.get(line_addr)
         if line is not None and line.valid:
             return line
         return None
@@ -123,7 +123,7 @@ class NodeCacheHierarchy:
         L1 evictions are silent: the L2 is inclusive and shares the line
         object, so no data movement is needed.
         """
-        if self.l1.lookup(line.addr, touch=False) is line:
+        if self.l1.index.get(line.addr) is line:
             return
         if self.l1.needs_eviction(line.addr):
             victim = self.l1.select_victim(line.addr)

@@ -52,6 +52,10 @@ CLEAN_CELLS = {
 #: any barrier latency separates the early releaser from the laggard it
 #: failed to wait for.
 MUTATION_CASES = {
+    # One per state-scan oracle: a stale sharer next to the new writer,
+    # and a reader filled from stale memory behind a dirty owner.
+    "sharer_keeps_copy": (("lock", "tts"), 2, {"swmr"}),
+    "gets_fill_from_memory": (("lock", "tts"), 2, {"data-value"}),
     "barrier_skip_sense_flip": (("barrier", "iqolb"), 2, {"progress"}),
     "barrier_early_release": (("barrier", "iqolb"), 2, {"barrier-phase"}),
     "mcs_drop_handoff": (("lock", "mcs"), 2, {"progress"}),
