@@ -21,6 +21,15 @@ LL/SC link flag, and all the machinery the paper's mechanisms need:
 Which of these fire, and when, is decided by the attached
 :class:`~repro.core.policy.ProtocolPolicy`.
 
+CPU side: every memory operation takes one path.  :meth:`cpu_request`
+looks the line up and picks, per op kind, a hit or the bus request of
+its miss; the policy answers only which request an LL miss issues and
+whether a store releases a lock.  A hit's access ends in
+:meth:`_finish_local`, which re-checks the copy and either completes
+the op, replays it, or fails an SC.  :meth:`_complete` is the one
+completion, reached from a hit, a fill, an upgrade grant and a returned
+loan alike, so each op means the same whichever way its line arrived.
+
 A note on the link flag: a *deferred* LPRFO must NOT reset the owner's
 link flag — delaying the response precisely so the owner's SC can succeed
 is the entire mechanism.  The link resets only when the line is actually
@@ -41,6 +50,7 @@ from repro.engine.stats import StatsRegistry
 from repro.interconnect.bus import AddressBus, BusClient
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.messages import (
+    DATA_OPS,
     DEFERRABLE_OPS,
     NO_STATE,
     BusOp,
@@ -53,6 +63,9 @@ from repro.interconnect.messages import (
 from repro.mem.address import AddressMap
 from repro.mem.hierarchy import NodeCacheHierarchy
 from repro.mem.line import CacheLine, State
+
+#: the memory operations :meth:`CacheController.cpu_request` performs
+_CPU_KINDS = frozenset({"read", "write", "ll", "sc", "swap", "enqolb", "deqolb"})
 
 
 class Obligation:
@@ -132,16 +145,6 @@ class CacheController(BusClient):
         #: metric name -> Counter, so hot-path _count calls skip the
         #: f-string build and registry probe after the first occurrence
         self._counters: Dict[str, Any] = {}
-        # cpu_request dispatch table, hoisted out of the per-op path
-        self._op_handlers = {
-            "read": self._do_read,
-            "write": self._do_write,
-            "ll": self._do_ll,
-            "sc": self._do_sc,
-            "swap": self._do_swap,
-            "enqolb": self._do_enqolb,
-            "deqolb": self._do_deqolb,
-        }
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -157,9 +160,6 @@ class CacheController(BusClient):
     def _trace(self, event: str, line_addr: int, **info: Any) -> None:
         if self.tracer is not None:
             self.tracer(event, self.sim.now, self.node_id, line_addr, info)
-
-    def obligation_count(self) -> int:
-        return len(self.obligations)
 
     def describe_state(self) -> str:
         """One-line digest of protocol state, for runaway diagnostics.
@@ -326,152 +326,170 @@ class CacheController(BusClient):
         out by :meth:`quiet_line`.  So rewriting the link changes
         nothing, and only ``ll_ops`` moves.
         """
-        line = self.hierarchy.peek(self.amap.line_addr(op.addr))
-        self.link_valid = True
-        self.link_addr = op.addr
-        self.current_ll_pc = op.pc
-        self.link_tearoff = line.state is State.TEAROFF
+        self._set_link(op, self.hierarchy.peek(self.amap.line_addr(op.addr)))
         self._count("ll_ops", count)
 
     # ==================================================================
     # CPU side
     # ==================================================================
     def cpu_request(self, op: Op, done: Callable[[Any], None]) -> None:
-        """Entry point for the processor's memory operations."""
-        handler = self._op_handlers.get(op.kind)
-        if handler is None:
-            raise ValueError(f"unknown op kind {op.kind!r}")
-        handler(op, done)
+        """Entry point for the processor's memory operations.
 
-    # ------------------------------- loads ----------------------------
-    def _do_read(self, op: Op, done: Callable[[Any], None]) -> None:
+        Looks the line up and, after the lookup's latency, either
+        re-checks the copy and completes the op on it
+        (:meth:`_finish_local`) or starts the op's miss.
+        """
+        kind = op.kind
+        if kind == "sc":
+            self._count("sc_attempts")
+            if not self.link_valid or self.link_addr != op.addr:
+                self._fail_sc(op, done)
+                return
+        elif kind not in _CPU_KINDS:
+            raise ValueError(f"unknown op kind {kind!r}")
         line_addr = self.amap.line_addr(op.addr)
         line, latency = self.hierarchy.lookup(line_addr)
-        if self._readable_now(line, line_addr):
-            self.sim.schedule(latency, self._finish_read, op, done)
-        else:
-            self.sim.schedule(latency, self._start_miss, op, done, BusOp.GETS)
-
-    def _finish_read(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
-        line = self.hierarchy.peek(line_addr)
-        if not self._readable_now(line, line_addr):
-            self.cpu_request(op, done)  # lost the line mid-access; replay
+        if kind == "read" or kind == "ll":
+            if self._readable_now(line, line_addr):
+                miss = None
+            elif kind == "read":
+                miss = BusOp.GETS
+            else:
+                miss = self.policy.ll_miss_op(op)
+        elif line is not None and line.writable:
+            miss = None
+        elif kind == "enqolb":
+            if (
+                line is not None
+                and line.state is State.TEAROFF
+                and line_addr in self.mshrs
+            ):
+                # Local spinning on the shadow copy: zero network traffic.
+                # A tear-off means "queued; the lock is not currently
+                # available" (paper §3.3), so the EnQOLB reports it held
+                # regardless of the snapshot value.
+                self.sim.schedule(latency, done, 1)
+                return
+            # Shared or absent: QOLB needs ownership of the lock line.
+            miss = BusOp.QOLB_ENQ
+        elif kind == "deqolb":
+            # We lost the lock line while holding the lock (eviction
+            # hand-off).  Re-acquire with a regular RFO, then release.
+            miss = BusOp.GETX
+        elif line is not None and line.state in (State.SHARED, State.OWNED):
+            miss = BusOp.UPGRADE
+        elif kind == "sc":
+            # No coherent copy (invalid or tear-off): the SC cannot be
+            # guaranteed atomic, so it fails (paper §2 semantics).
+            self.sim.schedule(latency, self._fail_sc, op, done)
             return
-        done(line.read_word(self.amap.word_index(op.addr)))
-
-    def _do_ll(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
-        line, latency = self.hierarchy.lookup(line_addr)
-        if self._readable_now(line, line_addr):
-            self.sim.schedule(latency, self._finish_ll, op, done)
         else:
-            self.sim.schedule(
-                latency, self._start_miss, op, done, self.policy.ll_miss_op(op)
-            )
+            miss = BusOp.GETX
+        if miss is None:
+            self.sim.schedule(latency, self._finish_local, op, done)
+        else:
+            self.sim.schedule(latency, self._start_miss, op, done, miss)
 
-    def _finish_ll(self, op: Op, done: Callable[[Any], None]) -> None:
+    def _finish_local(self, op: Op, done: Callable[[Any], None]) -> None:
+        """The hit's access is over: complete ``op`` on the copy if it is
+        still usable.  A snoop, eviction or install during the access
+        may have taken it; then the op replays, and an SC fails."""
         line_addr = self.amap.line_addr(op.addr)
         line = self.hierarchy.peek(line_addr)
-        if not self._readable_now(line, line_addr):
+        kind = op.kind
+        if kind == "read" or kind == "ll":
+            usable = self._readable_now(line, line_addr)
+        else:
+            usable = line is not None and line.writable
+        if usable:
+            self._complete(op, line, done)
+        elif kind == "sc":
+            self._fail_sc(op, done)
+        else:
             self.cpu_request(op, done)
-            return
-        self._complete_ll(op, line, done)
 
-    def _complete_ll(
+    def _complete(
         self, op: Op, line: CacheLine, done: Callable[[Any], None]
     ) -> None:
-        """Set the link and return the loaded value (coherence point)."""
+        """Perform ``op`` on ``line`` at its coherence point and pass the
+        result to ``done``: after a hit, a fill, an upgrade grant or a
+        returned loan alike.  Stores run the policy's release hooks."""
+        kind = op.kind
+        index = self.amap.word_index(op.addr)
+        if kind == "read":
+            done(line.read_word(index))
+            return
+        if kind == "ll":
+            self._set_link(op, line)
+            self._count("ll_ops")
+            value = line.read_word(index)
+            if self.tracer is not None:
+                # guarded at the call site: this runs once per spin
+                # iteration, and building the payload would dominate
+                # the untraced path
+                self._trace(
+                    "ll", line.addr, value=value, pc=op.pc,
+                    state=line.state.value,
+                )
+            done(value)
+            return
+        if kind == "enqolb":
+            value = line.read_word(index)
+            if line.writable and value == 0:
+                self.policy.on_enqolb_acquired(op.addr)
+                line.pinned = True
+            self._trace("enqolb", line.addr, value=value)
+            done(value)
+            return
+        if kind == "sc" and not (
+            self.link_valid and self.link_addr == op.addr and line.writable
+        ):
+            self._fail_sc(op, done)
+            return
+        # A store: a write, a swap, a successful SC or a DeQOLB.
+        old = line.read_word(index)
+        line.write_word(index, 0 if kind == "deqolb" else op.value)
+        line.state = State.MODIFIED
+        result = release = None
+        if kind == "sc":
+            self.link_valid = False
+            self._count("sc_success")
+            self._trace("sc", line.addr, success=True, pc=op.pc)
+            result = True
+            if self.policy.on_sc_success(op.addr, op.pc):
+                release = "sc"
+            else:
+                # Lock acquired and held: extend the deferral window so
+                # the critical section gets its own full timeout (§3.3).
+                self.rearm_obligation(line.addr)
+        elif kind == "deqolb":
+            line.pinned = False
+            self.policy.on_deqolb(op.addr)
+            self._trace("deqolb", line.addr)
+            release = "deqolb"
+        else:
+            if kind == "swap":
+                result = old
+                self._trace("swap", line.addr, old=old, new=op.value)
+            elif self.tracer is not None:
+                self._trace("store", line.addr, value=op.value, pc=op.pc)
+            if self.policy.on_store_complete(op.addr, op.pc):
+                # the policy recognised a lock release
+                self._count("releases_detected")
+                self._trace("release", line.addr)
+                release = "release"
+        if release is not None and line.addr not in self.loan_return_to:
+            self.discharge(line.addr, reason=release)
+        self._maybe_return_loan(line.addr)
+        done(result)
+
+    def _set_link(self, op: Op, line: CacheLine) -> None:
+        """An LL on ``line`` sets the link (paper §2), marked as off a
+        tear-off when ``line`` is one."""
         self.link_valid = True
         self.link_addr = op.addr
         self.current_ll_pc = op.pc
         self.link_tearoff = line.state is State.TEAROFF
-        self._count("ll_ops")
-        value = line.read_word(self.amap.word_index(op.addr))
-        if self.tracer is not None:
-            # guarded at the call site: this runs once per spin iteration,
-            # and building the payload would dominate the untraced path
-            self._trace(
-                "ll", line.addr, value=value, pc=op.pc, state=line.state.value
-            )
-        done(value)
-
-    # ------------------------------- stores ---------------------------
-    def _do_write(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
-        line, latency = self.hierarchy.lookup(line_addr)
-        if line is not None and line.writable:
-            self.sim.schedule(latency, self._finish_local_write, op, done)
-        elif line is not None and line.state in (State.SHARED, State.OWNED):
-            self.sim.schedule(latency, self._start_miss, op, done, BusOp.UPGRADE)
-        else:
-            self.sim.schedule(latency, self._start_miss, op, done, BusOp.GETX)
-
-    def _finish_local_write(self, op: Op, done: Callable[[Any], None]) -> None:
-        line = self.hierarchy.peek(self.amap.line_addr(op.addr))
-        if line is None or not line.writable:
-            self.cpu_request(op, done)  # lost permission mid-access; replay
-            return
-        self._perform_store(op, line)
-        done(None)
-
-    def _perform_store(self, op: Op, line: CacheLine) -> None:
-        """Apply a store to a writable line, then run release/loan hooks."""
-        line.write_word(self.amap.word_index(op.addr), op.value)
-        line.state = State.MODIFIED
-        if self.tracer is not None:
-            self._trace("store", line.addr, value=op.value, pc=op.pc)
-        if self.policy.on_store_complete(op.addr, op.pc):
-            self._count("releases_detected")
-            self._trace("release", line.addr)
-            if line.addr not in self.loan_return_to:
-                self.discharge(line.addr, reason="release")
-        self._maybe_return_loan(line.addr)
-
-    # ------------------------------- SC -------------------------------
-    def _do_sc(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
-        self._count("sc_attempts")
-        if not self.link_valid or self.link_addr != op.addr:
-            self._fail_sc(op, done)
-            return
-        line, latency = self.hierarchy.lookup(line_addr)
-        if line is not None and line.writable:
-            self.sim.schedule(latency, self._finish_local_sc, op, done)
-        elif line is not None and line.state in (State.SHARED, State.OWNED):
-            self.sim.schedule(latency, self._start_miss, op, done, BusOp.UPGRADE)
-        else:
-            # No coherent copy (invalid or tear-off): the SC cannot be
-            # guaranteed atomic, so it fails (paper §2 semantics).
-            self.sim.schedule(latency, self._fail_sc, op, done)
-
-    def _finish_local_sc(self, op: Op, done: Callable[[Any], None]) -> None:
-        line = self.hierarchy.peek(self.amap.line_addr(op.addr))
-        if not self.link_valid or self.link_addr != op.addr:
-            self._fail_sc(op, done)
-            return
-        if line is None or not line.writable:
-            self._fail_sc(op, done)
-            return
-        self._succeed_sc(op, line, done)
-
-    def _succeed_sc(
-        self, op: Op, line: CacheLine, done: Callable[[Any], None]
-    ) -> None:
-        line.write_word(self.amap.word_index(op.addr), op.value)
-        line.state = State.MODIFIED
-        self.link_valid = False
-        self._count("sc_success")
-        self._trace("sc", line.addr, success=True, pc=op.pc)
-        if self.policy.on_sc_success(op.addr, op.pc):
-            if line.addr not in self.loan_return_to:
-                self.discharge(line.addr, reason="sc")
-        else:
-            # Lock acquired and held: extend the deferral window so the
-            # critical section gets its own full timeout (paper §3.3).
-            self.rearm_obligation(line.addr)
-        self._maybe_return_loan(line.addr)
-        done(True)
 
     def _fail_sc(self, op: Op, done: Callable[[Any], None]) -> None:
         self.link_valid = False
@@ -479,97 +497,6 @@ class CacheController(BusClient):
         self._trace("sc", self.amap.line_addr(op.addr), success=False, pc=op.pc)
         self.policy.on_sc_fail(op.addr, op.pc)
         done(False)
-
-    # ------------------------------- swap ------------------------------
-    def _do_swap(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
-        line, latency = self.hierarchy.lookup(line_addr)
-        if line is not None and line.writable:
-            self.sim.schedule(latency, self._finish_local_swap, op, done)
-        elif line is not None and line.state in (State.SHARED, State.OWNED):
-            self.sim.schedule(latency, self._start_miss, op, done, BusOp.UPGRADE)
-        else:
-            self.sim.schedule(latency, self._start_miss, op, done, BusOp.GETX)
-
-    def _finish_local_swap(self, op: Op, done: Callable[[Any], None]) -> None:
-        line = self.hierarchy.peek(self.amap.line_addr(op.addr))
-        if line is None or not line.writable:
-            self.cpu_request(op, done)
-            return
-        done(self._perform_swap(op, line))
-
-    def _perform_swap(self, op: Op, line: CacheLine) -> int:
-        index = self.amap.word_index(op.addr)
-        old = line.read_word(index)
-        line.write_word(index, op.value)
-        line.state = State.MODIFIED
-        self._trace("swap", line.addr, old=old, new=op.value)
-        if self.policy.on_store_complete(op.addr, op.pc):
-            self._count("releases_detected")
-            if line.addr not in self.loan_return_to:
-                self.discharge(line.addr, reason="release")
-        self._maybe_return_loan(line.addr)
-        return old
-
-    # ------------------------------- QOLB ------------------------------
-    def _do_enqolb(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
-        line, latency = self.hierarchy.lookup(line_addr)
-        if line is not None and line.writable:
-            self.sim.schedule(latency, self._finish_local_enqolb, op, done)
-        elif (
-            line is not None
-            and line.state is State.TEAROFF
-            and line_addr in self.mshrs
-        ):
-            # Local spinning on the shadow copy: zero network traffic.
-            # A tear-off means "queued; the lock is not currently
-            # available" (paper §3.3), so the EnQOLB reports it held
-            # regardless of the snapshot value.
-            self.sim.schedule(latency, done, 1)
-        else:
-            # Shared or absent: QOLB needs ownership of the lock line.
-            self.sim.schedule(latency, self._start_miss, op, done, BusOp.QOLB_ENQ)
-
-    def _finish_local_enqolb(self, op: Op, done: Callable[[Any], None]) -> None:
-        line = self.hierarchy.peek(self.amap.line_addr(op.addr))
-        if line is None or not line.writable:
-            self.cpu_request(op, done)
-            return
-        value = line.read_word(self.amap.word_index(op.addr))
-        if value == 0:
-            self.policy.on_enqolb_acquired(op.addr)
-            line.pinned = True
-        self._trace("enqolb", line.addr, value=value)
-        done(value)
-
-    def _do_deqolb(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
-        line, latency = self.hierarchy.lookup(line_addr)
-        if line is not None and line.writable:
-            self.sim.schedule(latency, self._finish_local_deqolb, op, done)
-        else:
-            # We lost the lock line while holding the lock (eviction
-            # hand-off).  Re-acquire with a regular RFO, then release.
-            self.sim.schedule(latency, self._start_miss, op, done, BusOp.GETX)
-
-    def _finish_local_deqolb(self, op: Op, done: Callable[[Any], None]) -> None:
-        line = self.hierarchy.peek(self.amap.line_addr(op.addr))
-        if line is None or not line.writable:
-            self.cpu_request(op, done)
-            return
-        self._perform_deqolb(op, line)
-        done(None)
-
-    def _perform_deqolb(self, op: Op, line: CacheLine) -> None:
-        line.write_word(self.amap.word_index(op.addr), 0)
-        line.state = State.MODIFIED
-        line.pinned = False
-        self.policy.on_deqolb(op.addr)
-        self._trace("deqolb", line.addr)
-        if line.addr not in self.loan_return_to:
-            self.discharge(line.addr, reason="deqolb")
-        self._maybe_return_loan(line.addr)
 
     # ==================================================================
     # Miss path
@@ -645,7 +572,7 @@ class CacheController(BusClient):
         if mshr.txn is None:
             return
         if mshr.issued:
-            if mshr.txn.op in (BusOp.GETS, BusOp.GETX, BusOp.LPRFO, BusOp.QOLB_ENQ):
+            if mshr.txn.op in DATA_OPS:
                 self.bus.transaction_complete(mshr.txn)
         else:
             mshr.txn.cancelled = True
@@ -683,21 +610,13 @@ class CacheController(BusClient):
         self._close_mshr(mshr.line_addr)
         if done is None:
             return
-        op = mshr.pending_op
         line = self.hierarchy.peek(mshr.line_addr)
-        if line is None:
-            # Our shared copy evaporated (silent eviction) between the
-            # request and the grant; replay (or fail, for an SC).
-            if op is not None and op.kind == "sc":
-                self._fail_sc(op, done)
-            elif op is not None:
-                self.cpu_request(op, done)
-            else:
-                done(None)
-            return
-        line.state = State.MODIFIED
-        self._note_line(mshr.line_addr)
-        self._finish_filled_op(mshr, line, done)
+        if line is not None:
+            line.state = State.MODIFIED
+            self._note_line(mshr.line_addr)
+        # Our shared copy may have evaporated (silent eviction) between
+        # the request and the grant; then the op replays, or an SC fails.
+        self._finish_local(mshr.pending_op, done)
 
     # ==================================================================
     # Bus client: snooping
@@ -912,16 +831,14 @@ class CacheController(BusClient):
         if done is None:
             return
         op = mshr.pending_op
-        if op is not None and op.kind == "sc":
+        if op.kind == "sc":
             # The link was (or is about to be) reset by this invalidation:
             # the SC fails at the coherence point.
             self.sim.schedule(0, self._fail_sc, op, done)
-        elif op is not None:
+        else:
             # A plain store or swap just lost its shared copy; replay it
             # (it will issue a full GETX this time).
             self.sim.schedule(0, self.cpu_request, op, done)
-        else:
-            done(None)
 
     # ==================================================================
     # Supplying data
@@ -1193,7 +1110,7 @@ class CacheController(BusClient):
                 )
             done = mshr.take_waiter()
             if done is not None:
-                self._finish_filled_op(mshr, line, done)
+                self._complete(mshr.pending_op, line, done)
         # Arriving at the head of a queue with a known successor creates a
         # fresh forward obligation (the chain must keep moving).
         settled = self.hierarchy.peek(line_addr)
@@ -1204,43 +1121,6 @@ class CacheController(BusClient):
         ):
             self._create_obligation(line_addr)
             settled.pinned = True
-
-    def _finish_filled_op(
-        self, mshr: Mshr, line: CacheLine, done: Callable[[Any], None]
-    ) -> None:
-        """Complete the CPU operation that was blocked on this fill."""
-        op = mshr.pending_op
-        if op is None:
-            done(None)
-            return
-        kind = op.kind
-        index = self.amap.word_index(op.addr)
-        if kind == "read":
-            done(line.read_word(index))
-        elif kind == "ll":
-            self._complete_ll(op, line, done)
-        elif kind == "write":
-            self._perform_store(op, line)
-            done(None)
-        elif kind == "sc":
-            if self.link_valid and self.link_addr == op.addr and line.writable:
-                self._succeed_sc(op, line, done)
-            else:
-                self._fail_sc(op, done)
-        elif kind == "swap":
-            done(self._perform_swap(op, line))
-        elif kind == "enqolb":
-            value = line.read_word(index)
-            if line.writable and value == 0:
-                self.policy.on_enqolb_acquired(op.addr)
-                line.pinned = True
-            self._trace("enqolb", line.addr, value=value)
-            done(value)
-        elif kind == "deqolb":
-            self._perform_deqolb(op, line)
-            done(None)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"cannot complete op kind {kind!r}")
 
     def _on_tearoff(self, msg: DataMessage) -> None:
         line_addr = msg.line_addr
@@ -1283,14 +1163,10 @@ class CacheController(BusClient):
         done = mshr.take_waiter()
         if done is not None:
             op = mshr.pending_op
-            index = self.amap.word_index(op.addr if op is not None else line_addr)
-            value = line.read_word(index)
-            if op is not None and op.kind == "ll":
-                self.link_valid = True
-                self.link_addr = op.addr
-                self.current_ll_pc = op.pc
-                self.link_tearoff = True
-            elif op is not None and op.kind == "enqolb":
+            value = line.read_word(self.amap.word_index(op.addr))
+            if op.kind == "ll":
+                self._set_link(op, line)
+            elif op.kind == "enqolb":
                 # Receipt of a tear-off signals a successful queue insert,
                 # with the lock currently unavailable (paper §3.3).
                 value = 1
@@ -1323,14 +1199,11 @@ class CacheController(BusClient):
         if done is None:
             return
         current = self.hierarchy.peek(line_addr)
-        op = mshr.pending_op
         if current is not None and current.is_owner:
-            self._finish_filled_op(mshr, current, done)
-        elif op is not None:
-            # The line moved on (e.g. discharged on resume); replay.
-            self.cpu_request(op, done)
+            self._complete(mshr.pending_op, current, done)
         else:
-            done(None)
+            # The line moved on (e.g. discharged on resume); replay.
+            self.cpu_request(mshr.pending_op, done)
 
     def _dissolve_loan(self, line_addr: int) -> None:
         self._count("loans_dissolved")
@@ -1372,15 +1245,7 @@ class CacheController(BusClient):
             self._cancel_obligation(victim.addr)
             self._count("evict_handoffs")
             self._trace("evict_handoff", victim.addr, to=successor)
-            msg = DataMessage(
-                DataKind.LINE,
-                victim.addr,
-                src=self.node_id,
-                dst=successor,
-                data=list(victim.data),
-                grant=GrantState.EXCLUSIVE,
-            )
-            self.crossbar.send(msg)
+            self._send_line(successor, victim, GrantState.EXCLUSIVE)
             return
         if victim.state is State.TEAROFF:
             return  # tear-offs vanish silently

@@ -47,6 +47,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.stats import StatsRegistry
 from repro.interconnect.bus import BusClient, ParkedSpinners
 from repro.interconnect.messages import (
+    DATA_OPS,
     DEFERRABLE_OPS,
     MEMORY_NODE,
     BusOp,
@@ -57,9 +58,6 @@ from repro.interconnect.messages import (
 )
 from repro.interconnect.network import VC_REQ, MeshNetwork
 from repro.mem.mainmemory import MainMemory
-
-#: transactions that move a cache line to the requester
-DATA_OPS = frozenset({BusOp.GETS, BusOp.GETX, BusOp.LPRFO, BusOp.QOLB_ENQ})
 
 
 class DirectoryEntry:

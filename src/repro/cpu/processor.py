@@ -80,7 +80,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.stats import StatsRegistry
 
 #: where a woken spin loop resumes: the pause-end ``_advance``, the
-#: test's ``cpu_request``, or the L1 hit's ``_finish_read``/``_finish_ll``
+#: test's ``cpu_request``, or the L1 hit's ``_finish_local``
 _ADVANCE, _REQUEST, _FINISH = range(3)
 
 
@@ -348,7 +348,7 @@ class Processor:
                 queued_at = issued
             else:
                 # The L1 hit's completion, as the controller queued it.
-                callback, args = self._finish_hit(), (spin, self._tested)
+                callback, args = controller._finish_local, (spin, self._tested)
                 queued_at = issued + io
         self._woken = self._queue_in_order(when, queued_at, callback, args)
         if when > sim.woken_until:
@@ -446,15 +446,8 @@ class Processor:
         elif resume == _REQUEST:
             callback, nargs = self.controller.cpu_request, 2
         else:
-            callback, nargs = self._finish_hit(), 2
+            callback, nargs = self.controller._finish_local, 2
         return ops + reads + tests, (when - now, callback_label(callback), nargs)
-
-    def _finish_hit(self) -> Callable[..., None]:
-        """The controller step that completes a test's L1 hit."""
-        controller = self.controller
-        if self._spin.linked:
-            return controller._finish_ll
-        return controller._finish_read
 
     def describe_state(self) -> str:
         """One-line digest of a parked spin, for runaway diagnostics."""

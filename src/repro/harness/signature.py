@@ -58,11 +58,6 @@ class WorkloadSignature:
     collocated: bool = False
 
     @property
-    def ops_per_proc(self) -> float:
-        """Mean sync operations per processor (may be fractional)."""
-        return self.total_ops / max(1, self.n_processors)
-
-    @property
     def cs_accesses(self) -> int:
         """Data accesses inside the critical section."""
         return self.cs_reads + self.cs_writes

@@ -5,7 +5,6 @@ from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.messages import (
     DEFERRABLE_OPS,
     MEMORY_NODE,
-    OWNERSHIP_OPS,
     BusOp,
     BusTransaction,
     DataKind,
@@ -25,6 +24,5 @@ __all__ = [
     "DEFERRABLE_OPS",
     "GrantState",
     "MEMORY_NODE",
-    "OWNERSHIP_OPS",
     "SnoopReply",
 ]

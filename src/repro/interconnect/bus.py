@@ -40,6 +40,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.stats import Counter, StatsRegistry
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.messages import (
+    DATA_OPS,
     DEFERRABLE_OPS,
     MEMORY_NODE,
     NO_STATE,
@@ -51,9 +52,6 @@ from repro.interconnect.messages import (
     SnoopReply,
 )
 from repro.mem.mainmemory import MainMemory
-
-#: transactions that move a cache line to the requester
-DATA_OPS = frozenset({BusOp.GETS, BusOp.GETX, BusOp.LPRFO, BusOp.QOLB_ENQ})
 
 
 class ParkedSpinners:

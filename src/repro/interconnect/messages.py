@@ -28,8 +28,8 @@ class BusOp(enum.Enum):
         return self.value
 
 
-#: Bus operations that request ownership (write permission).
-OWNERSHIP_OPS = frozenset({BusOp.GETX, BusOp.UPGRADE, BusOp.LPRFO, BusOp.QOLB_ENQ})
+#: Bus operations that move a cache line to the requester.
+DATA_OPS = frozenset({BusOp.GETS, BusOp.GETX, BusOp.LPRFO, BusOp.QOLB_ENQ})
 
 #: Bus operations whose response the owner may legally defer.
 DEFERRABLE_OPS = frozenset({BusOp.LPRFO, BusOp.QOLB_ENQ})
@@ -159,7 +159,6 @@ class DataMessage:
         "data",
         "grant",
         "loan",
-        "lock_free",
         "txn_id",
     )
 
@@ -172,7 +171,6 @@ class DataMessage:
         data: Optional[List[int]] = None,
         grant: Optional[GrantState] = None,
         loan: bool = False,
-        lock_free: bool = False,
         txn_id: Optional[int] = None,
     ) -> None:
         self.kind = kind
@@ -189,8 +187,6 @@ class DataMessage:
         #: queue-retention marker: receiver must return ownership to ``src``
         #: immediately after its write completes (paper 3.2/3.3).
         self.loan = loan
-        #: QOLB hand-off hint: the lock arrives free (receiver may acquire).
-        self.lock_free = lock_free
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

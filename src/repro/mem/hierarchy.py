@@ -135,9 +135,6 @@ class NodeCacheHierarchy:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def lines(self) -> List[CacheLine]:
-        return list(self.l2.lines())
-
     def state_of(self, line_addr: int) -> State:
         line = self.peek(line_addr)
         return line.state if line is not None else State.INVALID

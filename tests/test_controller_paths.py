@@ -5,9 +5,11 @@ programs or by injecting crossbar messages directly — the situations
 that only arise under racing timings in full runs.
 """
 
+import pytest
+
 from conftest import build_system, run_programs
-from repro.cpu.ops import LL, SC, Compute, Read, Write
-from repro.interconnect.messages import DataKind, DataMessage, GrantState
+from repro.cpu.ops import LL, SC, Compute, DeQOLB, EnQOLB, Read, Swap, Write
+from repro.interconnect.messages import BusOp, DataKind, DataMessage, GrantState
 from repro.mem.line import State
 
 
@@ -228,3 +230,169 @@ class TestCoherentReadback:
         system.load_program(0, iter([]))
         system.run()
         assert system.read_word(addr) == 13
+
+
+# ----------------------------------------------------------------------
+# One path per CPU operation: the hit re-check and the completion
+# ----------------------------------------------------------------------
+KINDS = ("read", "ll", "write", "swap", "sc", "enqolb", "deqolb")
+
+#: the bus request each kind's miss issues on an absent line (baseline
+#: policy; QOLB for the QOLB instructions)
+MISS_OP = {
+    "read": BusOp.GETS,
+    "ll": BusOp.GETS,
+    "write": BusOp.GETX,
+    "swap": BusOp.GETX,
+    "enqolb": BusOp.QOLB_ENQ,
+    "deqolb": BusOp.GETX,
+}
+
+
+def _make_op(kind, addr):
+    return {
+        "read": lambda: Read(addr),
+        "ll": lambda: LL(addr, pc=3),
+        "write": lambda: Write(addr, 5, pc=3),
+        "swap": lambda: Swap(addr, 5, pc=3),
+        "sc": lambda: SC(addr, 5, pc=3),
+        "enqolb": lambda: EnQOLB(addr, pc=3),
+        "deqolb": lambda: DeQOLB(addr, pc=3),
+    }[kind]()
+
+
+def _one_node(kind, state):
+    """A one-node system whose memory holds the line with word 0 set
+    (0 for an EnQOLB, so it finds the lock free); with ``state``, the
+    node holds a copy in that state too.  An SC's link is set by an LL
+    hit first."""
+    system = build_system(1, "qolb" if "qolb" in kind else "baseline")
+    controller = system.controllers[0]
+    addr = system.layout.alloc_line()
+    data = list(system.memory.read_line(addr))
+    data[0] = 0 if kind == "enqolb" else 7
+    system.memory.write_line(addr, data)
+    if state is not None:
+        controller._install_line(addr, state, list(data))
+    if kind == "sc":
+        linked = []
+        controller.cpu_request(LL(addr, pc=3), linked.append)
+        system.sim.run()
+        assert linked == [7]
+    return system, controller, addr
+
+
+def _perform(system, controller, op, before_finish=None):
+    """Run ``op`` through ``cpu_request`` to completion; returns its
+    result, the bus requests it made and the controller's counters it
+    moved.  ``before_finish`` runs after the lookup, before a hit's
+    re-check."""
+    requests = []
+    request = system.bus.request
+
+    def record(txn):
+        requests.append(txn.op)
+        request(txn)
+
+    system.bus.request = record
+    before = system.stats.snapshot()
+    results = []
+    controller.cpu_request(op, results.append)
+    if before_finish is not None:
+        system.sim.schedule(0, before_finish)
+    system.sim.run()
+    moved = {
+        name: value - before.get(name, 0)
+        for name, value in system.stats.snapshot().items()
+        if name.startswith("ctrl0.") and value != before.get(name, 0)
+    }
+    assert len(results) == 1
+    return results[0], requests, moved
+
+
+#: what each kind returns on the one-node line
+RESULT = {
+    "read": 7, "ll": 7, "write": None, "swap": 7, "sc": True,
+    "enqolb": 0, "deqolb": None,
+}
+
+
+#: the requests each kind replays with when its exclusive copy was
+#: downgraded to SHARED during the lookup (loads still hit)
+SHARED_REPLAY = {
+    "read": [],
+    "ll": [],
+    "write": [BusOp.UPGRADE],
+    "swap": [BusOp.UPGRADE],
+    "enqolb": [BusOp.QOLB_ENQ],
+    "deqolb": [BusOp.GETX],
+}
+
+
+class TestLostCopyRecheck:
+    """A hit whose copy goes, or loses write permission, between the
+    lookup and the re-check: the op replays and issues its miss, and an
+    SC fails."""
+
+    @pytest.mark.parametrize("loss", ["dropped", "shared"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_copy_lost_before_finish(self, kind, loss):
+        system, controller, addr = _one_node(kind, State.EXCLUSIVE)
+        assert controller.hierarchy.l1_hit_cycles > 0
+
+        def lose_copy():
+            line = controller.hierarchy.peek(addr)
+            if loss == "shared":
+                line.state = State.SHARED
+            else:
+                system.memory.write_line(addr, list(line.data))
+                controller.hierarchy.drop(addr)
+            controller._note_line(addr)
+
+        op = _make_op(kind, addr)
+        result, requests, moved = _perform(system, controller, op, lose_copy)
+        if kind == "sc":
+            assert result is False
+            assert requests == []
+            assert moved == {"ctrl0.sc_attempts": 1, "ctrl0.sc_fail": 1}
+            return
+        assert result == RESULT[kind]
+        if loss == "shared":
+            assert requests == SHARED_REPLAY[kind]
+        else:
+            assert requests == [MISS_OP[kind]]
+        assert controller.hierarchy.peek(addr) is not None
+
+
+class TestHitAndFillAgree:
+    """Each kind completes the same way on a hit as on a fill (for an
+    SC, the upgrade grant): the same result, line, link and counters."""
+
+    @staticmethod
+    def _outcome(kind, state):
+        system, controller, addr = _one_node(kind, state)
+        result, requests, moved = _perform(
+            system, controller, _make_op(kind, addr)
+        )
+        line = controller.hierarchy.peek(addr)
+        link = (
+            controller.link_valid,
+            controller.link_addr - addr,
+            controller.current_ll_pc,
+            controller.link_tearoff,
+        )
+        outcome = (result, line.state, line.pinned, line.read_word(0), link)
+        return outcome + (moved,), requests
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hit_matches_fill(self, kind):
+        hit, hit_requests = self._outcome(kind, State.EXCLUSIVE)
+        fill, fill_requests = self._outcome(
+            kind, State.SHARED if kind == "sc" else None
+        )
+        assert hit_requests == []
+        assert fill_requests == (
+            [BusOp.UPGRADE] if kind == "sc" else [MISS_OP[kind]]
+        )
+        assert hit == fill
+        assert hit[0] == RESULT[kind]

@@ -326,7 +326,7 @@ class TestCheckerEquivalence:
         assert report.statuses == {"finished": 12}
         assert report.distinct_states == 11
         assert digest == (
-            "87b8ff97f9b7d37ae4d805d13cd9e7c81c6aff62e58a63e505afca1a842bb52c"
+            "fa2714cfcfbcc2cce4bdd030c22eb2d413dfdba03a9ad7637b081b628755ec72"
         )
         assert not report.violations
 

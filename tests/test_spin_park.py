@@ -559,8 +559,7 @@ def test_checker_reports_the_unwoken_loop():
 LOOP_EVENTS = {
     "Processor._advance",
     "CacheController.cpu_request",
-    "CacheController._finish_read",
-    "CacheController._finish_ll",
+    "CacheController._finish_local",
 }
 
 
