@@ -115,10 +115,7 @@ class RunSpec:
         return tag
 
     def to_dict(self) -> Dict[str, Any]:
-        data = dataclasses.asdict(self)
-        if self.fault_plan is not None:
-            data["fault_plan"] = self.fault_plan.to_dict()
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
@@ -149,7 +146,6 @@ class Budget:
     max_schedules: int = 200
     max_steps: int = 60_000
     max_depth: int = 40
-    stop_on_violation: bool = True
     #: partial-order reduction over the choice tree: none | dpor
     reduction: str = "none"
 
@@ -527,8 +523,7 @@ def explore(spec: RunSpec, budget: Optional[Budget] = None) -> ExploreReport:
                     "cycles": outcome.cycles,
                 }
             )
-            if budget.stop_on_violation:
-                break
+            break  # one counterexample is the cell's verdict
         # Enumerate unexplored siblings of the new (non-forced) choice
         # points, deepest first so the stack pops in DFS order.
         horizon = min(len(outcome.branching), budget.max_depth)

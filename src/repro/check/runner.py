@@ -88,7 +88,6 @@ def smoke_jobs(
     max_depth: int = 60,
     fault_seeds: Optional[List[int]] = None,
     mutation: Optional[str] = None,
-    stop_on_violation: bool = True,
     timeout_cycles: Optional[int] = 400,
     max_cycles: int = 2_000_000,
     reduction: str = "none",
@@ -105,7 +104,6 @@ def smoke_jobs(
         max_schedules=max_schedules,
         max_steps=max_steps,
         max_depth=max_depth,
-        stop_on_violation=stop_on_violation,
         reduction=reduction,
     )
     jobs: List[CheckJob] = []

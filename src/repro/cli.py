@@ -242,6 +242,7 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    import dataclasses
     import json
     import os
     import re
@@ -348,27 +349,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     ),
                     "fault_stats": fault_stats,
                     "counterexamples": counterexamples,
-                    "cells": [
-                        {
-                            "label": r.label,
-                            "spec": r.spec.to_dict(),
-                            "interleavings": r.interleavings,
-                            "violations": r.violations,
-                            "statuses": r.statuses,
-                            "choice_points": r.choice_points,
-                            "distinct_states": r.distinct_states,
-                            "pruned": r.pruned,
-                            "pruned_sleep": r.pruned_sleep,
-                            "pruned_dpor": r.pruned_dpor,
-                            "reduction": r.reduction,
-                            "frontier_left": r.frontier_left,
-                            "max_depth_seen": r.max_depth_seen,
-                            "handoffs": r.handoffs,
-                            "wall_time_s": r.wall_time_s,
-                            "fault_stats": r.fault_stats,
-                        }
-                        for r in results
-                    ],
+                    "cells": [dataclasses.asdict(r) for r in results],
                 },
                 fh, indent=2, sort_keys=True,
             )

@@ -45,7 +45,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.engine.simulator import Simulator
 from repro.engine.stats import StatsRegistry
-from repro.interconnect.bus import BusClient, ParkedSpinners
+from repro.interconnect.bus import RETRY_DELAY, BusClient, ParkedSpinners
 from repro.interconnect.messages import (
     DATA_OPS,
     DEFERRABLE_OPS,
@@ -92,7 +92,6 @@ class DirectoryInterconnect(ParkedSpinners):
         network: MeshNetwork,
         n_nodes: int,
         lookup_cycles: int = 6,
-        retry_delay: int = 20,
         queue_retention: bool = False,
     ) -> None:
         super().__init__()
@@ -102,7 +101,6 @@ class DirectoryInterconnect(ParkedSpinners):
         self.network = network
         self.n_nodes = n_nodes
         self.lookup_cycles = lookup_cycles
-        self.retry_delay = retry_delay
         #: does the protocol variant preserve the queue across RFOs?
         #: (a system-wide protocol property, mirrored from the policy)
         self.queue_retention = queue_retention
@@ -573,7 +571,7 @@ class DirectoryInterconnect(ParkedSpinners):
         self.stats.counter("dir.retries").inc()
         if txn.retries > 10_000:
             raise RuntimeError(f"{txn} retried {txn.retries} times; wedged")
-        self.sim.schedule(self.retry_delay, self._resolve, txn)
+        self.sim.schedule(RETRY_DELAY, self._resolve, txn)
 
     def _finish(
         self,

@@ -38,6 +38,12 @@ from repro.mem.line import CacheLine
 #: lowest-level critical sections the speculation targets.
 DEFAULT_LOCK_TIMEOUT = 5_000
 
+#: Entries in each node's held-lock table.
+HELD_CAPACITY = 8
+
+#: Data lines Generalized IQOLB remembers per lock; the oldest goes first.
+PROTECTED_CAPACITY = 4
+
 
 class IqolbPolicy(ProtocolPolicy):
     """Delayed response + speculation on LL/SC use (Implicit QOLB)."""
@@ -48,10 +54,7 @@ class IqolbPolicy(ProtocolPolicy):
         self,
         timeout_cycles: int = DEFAULT_LOCK_TIMEOUT,
         queue_retention: bool = False,
-        held_capacity: int = 8,
-        predictor: Optional[LockPredictor] = None,
         generalized: bool = False,
-        protected_capacity: int = 4,
     ) -> None:
         super().__init__()
         self.timeout_cycles: Optional[int] = timeout_cycles
@@ -63,18 +66,16 @@ class IqolbPolicy(ProtocolPolicy):
         self.generalized = generalized
         if generalized:
             self.name = "iqolb+gen"
-        self.protected_capacity = protected_capacity
         #: learned lock-word -> recently written data lines (insertion order)
         self._protected: dict = {}
         #: set during a release so the controller can ask what to push
         self._releasing_word: Optional[int] = None
-        self.predictor = predictor if predictor is not None else LockPredictor()
-        self._held_capacity = held_capacity
+        self.predictor = LockPredictor()
         self.held: Optional[HeldLockTable] = None  # built at bind (needs amap)
 
     def bind(self, ctrl) -> None:  # type: ignore[override]
         super().bind(ctrl)
-        self.held = HeldLockTable(ctrl.amap, capacity=self._held_capacity)
+        self.held = HeldLockTable(ctrl.amap, capacity=HELD_CAPACITY)
 
     # ------------------------------------------------------------------
     # Request side
@@ -191,7 +192,7 @@ class IqolbPolicy(ProtocolPolicy):
         lines = self._protected.setdefault(holder.addr, {})
         lines.pop(data_line, None)
         lines[data_line] = True
-        while len(lines) > self.protected_capacity:
+        while len(lines) > PROTECTED_CAPACITY:
             oldest = next(iter(lines))
             del lines[oldest]
 

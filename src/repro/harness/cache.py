@@ -42,7 +42,8 @@ __all__ = [
 
 #: Schema version of the stored entries; bump on RunResult shape changes.
 #: v2: RunResult carries histogram digests and a RunManifest.
-ENTRY_SCHEMA = 2
+#: v3: the RunManifest carries the run's workload signature.
+ENTRY_SCHEMA = 3
 
 
 def default_cache_dir() -> pathlib.Path:

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
+from repro.harness.signature import WorkloadSignature
 from repro.harness.system import System
 from repro.telemetry.manifest import RunManifest, workload_seed
 from repro.workloads.base import Workload
@@ -92,10 +93,12 @@ def run_workload(
     if verify:
         workload.verify(system)
     wall_time_s = time.perf_counter() - start
+    signature = WorkloadSignature.from_workload(workload, run_config, primitive)
     manifest = RunManifest.collect(
         config=run_config,
         version=repro.__version__,
         seed=workload_seed(workload),
+        signature=signature.to_dict() if signature is not None else None,
         wall_time_s=wall_time_s,
         events_fired=system.sim.events_fired,
         events_skipped=system.sim.events_skipped,

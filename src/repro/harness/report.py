@@ -14,48 +14,60 @@ from typing import List, Tuple
 from repro.harness.experiment import RunResult
 from repro.harness.tables import render_table
 
-#: (section, metric label, stat key or per-node suffix, per_node?)
-_LAYOUT: List[Tuple[str, str, str, bool]] = [
-    ("bus traffic", "total transactions", "bus.transactions", False),
-    ("bus traffic", "GetS (read shared)", "bus.GetS", False),
-    ("bus traffic", "GetX (RFO)", "bus.GetX", False),
-    ("bus traffic", "Upgrade", "bus.Upgrade", False),
-    ("bus traffic", "LPRFO (low-priority RFO)", "bus.LPRFO", False),
-    ("bus traffic", "QOLB enqueue", "bus.QolbEnq", False),
-    ("bus traffic", "writebacks", "bus.WB", False),
-    ("bus traffic", "NACK/retries", "bus.retries", False),
-    ("bus traffic", "memory supplies", "bus.memory_supplies", False),
-    ("speculation", "deferrals", "deferrals", True),
-    ("speculation", "tear-offs sent", "tearoffs_sent", True),
-    ("speculation", "hand-offs (total)", "handoffs", True),
-    ("speculation", "  at SC (Fetch&Phi)", "handoff_sc", True),
-    ("speculation", "  at release store (lock)", "handoff_release", True),
-    ("speculation", "  at DeQOLB", "handoff_deqolb", True),
-    ("speculation", "  at timeout", "handoff_timeout", True),
-    ("speculation", "eviction hand-offs", "evict_handoffs", True),
-    ("speculation", "queue breakdowns", "queue_breakdowns", True),
-    ("speculation", "squash+reissue", "squashes", True),
-    ("speculation", "loans / returns", "loans", True),
-    ("speculation", "data pushes (gen. IQOLB)", "pushes_sent", True),
-    ("speculation", "releases recognized", "releases_detected", True),
-    ("LL/SC", "LL executed", "ll_ops", True),
-    ("LL/SC", "SC attempts", "sc_attempts", True),
-    ("LL/SC", "SC failures", "sc_fail", True),
-    ("caches", "L1 hits", "l1_hits", True),
-    ("caches", "L2 hits", "l2_hits", True),
-    ("caches", "misses", "misses", True),
-    ("caches", "L2 evictions", "l2_evictions", True),
+#: (metric label, counter suffix) of the coherence fabric's traffic;
+#: the bus counts under ``bus.``, the directory under ``dir.``
+_TRAFFIC: List[Tuple[str, str]] = [
+    ("total transactions", "transactions"),
+    ("GetS (read shared)", "GetS"),
+    ("GetX (RFO)", "GetX"),
+    ("Upgrade", "Upgrade"),
+    ("LPRFO (low-priority RFO)", "LPRFO"),
+    ("QOLB enqueue", "QolbEnq"),
+    ("writebacks", "WB"),
+    ("NACK/retries", "retries"),
+    ("memory supplies", "memory_supplies"),
+]
+
+#: (section, metric label, per-node counter suffix)
+_LAYOUT: List[Tuple[str, str, str]] = [
+    ("speculation", "deferrals", "deferrals"),
+    ("speculation", "tear-offs sent", "tearoffs_sent"),
+    ("speculation", "hand-offs (total)", "handoffs"),
+    ("speculation", "  at SC (Fetch&Phi)", "handoff_sc"),
+    ("speculation", "  at release store (lock)", "handoff_release"),
+    ("speculation", "  at DeQOLB", "handoff_deqolb"),
+    ("speculation", "  at timeout", "handoff_timeout"),
+    ("speculation", "eviction hand-offs", "evict_handoffs"),
+    ("speculation", "queue breakdowns", "queue_breakdowns"),
+    ("speculation", "squash+reissue", "squashes"),
+    ("speculation", "loans / returns", "loans"),
+    ("speculation", "data pushes (gen. IQOLB)", "pushes_sent"),
+    ("speculation", "releases recognized", "releases_detected"),
+    ("LL/SC", "LL executed", "ll_ops"),
+    ("LL/SC", "SC attempts", "sc_attempts"),
+    ("LL/SC", "SC failures", "sc_fail"),
+    ("caches", "L1 hits", "l1_hits"),
+    ("caches", "L2 hits", "l2_hits"),
+    ("caches", "misses", "misses"),
+    ("caches", "L2 evictions", "l2_evictions"),
 ]
 
 
 def report_rows(result: RunResult) -> List[Tuple[str, str, int]]:
     """(section, label, value) rows, zero rows skipped."""
-    rows = []
-    for section, label, key, per_node in _LAYOUT:
-        value = result.stat(key) if per_node else result.stats.get(key, 0)
-        if value:
-            rows.append((section, label, value))
-    return rows
+    if "dir.transactions" in result.stats:
+        prefix, traffic = "dir", "directory traffic"
+    else:
+        prefix, traffic = "bus", "bus traffic"
+    rows = [
+        (traffic, label, result.stats.get(f"{prefix}.{suffix}", 0))
+        for label, suffix in _TRAFFIC
+    ]
+    rows += [
+        (section, label, result.stat(suffix))
+        for section, label, suffix in _LAYOUT
+    ]
+    return [row for row in rows if row[2]]
 
 
 def histogram_rows(result: RunResult) -> List[Tuple]:

@@ -53,6 +53,9 @@ from repro.interconnect.messages import (
 )
 from repro.mem.mainmemory import MainMemory
 
+#: Cycles a NACKed transaction waits before it is reissued (both fabrics).
+RETRY_DELAY = 20
+
 
 class ParkedSpinners:
     """The wake table for spinners parked on a line (both fabrics).
@@ -146,7 +149,6 @@ class AddressBus(ParkedSpinners):
         addr_latency: int = 12,
         issue_interval: int = 2,
         max_outstanding: int = 117,
-        retry_delay: int = 20,
     ) -> None:
         super().__init__()
         self.sim = sim
@@ -156,7 +158,6 @@ class AddressBus(ParkedSpinners):
         self.addr_latency = addr_latency
         self.issue_interval = issue_interval
         self.max_outstanding = max_outstanding
-        self.retry_delay = retry_delay
         self._clients: Dict[int, "BusClient"] = {}
         #: line -> bitmask of nodes that may hold state for it (bit n is
         #: node n); a clear bit means that node's snoop reply is empty
@@ -480,7 +481,7 @@ class AddressBus(ParkedSpinners):
             self._outstanding -= 1  # re-incremented at the next issue
         # The line block (keyed by this txn) is retained so parked
         # same-line transactions keep waiting behind us.
-        self.sim.schedule(self.retry_delay, self._requeue, txn)
+        self.sim.schedule(RETRY_DELAY, self._requeue, txn)
 
     def _requeue(self, txn: BusTransaction) -> None:
         self._queue.append(txn)

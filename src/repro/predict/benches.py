@@ -1,18 +1,12 @@
 """Signatures for the committed benchmark artifacts.
 
-The cached sweep artifacts under ``results/`` record each cell's
-*outcome* (cycles, bus transactions, counters) plus enough identity to
-key it (workload name, primitive, processor count) — but not the
-workload constructor parameters the cell ran with.  Those constants
-live in the bench scripts (``benchmarks/bench_*.py``).  This module is
-the bridge: for each artifact it knows the bench's constants, rebuilds
-the workload object, and extracts its
-:class:`~repro.harness.signature.WorkloadSignature` through the same
-``from_workload`` path the runner uses — so a predicted cell and a
-simulated cell are described by literally the same code.
-
-The constants here mirror the bench scripts; ``tests/test_predict_validate``
-cross-checks them against the artifacts' recorded identities.
+The sweep artifacts under ``results/`` record each cell's *outcome*
+(cycles, bus transactions, counters) next to its
+:class:`~repro.harness.signature.WorkloadSignature`, which the runner
+took from the live workload through ``from_workload`` when it ran the
+cell.  This module reads both back: a predicted cell and a simulated
+cell are described by literally the same record, and no bench's
+constants are copied here.
 """
 
 from __future__ import annotations
@@ -23,19 +17,9 @@ import json
 import pathlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.harness.config import SystemConfig
 from repro.harness.signature import WorkloadSignature
 
-__all__ = ["ObservedCell", "ARTIFACTS", "load_observed_cells"]
-
-# Bench constants, mirroring benchmarks/bench_directory_scaling.py and
-# benchmarks/bench_fig1_taxonomy.py.
-DIR_SCALING_ACQUIRES = 6
-DIR_SCALING_THINK = 60
-FIG1_LOCK_ACQUIRES = 20
-FIG1_LOCK_THINK = 80
-FIG1_RMW_INCREMENTS = 30
-FIG1_RMW_THINK = 40
+__all__ = ["ObservedCell", "ARTIFACTS", "load_observed_cells", "stored_signature"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,71 +36,27 @@ class ObservedCell:
         return self.observed_cycles / max(1, self.signature.total_ops)
 
 
-def _signature_of(workload: Any, fabric: str, n: int, primitive: str):
-    config = SystemConfig().with_(n_processors=n, interconnect=fabric)
-    return WorkloadSignature.from_workload(workload, config, primitive)
-
-
-def _dir_scaling_signature(cell: Dict[str, Any]) -> Optional[WorkloadSignature]:
-    from repro.workloads.micro import NullCriticalSection
-
-    fabric, primitive, n = cell["key"]
-    workload = NullCriticalSection(
-        lock_kind="tts",
-        acquires_per_proc=DIR_SCALING_ACQUIRES,
-        think_cycles=DIR_SCALING_THINK,
-    )
-    return _signature_of(workload, fabric, int(n), primitive)
-
-
-def _fig1_signature(cell: Dict[str, Any]) -> Optional[WorkloadSignature]:
-    from repro.workloads.micro import ContendedCounter, NullCriticalSection
-
-    primitive, shape = cell["key"]
-    n = int(cell["n_processors"])
-    if shape == "lock":
-        workload: Any = NullCriticalSection(
-            lock_kind="tts",
-            acquires_per_proc=FIG1_LOCK_ACQUIRES,
-            think_cycles=FIG1_LOCK_THINK,
-        )
-    else:
-        workload = ContendedCounter(
-            increments_per_proc=FIG1_RMW_INCREMENTS,
-            think_cycles=FIG1_RMW_THINK,
-        )
-    return _signature_of(workload, "bus", n, primitive)
-
-
-def _table3_signature(cell: Dict[str, Any]) -> Optional[WorkloadSignature]:
-    from repro.workloads.splash import APP_MODELS
-
-    app, label = cell["key"]
-    model = APP_MODELS[app]
-    primitive = cell.get("primitive") or ("tts" if label == "uni" else label)
-    return WorkloadSignature.from_app_model(
-        model,
-        primitive=primitive,
-        fabric="bus",
-        n_processors=int(cell["n_processors"]),
-    )
+def stored_signature(cell: Dict[str, Any]) -> Optional[WorkloadSignature]:
+    """The signature the runner stored with *cell* (``None`` if it has none)."""
+    data = cell["signature"]
+    return None if data is None else WorkloadSignature.from_dict(data)
 
 
 @dataclasses.dataclass(frozen=True)
 class ArtifactSpec:
     path: str
-    build_signature: Callable[[Dict[str, Any]], Optional[WorkloadSignature]]
+    build_signature: Callable[
+        [Dict[str, Any]], Optional[WorkloadSignature]
+    ] = stored_signature
 
 
-#: artifact name -> (committed path, cell-signature builder)
+#: artifact name -> (committed path, cell-signature reader)
 ARTIFACTS: Dict[str, ArtifactSpec] = {
     "directory_scaling": ArtifactSpec(
-        "results/BENCH_directory_scaling.summary.json", _dir_scaling_signature
+        "results/BENCH_directory_scaling.summary.json"
     ),
-    "fig1_taxonomy": ArtifactSpec(
-        "results/BENCH_fig1_taxonomy.json", _fig1_signature
-    ),
-    "table3": ArtifactSpec("results/BENCH_table3.json", _table3_signature),
+    "fig1_taxonomy": ArtifactSpec("results/BENCH_fig1_taxonomy.json"),
+    "table3": ArtifactSpec("results/BENCH_table3.json"),
 }
 
 
@@ -134,7 +74,8 @@ def load_observed_cells(
 
     Skips artifacts whose file is absent (e.g. a fresh checkout that has
     not regenerated optional sweeps) and cells whose workload the model
-    has no signature for.
+    has no signature for.  A cell written before artifacts carried
+    signatures raises, naming its artifact.
     """
     if artifacts is None:
         artifacts = ARTIFACTS
@@ -145,7 +86,13 @@ def load_observed_cells(
             continue
         payload = _read_json(path)
         for cell in payload.get("cells", []):
-            signature = spec.build_signature(cell)
+            try:
+                signature = spec.build_signature(cell)
+            except KeyError as missing:
+                raise ValueError(
+                    f"{name} ({spec.path}): cell {cell.get('key')} has no "
+                    f"{missing} field; regenerate the artifact"
+                ) from None
             if signature is None:
                 continue
             cells.append(

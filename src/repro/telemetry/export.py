@@ -23,6 +23,10 @@ SUMMARY_SCHEMA = "repro-metrics-summary/1"
 
 def _cell(key: Any, result: Any) -> Dict[str, Any]:
     manifest = getattr(result, "manifest", None)
+    manifest = manifest.to_dict() if manifest is not None else None
+    # The signature is the cell's own description, not provenance: lift
+    # it out of the manifest so the document holds it once.
+    signature = manifest.pop("signature", None) if manifest else None
     return {
         "key": list(key) if isinstance(key, (list, tuple)) else [str(key)],
         "workload": result.workload,
@@ -33,7 +37,8 @@ def _cell(key: Any, result: Any) -> Dict[str, Any]:
         "wall_time_s": result.wall_time_s,
         "counters": dict(result.stats),
         "histograms": dict(getattr(result, "histograms", {}) or {}),
-        "manifest": manifest.to_dict() if manifest is not None else None,
+        "signature": signature,
+        "manifest": manifest,
     }
 
 
@@ -72,9 +77,10 @@ def summary_payload(full: Dict[str, Any]) -> Dict[str, Any]:
     """The compact digest of a full metrics payload.
 
     Keeps the headline numbers (cycles, bus transactions, wall time,
-    provenance hash) per cell and drops the per-node counter and
-    histogram bodies — the review-able diff for version control, while
-    the full document travels as a gzipped sidecar.
+    provenance hash) and the workload signature per cell and drops the
+    per-node counter and histogram bodies — the review-able diff for
+    version control, while the full document travels as a gzipped
+    sidecar.
     """
     cells = []
     for cell in full["cells"]:
@@ -94,6 +100,7 @@ def summary_payload(full: Dict[str, Any]) -> Dict[str, Any]:
                 "n_counters": len(cell.get("counters") or {}),
                 "n_histograms": len(cell.get("histograms") or {}),
                 "config_hash": manifest.get("config_hash"),
+                "signature": cell.get("signature"),
             }
         )
     summary: Dict[str, Any] = {

@@ -1,10 +1,10 @@
 """Run manifests: the provenance record attached to every result.
 
 A :class:`RunManifest` answers "where did this number come from?" — the
-exact configuration hash, package version, workload seed, host, wall
-time, whether the result was simulated or served from the cache, and
-the simulator's self-metrics (events fired per host second, event-queue
-high-water mark).  The runner aggregates manifests into the
+exact configuration hash, package version, workload seed and signature,
+host, wall time, whether the result was simulated or served from the
+cache, and the simulator's self-metrics (events fired per host second,
+event-queue high-water mark).  The runner aggregates manifests into the
 ``metrics.json`` grid summary (:mod:`repro.telemetry.export`).
 
 This module also owns :func:`canonical` and :func:`stable_hash` — the
@@ -74,6 +74,9 @@ class RunManifest:
     config_hash: str
     version: str
     seed: Optional[int] = None
+    #: the run's :class:`~repro.harness.signature.WorkloadSignature` as a
+    #: dict, or ``None`` where the model has no closed form for it
+    signature: Optional[Dict[str, Any]] = None
     wall_time_s: float = 0.0
     cache_hit: bool = False
     events_fired: int = 0
@@ -100,6 +103,7 @@ class RunManifest:
         config: Any,
         version: str,
         seed: Optional[int] = None,
+        signature: Optional[Dict[str, Any]] = None,
         wall_time_s: float = 0.0,
         events_fired: int = 0,
         events_skipped: int = 0,
@@ -111,6 +115,7 @@ class RunManifest:
             config_hash=stable_hash(config),
             version=version,
             seed=seed,
+            signature=signature,
             wall_time_s=wall_time_s,
             cache_hit=False,
             events_fired=events_fired,

@@ -14,6 +14,8 @@ import pathlib
 
 import pytest
 
+from repro.harness.config import SystemConfig
+from repro.harness.experiment import run_workload
 from repro.predict import (
     check_gates,
     fit_from_artifacts,
@@ -24,8 +26,15 @@ from repro.predict import (
     validate_artifacts,
     write_report,
 )
+from repro.predict.benches import ARTIFACTS, stored_signature
 from repro.predict.validate import SCHEMA
-from repro.telemetry import SchemaError, infer_schema_path, validate_file
+from repro.telemetry import (
+    SchemaError,
+    infer_schema_path,
+    validate_file,
+    write_metrics_archive,
+)
+from repro.workloads.micro import NullCriticalSection
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA_PATH = ROOT / "tests" / "schemas" / "predict_error.schema.json"
@@ -47,30 +56,58 @@ def params():
 
 
 class TestObservedCells:
-    def test_registry_matches_artifact_identities(self):
-        """The bench constants baked into the registry must agree with
-        what the artifacts say each cell ran."""
-        cells = load_observed_cells(ROOT)
-        assert len(cells) >= 50
-        for cell in cells:
-            sig = cell.signature
-            assert sig.n_processors >= 1
-            assert cell.observed_cycles > 0
-            if cell.artifact == "directory_scaling":
-                fabric, primitive, n = cell.key
-                assert sig.fabric == fabric
-                assert sig.primitive == primitive
-                assert sig.n_processors == n
-                assert sig.workload == "null-cs"
-            elif cell.artifact == "fig1_taxonomy":
-                primitive, shape = cell.key
-                assert sig.primitive == primitive
-                assert sig.kind == ("rmw" if shape == "rmw" else "lock")
-                assert sig.n_processors == 16
-            else:
-                app, _label = cell.key
-                assert sig.workload == app
-                assert sig.kind == "app"
+    def test_stored_signatures_match_cell_identities(self):
+        """Every committed cell carries a signature, and it describes
+        the cell it sits in: primitive, processors, workload and key."""
+        for name, spec in ARTIFACTS.items():
+            cells = json.loads((ROOT / spec.path).read_text())["cells"]
+            assert cells, name
+            for cell in cells:
+                sig = stored_signature(cell)
+                assert sig is not None, (name, cell["key"])
+                assert sig.primitive == cell["primitive"]
+                assert sig.n_processors == cell["n_processors"]
+                assert sig.workload == cell["workload"]
+                if name == "directory_scaling":
+                    assert [sig.fabric, sig.primitive, sig.n_processors] == (
+                        cell["key"]
+                    )
+                elif name == "fig1_taxonomy":
+                    primitive, shape = cell["key"]
+                    assert (sig.primitive, sig.kind) == (primitive, shape)
+                else:
+                    app, label = cell["key"]
+                    assert (sig.workload, sig.kind) == (app, "app")
+                    if label == "uni":
+                        assert sig.n_processors == 1
+                    else:
+                        assert sig.primitive == label
+        assert len(load_observed_cells(ROOT)) == 54
+
+    def test_signature_round_trips_through_an_archive(self, tmp_path):
+        """A cell's signature comes from the cell itself, not from
+        constants copied out of its bench."""
+        workload = NullCriticalSection(acquires_per_proc=3, think_cycles=17)
+        config = SystemConfig(n_processors=2, interconnect="directory")
+        result = run_workload(workload, config, primitive="iqolb")
+        results = tmp_path / "results"
+        results.mkdir()
+        write_metrics_archive(
+            results / "BENCH_directory_scaling.json",
+            {("directory", "iqolb", 2): result},
+        )
+        artifacts = {"directory_scaling": ARTIFACTS["directory_scaling"]}
+        (cell,) = load_observed_cells(tmp_path, artifacts)
+        sig = cell.signature
+        assert (sig.total_ops, sig.local_compute) == (6, 17)
+        assert cell.observed_cycles == result.cycles
+
+    def test_cell_without_signature_names_its_artifact(self, tmp_path):
+        path = tmp_path / ARTIFACTS["table3"].path
+        path.parent.mkdir()
+        path.write_text(json.dumps({"cells": [{"key": ["barnes", "uni"]}]}))
+        with pytest.raises(ValueError, match="table3"):
+            load_observed_cells(tmp_path)
 
 
 class TestGates:
@@ -124,7 +161,7 @@ class TestArtifact:
         if not committed_path.exists():
             pytest.skip("error artifact not committed yet")
         committed = json.loads(committed_path.read_text())
-        assert committed["summary"] == report.payload()["summary"]
+        assert committed == report.payload()
 
 
 class TestCalibration:

@@ -7,6 +7,7 @@
 """
 
 from conftest import build_system, run_programs
+from repro.core.iqolb import PROTECTED_CAPACITY
 from repro.cpu.ops import LL, SC, Compute, Read, Write
 from repro.sync import TTSLock, fetch_and_add
 
@@ -125,9 +126,13 @@ class TestGeneralizedIqolb:
 
     def test_learned_set_is_bounded(self):
         """Only the most recent protected lines are forwarded."""
-        system = build_system(2, "iqolb+gen")
-        policy = system.controllers[0].policy
-        assert policy.protected_capacity == 4
+        system = generalized_run("iqolb+gen", data_lines=PROTECTED_CAPACITY + 2)
+        learned = [
+            len(lines)
+            for controller in system.controllers
+            for lines in controller.policy._protected.values()
+        ]
+        assert max(learned) == PROTECTED_CAPACITY == 4
 
     def test_fetchphi_traffic_unaffected(self):
         system = build_system(4, "iqolb+gen")

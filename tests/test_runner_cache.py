@@ -104,6 +104,8 @@ class TestCache:
             assert hit == miss
             assert hit.stats == miss.stats
             assert hit.wall_time_s == miss.wall_time_s
+            assert hit.manifest.signature == miss.manifest.signature
+            assert hit.manifest.signature["primitive"] == key[0]
 
     def test_key_changes_with_config_field(self):
         cache = ResultCache()

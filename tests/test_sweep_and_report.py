@@ -46,21 +46,27 @@ class TestSweep:
 
 
 class TestReport:
-    def _result(self, primitive="iqolb"):
+    def _result(self, primitive="iqolb", interconnect="bus"):
         return run_workload(
             NullCriticalSection(
                 lock_kind=get_primitive(primitive).lock_kind, acquires_per_proc=6
             ),
-            SystemConfig(n_processors=4),
+            SystemConfig(n_processors=4, interconnect=interconnect),
             primitive=primitive,
         )
 
-    def test_rows_skip_zero_metrics(self):
-        result = self._result("tts")
+    @pytest.mark.parametrize("interconnect", ["bus", "directory"])
+    def test_rows_skip_zero_metrics(self, interconnect):
+        result = self._result("tts", interconnect)
         rows = report_rows(result)
-        labels = [label for _, label, _ in rows]
-        assert "total transactions" in labels
-        assert "data pushes (gen. IQOLB)" not in labels  # zero for tts
+        values = {label: value for _, label, value in rows}
+        assert values["total transactions"] == result.bus_transactions
+        assert values["GetS (read shared)"] > 0
+        assert "data pushes (gen. IQOLB)" not in values  # zero for tts
+        if interconnect == "directory":
+            assert values["memory supplies"] == result.stats[
+                "dir.memory_supplies"
+            ]
 
     def test_iqolb_report_shows_speculation(self):
         text = render_report(self._result("iqolb"))

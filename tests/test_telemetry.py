@@ -232,6 +232,8 @@ class TestRunManifest:
         assert manifest.events_per_host_s > 0
         assert len(manifest.config_hash) == 64
         assert manifest.host.get("python")
+        cell = app_cell("barnes", "iqolb", 4)
+        assert manifest.signature == cell.signature().to_dict()
 
     def test_config_hash_tracks_config(self):
         a = execute_cell(app_cell("barnes", "iqolb", 2)).manifest
@@ -303,6 +305,8 @@ class TestMetricsExport:
         (cell,) = summary["cells"]
         assert cell["cycles"] == full["cells"][0]["cycles"]
         assert cell["config_hash"] == full["cells"][0]["manifest"]["config_hash"]
+        assert cell["signature"] == full["cells"][0]["signature"]
+        assert cell["signature"]["workload"] == "barnes"
         assert "counters" not in cell and "histograms" not in cell
 
         # Identical content must produce a byte-identical archive
