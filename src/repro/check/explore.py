@@ -74,7 +74,7 @@ from repro.check.scenarios import (
     install_mutation,
     scenario_names,
 )
-from repro.core.registry import get_primitive, unknown_choice
+from repro.core.registry import get_primitive, policy_class, unknown_choice
 from repro.engine.simulator import SimulationError
 from repro.telemetry.tracer import TraceDispatcher
 
@@ -339,10 +339,10 @@ def run_once(
     install_mutation(spec.mutation, system, built.workload)
 
     primitive = get_primitive(spec.primitive)
-    policy = primitive.policy
-    retention = policy.endswith("+retention") or policy == "qolb"
     handoff_oracle = HandoffOracle(
-        system, built.workload.handoff_lines(system), fifo=retention
+        system,
+        built.workload.handoff_lines(system),
+        fifo=policy_class(primitive.policy).fifo_handoff,
     )
     copies = CoherentCopies(system, built.tracked_lines)
     oracles: List[Oracle] = [

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.registry import PrimitiveSpec
+from repro.core.registry import PrimitiveSpec, policy_class
 from repro.mem.line import CacheLine, State
 from repro.telemetry.events import TelemetryEvent
 
@@ -38,21 +38,6 @@ OUTCOME_BUDGET = "budget"
 
 #: telemetry kinds that mean "this node regained ownership of the line"
 _REGAIN_KINDS = frozenset({"fill", "push_recv", "loan_back"})
-
-#: policies whose hand-off latency is bounded (timeout or explicit
-#: queue), so a runaway run is a liveness violation rather than the
-#: genuine livelock the paper ascribes to the aggressive baseline.
-BOUNDED_POLICIES = frozenset(
-    {
-        "delayed",
-        "delayed+retention",
-        "iqolb",
-        "iqolb+retention",
-        "iqolb+gen",
-        "adaptive",
-        "qolb",
-    }
-)
 
 
 class Violation(Exception):
@@ -350,8 +335,9 @@ class HandoffOracle(Oracle):
       expectation that a hand-off follows; releasing *again* with the
       expectation still armed, or ending the run with it armed, is the
       "exactly once" lower bound — the hand-off never happened;
-    * with queue retention, the transfer target must be the queue head —
-      FIFO hand-off order (paper 4.2's request-order guarantee).
+    * with ``fifo`` (policies declaring ``fifo_handoff``: the retention
+      variants and QOLB), the transfer target must be the queue head —
+      paper 4.2's request-order guarantee.
     """
 
     name = "handoff"
@@ -456,15 +442,16 @@ class HandoffOracle(Oracle):
 class ProgressOracle(Oracle):
     """Liveness under the paper's timeout bound.
 
-    For policies with bounded hand-off (timeout-based delayed/IQOLB
-    variants and explicit QOLB), hitting the kernel's runaway guard means
-    some waiter starved: a liveness violation.  The same holds for the
-    software queue locks (taxonomy ``swqueue``) whatever policy they run
-    on: their hand-off is a plain store, so a waiter that never gets the
-    lock has lost its wake-up.  For the baseline and aggressive policies
-    under LL/SC spinning, livelock is a *documented phenomenon* (the
-    paper's Figure 2 motivation), so a runaway is recorded as
-    inconclusive rather than flagged.
+    For policies that declare ``promises_progress`` (the timeout-based
+    delayed/IQOLB variants, adaptive and explicit QOLB), hitting the
+    kernel's runaway guard means some waiter starved: a liveness
+    violation.  The same holds for the software queue locks (taxonomy
+    ``swqueue``) whatever policy they run on: their hand-off is a plain
+    store, so a waiter that never gets the lock has lost its wake-up.
+    For the baseline and aggressive policies under LL/SC spinning,
+    livelock is a *documented phenomenon* (the paper's Figure 2
+    motivation), so a runaway is recorded as inconclusive rather than
+    flagged.
     """
 
     name = "progress"
@@ -472,7 +459,7 @@ class ProgressOracle(Oracle):
     def __init__(self, spec: PrimitiveSpec) -> None:
         #: who promises the bounded hand-off, or None when nobody does
         self.promisor: Optional[str] = None
-        if spec.policy in BOUNDED_POLICIES:
+        if policy_class(spec.policy).promises_progress:
             self.promisor = f"policy {spec.policy}"
         elif spec.taxonomy == "swqueue":
             self.promisor = f"software queue lock {spec.name}"

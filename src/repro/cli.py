@@ -6,9 +6,8 @@ Gives the paper's experiments a front door::
     python -m repro table2                # benchmark models
     python -m repro table3 -p 16 raytrace # (a slice of) Table 3
     python -m repro figure 4              # sequence diagram of Fig. 2/3/4
-    python -m repro run raytrace --primitive iqolb -p 16
+    python -m repro run raytrace --primitive iqolb -p 16  # report + manifest
     python -m repro trace fig4 --out run.trace.json   # Perfetto-loadable
-    python -m repro stats raytrace -p 16  # latency percentiles + manifest
     python -m repro validate run.trace.json --schema tests/schemas/...
     python -m repro fairness --primitive tts iqolb qolb
     python -m repro policies              # list protocol policies
@@ -111,20 +110,34 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.harness.report import render_report
+    from repro.harness.signature import WorkloadSignature
 
-    cell = app_cell(args.app, args.primitive, args.processors, args.interconnect)
-    result = execute_cell(cell)
+    result = execute_cell(
+        app_cell(args.app, args.primitive, args.processors, args.interconnect)
+    )
     print(render_report(result))
-    signature = cell.signature()
-    if signature is not None:
-        # the same description `repro predict` models — see docs/prediction.md
-        print(
-            f"signature: {signature.kind} {signature.workload} on "
-            f"{signature.fabric}, {signature.n_processors}p, "
-            f"{signature.total_ops} ops over {signature.n_locks} lock(s), "
-            f"cs={signature.cs_accesses}+{signature.cs_compute}c, "
-            f"local={signature.local_compute}c"
-        )
+    manifest = result.manifest
+    if manifest is not None:
+        print()
+        print("manifest:")
+        print(f"  config hash: {manifest.config_hash[:16]}…")
+        print(f"  version: {manifest.version}")
+        print(f"  events fired: {manifest.events_fired}")
+        print(f"  events skipped: {manifest.events_skipped}")
+        print(f"  events/host-s: {manifest.events_per_host_s:,.0f}")
+        print(f"  queue high water: {manifest.queue_high_water}")
+        print(f"  wall time: {manifest.wall_time_s:.3f}s")
+        if manifest.signature is not None:
+            # the same description `repro predict` models — see
+            # docs/prediction.md
+            sig = WorkloadSignature.from_dict(manifest.signature)
+            print(
+                f"  signature: {sig.kind} {sig.workload} on {sig.fabric}, "
+                f"{sig.n_processors}p, {sig.total_ops} ops over "
+                f"{sig.n_locks} lock(s), "
+                f"cs={sig.cs_accesses}+{sig.cs_compute}c, "
+                f"local={sig.local_compute}c"
+            )
     if args.metrics_out:
         write_metrics(args.metrics_out, [result])
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
@@ -164,44 +177,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"wrote {events} events to {args.out} ({args.format})",
         file=sys.stderr,
     )
-    return 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.harness.report import histogram_rows
-
-    result = execute_cell(
-        app_cell(args.app, args.primitive, args.processors, args.interconnect)
-    )
-    rows = histogram_rows(result)
-    if rows:
-        print(
-            render_table(
-                ["histogram", "n", "min", "mean", "p50", "p90", "p99", "max"],
-                rows,
-                title=(
-                    f"{args.app} on {args.primitive}, "
-                    f"{args.processors} processors — latency distributions "
-                    f"(cycles)"
-                ),
-            )
-        )
-    else:
-        print("no histogram samples recorded")
-    manifest = result.manifest
-    if manifest is not None:
-        print()
-        print("manifest:")
-        print(f"  config hash: {manifest.config_hash[:16]}…")
-        print(f"  version: {manifest.version}")
-        print(f"  events fired: {manifest.events_fired}")
-        print(f"  events skipped: {manifest.events_skipped}")
-        print(f"  events/host-s: {manifest.events_per_host_s:,.0f}")
-        print(f"  queue high water: {manifest.queue_high_water}")
-        print(f"  wall time: {manifest.wall_time_s:.3f}s")
-    if args.metrics_out:
-        write_metrics(args.metrics_out, [result])
-        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     return 0
 
 
@@ -624,7 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("figure", help="render a sequence figure (2, 3 or 4)")
     pf.add_argument("number", type=int, choices=(2, 3, 4))
 
-    pr = sub.add_parser("run", help="run one benchmark on one primitive")
+    pr = sub.add_parser(
+        "run", help="report, latency percentiles and manifest for one run"
+    )
     pr.add_argument("app", choices=APP_ORDER)
     pr.add_argument("--primitive", default="iqolb", choices=sorted(PRIMITIVE_SPECS))
     pr.add_argument("-p", "--processors", type=_processor_count, default=32)
@@ -652,18 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--interconnect", default="bus",
                     choices=interconnect_names(),
                     help="coherence fabric for benchmark scenarios")
-
-    ps = sub.add_parser(
-        "stats", help="latency percentiles and run manifest for one run"
-    )
-    ps.add_argument("app", choices=APP_ORDER)
-    ps.add_argument("--primitive", default="iqolb", choices=sorted(PRIMITIVE_SPECS))
-    ps.add_argument("-p", "--processors", type=_processor_count, default=32)
-    ps.add_argument("--interconnect", default="bus",
-                    choices=interconnect_names(),
-                    help="coherence fabric (default: bus)")
-    ps.add_argument("--metrics-out", metavar="PATH",
-                    help="also write counters/histograms/manifest as JSON")
 
     pv = sub.add_parser(
         "validate", help="validate a telemetry artifact against a JSON schema"
@@ -800,7 +765,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figure": _cmd_figure,
         "run": _cmd_run,
         "trace": _cmd_trace,
-        "stats": _cmd_stats,
         "validate": _cmd_validate,
         "predict": _cmd_predict,
         "fairness": _cmd_fairness,

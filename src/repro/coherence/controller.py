@@ -143,7 +143,7 @@ class CacheController(BusClient):
         self.tracer: Optional[Callable[..., None]] = None
         self._prefix = f"ctrl{node_id}"
         #: metric name -> Counter, so hot-path _count calls skip the
-        #: f-string build and registry probe after the first occurrence
+        #: f-string build and registry lookup after the first occurrence
         self._counters: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------

@@ -9,8 +9,12 @@ from repro.core.baseline import (
     AggressiveBaselinePolicy,
     BaselinePolicy,
 )
-from repro.core.delayed import DelayedResponsePolicy
-from repro.core.iqolb import IqolbPolicy
+from repro.core.delayed import DelayedResponsePolicy, DelayedRetentionPolicy
+from repro.core.iqolb import (
+    GeneralizedIqolbPolicy,
+    IqolbPolicy,
+    IqolbRetentionPolicy,
+)
 from repro.core.policy import SUPPLY_NOW, DeferDecision, ProtocolPolicy
 from repro.core.predictor import HeldLock, HeldLockTable, LockPredictor
 from repro.core.qolb import QolbPolicy
@@ -19,6 +23,7 @@ from repro.core.registry import (
     PrimitiveSpec,
     get_primitive,
     make_policy,
+    policy_class,
     policy_names,
     primitive_names,
     unknown_choice,
@@ -30,9 +35,12 @@ __all__ = [
     "BaselinePolicy",
     "DeferDecision",
     "DelayedResponsePolicy",
+    "DelayedRetentionPolicy",
+    "GeneralizedIqolbPolicy",
     "HeldLock",
     "HeldLockTable",
     "IqolbPolicy",
+    "IqolbRetentionPolicy",
     "LockPredictor",
     "PRIMITIVE_SPECS",
     "PrimitiveSpec",
@@ -41,6 +49,7 @@ __all__ = [
     "SUPPLY_NOW",
     "get_primitive",
     "make_policy",
+    "policy_class",
     "policy_names",
     "primitive_names",
     "unknown_choice",

@@ -51,6 +51,8 @@ class AdaptiveBaselinePolicy(ProtocolPolicy):
     """
 
     name = "adaptive"
+    #: the fallback after one failed RFO rules out livelock
+    promises_progress = True
 
     def __init__(self) -> None:
         super().__init__()

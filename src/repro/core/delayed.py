@@ -8,9 +8,10 @@ releases) are always served promptly; that priority split is exactly what
 the paper introduces to fix lock hand-off latency.
 
 The deferred LPRFOs observed on the broadcast bus form the distributed
-queue; with ``queue_retention=False`` a regular RFO breaks the queue down
-(waiters squash and reissue), with ``queue_retention=True`` the owner
-loans the line out and gets it back after the write.
+queue; under :class:`DelayedResponsePolicy` a regular RFO breaks the
+queue down (waiters squash and reissue), under
+:class:`DelayedRetentionPolicy` the owner loans the line out and gets it
+back after the write.
 """
 
 from __future__ import annotations
@@ -22,26 +23,21 @@ from repro.cpu.ops import Op
 from repro.interconnect.messages import BusOp, BusTransaction
 from repro.mem.line import CacheLine
 
-#: Deferral bound.  Architectural specs insist on few instructions between
-#: LL and SC, so the SC nearly always completes well before this fires.
-DEFAULT_TIMEOUT = 1_000
-
 
 class DelayedResponsePolicy(ProtocolPolicy):
     """Aggressive baseline + delayed responses using LPRFO."""
 
     name = "delayed"
+    promises_progress = True
+    #: Deferral bound.  Architectural specs insist on few instructions
+    #: between LL and SC, so the SC nearly always completes well before
+    #: this fires.
+    timeout_cycles: Optional[int] = 1_000
 
-    def __init__(
-        self,
-        timeout_cycles: int = DEFAULT_TIMEOUT,
-        queue_retention: bool = False,
-    ) -> None:
+    def __init__(self, timeout_cycles: Optional[int] = None) -> None:
         super().__init__()
-        self.timeout_cycles: Optional[int] = timeout_cycles
-        self.queue_retention = queue_retention
-        if queue_retention:
-            self.name = "delayed+retention"
+        if timeout_cycles is not None:
+            self.timeout_cycles = timeout_cycles
 
     def ll_miss_op(self, op: Op) -> BusOp:
         return BusOp.LPRFO
@@ -60,6 +56,10 @@ class DelayedResponsePolicy(ProtocolPolicy):
             return DeferDecision(defer=True, tearoff=False)
         return SUPPLY_NOW
 
-    def on_sc_success(self, addr: int, pc: int) -> bool:
-        # The read-modify-write is done: forward the queue now.
-        return True
+
+class DelayedRetentionPolicy(DelayedResponsePolicy):
+    """Delayed response whose queue survives regular RFOs (paper §3.2)."""
+
+    name = "delayed+retention"
+    queue_retention = True
+    fifo_handoff = True

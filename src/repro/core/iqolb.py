@@ -28,15 +28,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.policy import SUPPLY_NOW, DeferDecision, ProtocolPolicy
+from repro.core.delayed import DelayedResponsePolicy
+from repro.core.policy import SUPPLY_NOW, DeferDecision
 from repro.core.predictor import HeldLockTable, LockPredictor
-from repro.cpu.ops import Op
-from repro.interconnect.messages import BusOp, BusTransaction
+from repro.interconnect.messages import BusTransaction
 from repro.mem.line import CacheLine
-
-#: Deferral bound while a lock is held: must comfortably cover the small,
-#: lowest-level critical sections the speculation targets.
-DEFAULT_LOCK_TIMEOUT = 5_000
 
 #: Entries in each node's held-lock table.
 HELD_CAPACITY = 8
@@ -45,43 +41,22 @@ HELD_CAPACITY = 8
 PROTECTED_CAPACITY = 4
 
 
-class IqolbPolicy(ProtocolPolicy):
+class IqolbPolicy(DelayedResponsePolicy):
     """Delayed response + speculation on LL/SC use (Implicit QOLB)."""
 
     name = "iqolb"
+    #: Deferral bound while a lock is held: must comfortably cover the
+    #: small, lowest-level critical sections the speculation targets.
+    timeout_cycles: Optional[int] = 5_000
 
-    def __init__(
-        self,
-        timeout_cycles: int = DEFAULT_LOCK_TIMEOUT,
-        queue_retention: bool = False,
-        generalized: bool = False,
-    ) -> None:
-        super().__init__()
-        self.timeout_cycles: Optional[int] = timeout_cycles
-        self.queue_retention = queue_retention
-        if queue_retention:
-            self.name = "iqolb+retention"
-        #: Generalized IQOLB (paper 6): learn which data lines each
-        #: critical section writes and forward them with the lock.
-        self.generalized = generalized
-        if generalized:
-            self.name = "iqolb+gen"
-        #: learned lock-word -> recently written data lines (insertion order)
-        self._protected: dict = {}
-        #: set during a release so the controller can ask what to push
-        self._releasing_word: Optional[int] = None
+    def __init__(self, timeout_cycles: Optional[int] = None) -> None:
+        super().__init__(timeout_cycles)
         self.predictor = LockPredictor()
         self.held: Optional[HeldLockTable] = None  # built at bind (needs amap)
 
     def bind(self, ctrl) -> None:  # type: ignore[override]
         super().bind(ctrl)
         self.held = HeldLockTable(ctrl.amap, capacity=HELD_CAPACITY)
-
-    # ------------------------------------------------------------------
-    # Request side
-    # ------------------------------------------------------------------
-    def ll_miss_op(self, op: Op) -> BusOp:
-        return BusOp.LPRFO
 
     # ------------------------------------------------------------------
     # Snoop side
@@ -163,10 +138,7 @@ class IqolbPolicy(ProtocolPolicy):
         assert self.held is not None and self.ctrl is not None
         entry = self.held.release(addr)
         if entry is None:
-            if self.generalized:
-                self._record_protected_store(addr)
             return False
-        self._releasing_word = entry.addr
         # A store to a previously RMW-ed address: this is a lock release.
         if entry.timed_out:
             # The speculative hold expired before this release arrived; it
@@ -178,6 +150,47 @@ class IqolbPolicy(ProtocolPolicy):
         else:
             self.predictor.train_lock(entry.pc)
         return True
+
+    def on_timeout(self, line_addr: int) -> None:
+        # A timeout fired while we held a lock in this line: the critical
+        # section outlived the deferral bound — count it against the
+        # predictor entry that put us here (the pathological-case detector
+        # of paper §3.4).
+        assert self.held is not None
+        entry = self.held.lookup_line(line_addr)
+        if entry is not None:
+            entry.timed_out = True
+            self.predictor.record_misprediction(entry.pc)
+
+
+class IqolbRetentionPolicy(IqolbPolicy):
+    """IQOLB whose queue survives regular RFOs (paper §3.3)."""
+
+    name = "iqolb+retention"
+    queue_retention = True
+    fifo_handoff = True
+
+
+class GeneralizedIqolbPolicy(IqolbPolicy):
+    """Generalized IQOLB (paper §6): learn which data lines each critical
+    section writes and forward them with the lock."""
+
+    name = "iqolb+gen"
+
+    def __init__(self, timeout_cycles: Optional[int] = None) -> None:
+        super().__init__(timeout_cycles)
+        #: learned lock-word -> recently written data lines (insertion order)
+        self._protected: dict = {}
+        #: set during a release so the controller can ask what to push
+        self._releasing_word: Optional[int] = None
+
+    def on_store_complete(self, addr: int, pc: int) -> bool:
+        released = super().on_store_complete(addr, pc)
+        if released:
+            self._releasing_word = addr
+        else:
+            self._record_protected_store(addr)
+        return released
 
     def _record_protected_store(self, addr: int) -> None:
         """Associate a CS store with the most recently acquired lock."""
@@ -197,21 +210,10 @@ class IqolbPolicy(ProtocolPolicy):
             del lines[oldest]
 
     def protected_lines(self, lock_line: int) -> list:
-        if not self.generalized or self._releasing_word is None:
+        if self._releasing_word is None:
             return []
         assert self.ctrl is not None
         if self.ctrl.amap.line_addr(self._releasing_word) != lock_line:
             return []
         lines = self._protected.get(self._releasing_word, {})
         return list(lines)
-
-    def on_timeout(self, line_addr: int) -> None:
-        # A timeout fired while we held a lock in this line: the critical
-        # section outlived the deferral bound — count it against the
-        # predictor entry that put us here (the pathological-case detector
-        # of paper §3.4).
-        assert self.held is not None
-        entry = self.held.lookup_line(line_addr)
-        if entry is not None:
-            entry.timed_out = True
-            self.predictor.record_misprediction(entry.pc)

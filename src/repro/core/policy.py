@@ -47,12 +47,21 @@ class ProtocolPolicy:
     nothing is ever deferred.
     """
 
-    #: identifier used in configs, stats and reports
+    # Each registered variant declares what it is as class attributes,
+    # so the registry, the system builder and the checker read them off
+    # the class without building an instance.
+
+    #: identifier used in configs, stats and reports (the registry key)
     name = "base"
     #: preserve the distributed queue across regular RFOs? (paper §3.2/3.3)
     queue_retention = False
-    #: maximum deferral before the timeout forwards the line (None = never
-    #: defer, so no timer is needed)
+    #: queued waiters receive the line in request order (paper §4.2)
+    fifo_handoff = False
+    #: hand-off latency is bounded (a timeout or an explicit queue), so a
+    #: run that never finishes is a bug rather than LL/SC livelock
+    promises_progress = False
+    #: default bound on a deferral before the timeout forwards the line
+    #: (None = never defers, so no timer is needed and none can be set)
     timeout_cycles: Optional[int] = None
 
     def __init__(self) -> None:

@@ -30,6 +30,9 @@ class QolbPolicy(ProtocolPolicy):
     """Hardware queue-based locking with explicit enqueue/dequeue."""
 
     name = "qolb"
+    #: the explicit queue hands the lock over in EnQOLB order
+    fifo_handoff = True
+    promises_progress = True
     #: QOLB needs no speculative timer: releases are explicit.  (Evictions
     #: still hand the line to the successor, as for every scheme.)
     timeout_cycles: Optional[int] = None

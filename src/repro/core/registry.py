@@ -30,15 +30,19 @@ Interconnects select the coherence fabric the ladder runs on::
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Tuple, Type
 
 from repro.core.baseline import (
     AdaptiveBaselinePolicy,
     AggressiveBaselinePolicy,
     BaselinePolicy,
 )
-from repro.core.delayed import DelayedResponsePolicy
-from repro.core.iqolb import IqolbPolicy
+from repro.core.delayed import DelayedResponsePolicy, DelayedRetentionPolicy
+from repro.core.iqolb import (
+    GeneralizedIqolbPolicy,
+    IqolbPolicy,
+    IqolbRetentionPolicy,
+)
 from repro.core.policy import ProtocolPolicy
 from repro.core.qolb import QolbPolicy
 
@@ -56,32 +60,42 @@ def unknown_choice(kind: str, value: Any, known: Iterable[str]) -> ValueError:
     )
 
 
-_FACTORIES: Dict[str, Callable[..., ProtocolPolicy]] = {
-    "baseline": BaselinePolicy,
-    "aggressive": AggressiveBaselinePolicy,
-    "delayed": lambda **kw: DelayedResponsePolicy(queue_retention=False, **kw),
-    "delayed+retention": lambda **kw: DelayedResponsePolicy(
-        queue_retention=True, **kw
-    ),
-    "iqolb": lambda **kw: IqolbPolicy(queue_retention=False, **kw),
-    "iqolb+retention": lambda **kw: IqolbPolicy(queue_retention=True, **kw),
-    "iqolb+gen": lambda **kw: IqolbPolicy(generalized=True, **kw),
-    "adaptive": AdaptiveBaselinePolicy,
-    "qolb": QolbPolicy,
+#: policy name -> class, in taxonomy order.  Each class declares its
+#: own name and protocol properties (retention, hand-off order, progress
+#: promise, default timeout) as class attributes.
+POLICIES: Dict[str, Type[ProtocolPolicy]] = {
+    cls.name: cls
+    for cls in (
+        BaselinePolicy,
+        AggressiveBaselinePolicy,
+        DelayedResponsePolicy,
+        DelayedRetentionPolicy,
+        IqolbPolicy,
+        IqolbRetentionPolicy,
+        GeneralizedIqolbPolicy,
+        AdaptiveBaselinePolicy,
+        QolbPolicy,
+    )
 }
 
 
 def policy_names() -> List[str]:
     """All registered policy names, in taxonomy order."""
-    return list(_FACTORIES)
+    return list(POLICIES)
+
+
+def policy_class(name: str) -> Type[ProtocolPolicy]:
+    """The registered policy class; read its properties without
+    building an instance.  Rejection lists the valid choices."""
+    cls = POLICIES.get(name)
+    if cls is None:
+        raise unknown_choice("policy", name, POLICIES)
+    return cls
 
 
 def make_policy(name: str, **kwargs: Any) -> ProtocolPolicy:
     """Instantiate a fresh policy (one instance per controller)."""
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise unknown_choice("policy", name, _FACTORIES)
-    return factory(**kwargs)
+    return policy_class(name)(**kwargs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,7 +103,7 @@ class PrimitiveSpec:
     """One registered synchronization primitive.
 
     ``policy``
-        Protocol policy name (a :func:`make_policy` choice).
+        Protocol policy name (a :data:`POLICIES` key).
     ``lock_kind``
         Software lock the workloads instantiate (a
         :data:`repro.workloads.base.LOCK_KINDS` choice).
@@ -183,7 +197,6 @@ def make_interconnect(
     sim: "Simulator",
     stats: "StatsRegistry",
     memory: "MainMemory",
-    queue_retention: bool = False,
 ) -> Tuple[Any, Any]:
     """Build the configured coherence fabric.
 
@@ -193,9 +206,9 @@ def make_interconnect(
     on (Crossbar or MeshNetwork).  Both pairs expose the same
     controller-facing surface, so :class:`CacheController` is agnostic.
 
-    ``queue_retention`` mirrors the policy variant's protocol property
-    into the directory, which must know whether a supplied RFO dissolves
-    the waiter queue (paper §3.3's breakdown-vs-retention split).
+    The directory must know whether a supplied RFO dissolves the waiter
+    queue (paper §3.3's breakdown-vs-retention split); it reads that off
+    the ``queue_retention`` the configured policy class declares.
     """
     if cfg.interconnect == "bus":
         from repro.interconnect.bus import AddressBus
@@ -236,7 +249,7 @@ def make_interconnect(
             network,
             n_nodes=cfg.n_processors,
             lookup_cycles=cfg.dir_lookup_cycles,
-            queue_retention=queue_retention,
+            queue_retention=policy_class(cfg.policy).queue_retention,
         )
         return directory, network
     raise unknown_choice("interconnect", cfg.interconnect, INTERCONNECTS)

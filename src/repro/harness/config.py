@@ -68,14 +68,14 @@ class SystemConfig:
     def policy_kwargs(self) -> Dict[str, Any]:
         """Keyword arguments forwarded to the policy factory.
 
-        ``timeout_cycles`` goes to every policy that has a timeout of
-        its own (a default that is not ``None``).
+        ``timeout_cycles`` goes to every policy class that declares a
+        timeout of its own (a default that is not ``None``).
         """
-        from repro.core.registry import make_policy
+        from repro.core.registry import policy_class
 
         if (
             self.timeout_cycles is None
-            or make_policy(self.policy).timeout_cycles is None
+            or policy_class(self.policy).timeout_cycles is None
         ):
             return {}
         return {"timeout_cycles": self.timeout_cycles}

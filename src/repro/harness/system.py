@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.coherence.controller import CacheController
-from repro.core.registry import make_interconnect, make_policy
+from repro.core.registry import make_interconnect, policy_class
 from repro.cpu.processor import Processor
 from repro.cpu.thread import Program, SimThread
 from repro.engine.simulator import Simulator
@@ -44,21 +44,14 @@ class System:
             next_chunk_cycles=cfg.mem_next_chunk_cycles,
             chunk_bytes=cfg.mem_chunk_bytes,
         )
-        # The directory must know whether this protocol variant keeps
-        # the waiter queue alive across RFOs; probe one policy instance
-        # for the protocol-wide property before building the fabric.
+        policy_cls = policy_class(cfg.policy)
         policy_kwargs = cfg.policy_kwargs()
-        probe = make_policy(cfg.policy, **policy_kwargs)
         # ``self.bus`` is the address-side fabric (AddressBus or
         # DirectoryInterconnect) and ``self.crossbar`` the data-side one
         # (Crossbar or MeshNetwork) — the controller-facing surfaces are
         # identical, so downstream code keeps the bus-era names.
         self.bus, self.crossbar = make_interconnect(
-            cfg,
-            self.sim,
-            self.stats,
-            self.memory,
-            queue_retention=getattr(probe, "queue_retention", False),
+            cfg, self.sim, self.stats, self.memory
         )
         # Memory "port" on the data fabric: deliveries to MEMORY_NODE
         # would be writeback data; our writebacks ride the address side
@@ -73,7 +66,7 @@ class System:
             hierarchy = NodeCacheHierarchy(
                 node_id, l1, l2, cfg.l1_hit_cycles, cfg.l2_hit_cycles, self.stats
             )
-            policy = make_policy(cfg.policy, **policy_kwargs)
+            policy = policy_cls(**policy_kwargs)
             controller = CacheController(
                 node_id,
                 self.sim,

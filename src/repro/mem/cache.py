@@ -15,7 +15,7 @@ class CacheArray:
     """A set-associative array of :class:`CacheLine` frames.
 
     Capacity and associativity are in lines.  One address-keyed index
-    serves lookups and removals with a single dict probe; a set exists
+    serves lookups and removals with a single dict lookup; a set exists
     only once a line was inserted into it, and is consulted only for
     occupancy and the LRU victim choice, both O(associativity).  Pinned
     lines (lines with outstanding misses or active deferrals) are never

@@ -40,7 +40,7 @@ class NodeCacheHierarchy:
         self._stats = stats
         self._prefix = f"cache{node_id}"
         # Pre-resolved counters: lookup() runs once per memory operation,
-        # so the registry's name-keyed dict probe is hoisted out of it.
+        # so the registry's name-keyed dict lookup is hoisted out of it.
         self._c_l1_hits = stats.counter(f"{self._prefix}.l1_hits")
         self._c_l2_hits = stats.counter(f"{self._prefix}.l2_hits")
         self._c_misses = stats.counter(f"{self._prefix}.misses")
@@ -52,8 +52,8 @@ class NodeCacheHierarchy:
         """Find a line; return (line or None, access latency in cycles).
 
         An L1 hit costs ``l1_hit_cycles``; an L1 miss that hits in L2 costs
-        the L1 probe plus the L2 hit time and refills the L1; a full miss
-        costs the same probe path before the controller goes to the bus.
+        the L1 lookup plus the L2 hit time and refills the L1; a full miss
+        costs the same lookup path before the controller goes to the bus.
         """
         line = self.l1.lookup(line_addr)
         if line is not None and line.state is not State.INVALID:

@@ -21,7 +21,6 @@ from repro.predict.model import (
     Prediction,
     default_params,
     predict,
-    predict_speedups,
 )
 from repro.predict.validate import (
     ValidationReport,
@@ -44,7 +43,6 @@ __all__ = [
     "load_calibration",
     "load_observed_cells",
     "predict",
-    "predict_speedups",
     "save_calibration",
     "validate_artifacts",
     "validate_cells",

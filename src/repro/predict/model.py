@@ -65,7 +65,6 @@ __all__ = [
     "default_params",
     "equilibrium",
     "predict",
-    "predict_speedups",
 ]
 
 #: primitive -> model class (see module docstring table), derived from
@@ -565,22 +564,3 @@ def predict(
         regime="lock-bound" if eq.utilization >= 0.9 else "compute-bound",
         terms=terms,
     )
-
-
-def predict_speedups(
-    sig: WorkloadSignature,
-    params: Optional[CalibrationParams] = None,
-    base_primitive: str = "tts",
-) -> Dict[str, float]:
-    """Relative speedup of ``sig.primitive`` and the base primitive.
-
-    Mirrors the paper's Table 3 convention: cycles on the base primitive
-    divided by cycles on the candidate.
-    """
-    base = predict(sig.with_(primitive=base_primitive), params)
-    this = predict(sig, params)
-    return {
-        "base_cycles": base.cycles,
-        "cycles": this.cycles,
-        "speedup_vs_" + base_primitive: base.cycles / max(1.0, this.cycles),
-    }

@@ -105,7 +105,7 @@ class FissileLock(Lock):
     def _promote_successor(self, node_addr: int):
         """MCS-style release of the *outer* queue position: the next
         waiter becomes head and starts contending on the inner word."""
-        next_node = yield from qcore.probe(node_addr + NEXT_OFFSET)
+        next_node = yield from qcore.read_once(node_addr + NEXT_OFFSET)
         if next_node == 0:
             swapped = yield from qcore.unsplice(
                 self.tail_addr, node_addr, pc_label="fissile.promote_cas"

@@ -49,7 +49,7 @@ class McsLock(Lock):
 
     def release_with(self, node_addr: int):
         """Release using the same node that acquired."""
-        next_node = yield from qcore.probe(node_addr + NEXT_OFFSET)
+        next_node = yield from qcore.read_once(node_addr + NEXT_OFFSET)
         if next_node == 0:
             swapped = yield from qcore.unsplice(
                 self.tail_addr, node_addr, pc_label="mcs.release_cas"

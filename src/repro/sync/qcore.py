@@ -107,7 +107,7 @@ def nonzero(value: int) -> bool:
     return value != 0
 
 
-def probe(addr: int, pc: int = 0):
+def read_once(addr: int, pc: int = 0):
     """One read of a queue word — the non-spinning wait degenerate case
     (e.g. MCS's successor peek before deciding how to release)."""
     value = yield Read(addr, pc=pc)

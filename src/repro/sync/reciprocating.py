@@ -100,8 +100,8 @@ class ReciprocatingLock(Lock):
         yield from qcore.wait_until(
             node_addr + GATE_OFFSET, GATE_OPEN, pc=self.pc_gate
         )
-        eos = yield from qcore.probe(node_addr + EOS_OFFSET)
-        res = yield from qcore.probe(node_addr + RES_OFFSET)
+        eos = yield from qcore.read_once(node_addr + EOS_OFFSET)
+        res = yield from qcore.read_once(node_addr + RES_OFFSET)
         return pred, eos, res
 
     def _admit(self, succ: int, eos: int, res: int):

@@ -44,7 +44,7 @@ class TicketLock(Lock):
         return read_word(self.ticket_addr) == read_word(self.serving_addr)
 
     def release(self):
-        serving = yield from qcore.probe(self.serving_addr, pc=self.pc_release)
+        serving = yield from qcore.read_once(self.serving_addr, pc=self.pc_release)
         yield from qcore.signal(
             self.serving_addr, serving + 1, pc=self.pc_release
         )

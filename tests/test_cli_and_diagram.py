@@ -128,7 +128,7 @@ class TestCli:
             (["run", "raytrace", "-p", "0"], "-p/--processors"),
             (["trace", "raytrace", "--out", "t.json", "-p", "0"],
              "-p/--processors"),
-            (["stats", "barnes", "-p", "0"], "-p/--processors"),
+            (["predict", "-p", "0"], "-p/--processors"),
             (["fairness", "-p", "0"], "-p/--processors"),
             (["check", "--primitives", "iqolb", "-p", "0"], "-p/--processors"),
             (["check", "--primitives", "tts", "-p", "0"], "-p/--processors"),

@@ -12,8 +12,15 @@ from repro.core.delayed import DelayedResponsePolicy
 from repro.core.iqolb import IqolbPolicy
 from repro.core.policy import ProtocolPolicy
 from repro.core.qolb import QolbPolicy
-from repro.core.registry import make_policy, policy_names
+from repro.core.registry import (
+    POLICIES,
+    make_policy,
+    policy_class,
+    policy_names,
+)
 from repro.cpu.ops import LL
+from repro.harness.config import SystemConfig
+from repro.harness.system import System
 from repro.interconnect.messages import BusOp, BusTransaction
 from repro.mem.line import CacheLine, State
 
@@ -55,6 +62,45 @@ class TestRegistry:
     def test_timeout_override(self):
         policy = make_policy("iqolb", timeout_cycles=123)
         assert policy.timeout_cycles == 123
+
+
+#: name -> (queue retention, queue-order hand-off, progress promise,
+#: default timeout): the Figure 1 ladder's protocol properties
+PROPERTIES = {
+    "baseline": (False, False, False, None),
+    "aggressive": (False, False, False, None),
+    "delayed": (False, False, True, 1000),
+    "delayed+retention": (True, True, True, 1000),
+    "iqolb": (False, False, True, 5000),
+    "iqolb+retention": (True, True, True, 5000),
+    "iqolb+gen": (False, False, True, 5000),
+    "adaptive": (False, False, True, None),
+    "qolb": (False, True, True, None),
+}
+
+
+def test_property_table_covers_every_policy():
+    assert set(PROPERTIES) == set(POLICIES)
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
+@pytest.mark.parametrize("interconnect", ["bus", "directory"])
+def test_policy_declares_its_properties(name, interconnect):
+    retention, fifo, progress, timeout = PROPERTIES[name]
+    cls = policy_class(name)
+    assert cls.name == name
+    assert cls.queue_retention is retention
+    assert cls.fifo_handoff is fifo
+    assert cls.promises_progress is progress
+    assert cls.timeout_cycles == timeout
+    system = System(
+        SystemConfig(n_processors=2, policy=name, interconnect=interconnect)
+    )
+    for controller in system.controllers:
+        assert type(controller.policy) is cls
+        assert controller.policy.queue_retention is retention
+    if interconnect == "directory":
+        assert system.bus.queue_retention is retention
 
 
 class TestLlMissOps:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import System, SystemConfig
 from repro.cpu.ops import Read, Write
-from repro.core.registry import make_policy, policy_names
+from repro.core.registry import policy_class, policy_names
 from repro.harness.config import table1_rows
 from repro.harness.layout import MemoryLayout
 from repro.mem.address import AddressMap
@@ -42,7 +42,7 @@ class TestSystemConfig:
     def test_timeout_override_reaches_every_timed_policy(self, policy):
         """Every policy with a timeout of its own honours the override
         (``iqolb+gen`` used to drop it); the others take none."""
-        default = make_policy(policy).timeout_cycles
+        default = policy_class(policy).timeout_cycles
         system = System(
             SystemConfig(n_processors=2, policy=policy, timeout_cycles=123)
         )
