@@ -30,7 +30,6 @@ import pytest
 from repro.harness.cache import ResultCache
 from repro.telemetry import (
     ChromeTraceSink,
-    replay,
     write_metrics,
     write_metrics_archive,
 )
@@ -108,7 +107,10 @@ def publish_chrome_trace(name, events) -> pathlib.Path:
     """Persist recorded telemetry events as a Chrome trace under results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.trace.json"
-    replay(events, ChromeTraceSink(path))
+    sink = ChromeTraceSink(path)
+    for event in events:
+        sink.emit(event)
+    sink.close()
     return path
 
 

@@ -353,16 +353,13 @@ def run_once(
     ]
     oracles.extend(built.workload.extra_oracles(system))
 
-    dispatcher = TraceDispatcher()
-    dispatcher.attach(OracleSink(oracles))
-    for sink in extra_sinks or []:
-        dispatcher.attach(sink)
+    dispatcher = TraceDispatcher([OracleSink(oracles), *(extra_sinks or [])])
     system.attach_telemetry(dispatcher)
 
     injector: Optional[FaultInjector] = None
     if spec.fault_plan is not None:
         injector = FaultInjector(spec.fault_plan).install(system)
-        injector.tracer = dispatcher.controller_hook
+        injector.tracer = dispatcher.tracer
 
     outcome = RunOutcome(status=OUTCOME_FINISHED, observed=list(schedule))
     sim = system.sim

@@ -67,7 +67,7 @@ class FaultInjector:
         self.drops_injected = 0
         self.jitters_injected = 0
         self._system = None
-        #: optional telemetry hook, ``CacheController.tracer``-compatible
+        #: optional trace hook: tracer(kind, time, node, line_addr, info)
         self.tracer: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------

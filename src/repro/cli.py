@@ -157,8 +157,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         for key, value in result.summary.items():
             print(f"  {key}: {value}")
     elif args.scenario in APP_ORDER:
-        dispatcher = TraceDispatcher()
-        dispatcher.attach(sink)
+        dispatcher = TraceDispatcher([sink])
         cell = app_cell(
             args.scenario, args.primitive, args.processors, args.interconnect
         )
@@ -459,7 +458,7 @@ def _cmd_predict_validate(args: argparse.Namespace) -> int:
         print(
             f"mean |rel error| {report.mean_abs_rel_error:.1%} over "
             f"{len(report.cells)} cells (max {report.max_abs_rel_error:.1%}); "
-            f"taxonomy ordering preserved on "
+            f"taxonomy ordering matches the simulated ordering on "
             f"{report.ordering_agreement:.0%} of "
             f"{len(report.ordering)} groups"
         )
@@ -678,8 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="with --validate: gate on mean |relative error| "
                          "(default 0.25)")
     pp.add_argument("--min-ordering", type=float, default=0.90,
-                    help="with --validate: gate on taxonomy-ordering "
-                         "agreement (default 0.90)")
+                    help="with --validate: gate on the share of groups "
+                         "whose predicted taxonomy ordering matches the "
+                         "simulated one (default 0.90)")
     pp.add_argument("--format", default="table", choices=("table", "json"))
 
     pq = sub.add_parser("fairness", help="measure lock fairness")

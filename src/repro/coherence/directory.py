@@ -107,9 +107,7 @@ class DirectoryInterconnect(ParkedSpinners):
         self._clients: Dict[int, BusClient] = {}
         self._entries: Dict[int, DirectoryEntry] = {}
         self._next_txn_id = 0
-        #: optional trace hooks, signature-compatible with the bus
-        #: observer and the controller tracer respectively
-        self.observer: Optional[Callable[..., None]] = None
+        #: optional trace hook: tracer(kind, time, node, line_addr, info)
         self.tracer: Optional[Callable[..., None]] = None
         network.ownership_listener = self._note_ownership
         # Counters on the per-request path, pre-resolved once; rare
@@ -591,8 +589,8 @@ class DirectoryInterconnect(ParkedSpinners):
         client = self._clients.get(txn.requester)
         if client is not None:
             client.on_own_issue(txn, supplier, shared, deferred)
-        if self.observer is not None:
-            self.observer(self.sim.now, txn, supplier, shared, deferred)
+        if self.tracer is not None:
+            txn.trace(self.tracer, self.sim.now, supplier, shared, deferred)
 
     def _drop_cancelled(self, txn: BusTransaction) -> None:
         self.stats.counter("dir.cancelled").inc()

@@ -25,7 +25,6 @@ from repro.core.registry import (
     make_policy,
     policy_class,
     policy_names,
-    primitive_names,
     unknown_choice,
 )
 
@@ -51,6 +50,5 @@ __all__ = [
     "make_policy",
     "policy_class",
     "policy_names",
-    "primitive_names",
     "unknown_choice",
 ]

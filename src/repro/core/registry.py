@@ -171,11 +171,6 @@ PRIMITIVE_SPECS: Dict[str, PrimitiveSpec] = dict([
 ])
 
 
-def primitive_names() -> List[str]:
-    """All registered primitive names, in ladder order."""
-    return list(PRIMITIVE_SPECS)
-
-
 def get_primitive(name: str) -> PrimitiveSpec:
     """Look up a primitive spec; rejection lists the valid choices."""
     spec = PRIMITIVE_SPECS.get(name)

@@ -27,6 +27,7 @@ from repro.mem.address import AddressMap
 from repro.mem.cache import CacheArray
 from repro.mem.hierarchy import NodeCacheHierarchy
 from repro.mem.mainmemory import MainMemory
+from repro.telemetry.tracer import TraceDispatcher
 
 
 class System:
@@ -161,51 +162,18 @@ class System:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def attach_telemetry(self, dispatcher: Any) -> Any:
-        """Wire every emitter in the system to a trace dispatcher.
+    def attach_telemetry(self, dispatcher: Optional[TraceDispatcher]) -> None:
+        """Point every emitter's ``tracer`` at a trace dispatcher.
 
-        ``dispatcher`` is a :class:`repro.telemetry.TraceDispatcher` (or
-        anything exposing ``controller_hook``/``bus_hook``).  Returns the
-        dispatcher for chaining.  Pass ``None`` to detach everything.
-
-        Dispatch is pre-resolved: while the dispatcher has no sinks the
-        emitters' hooks are ``None`` (so the per-event "anyone
-        listening?" check is just the emitters' existing ``is not None``
-        guard, with no call and no payload built).  Dispatchers that
-        announce sink changes via ``subscribe_rewire`` keep this wiring
-        current when sinks attach or detach mid-run.
+        Given ``None``, or a dispatcher built with no sinks, every
+        ``tracer`` is ``None``: an untraced run builds no trace payload
+        and linked spins still park.
         """
-        previous = getattr(self, "_telemetry", None)
-        if previous is not None:
-            unsubscribe = getattr(previous, "unsubscribe_rewire", None)
-            if unsubscribe is not None:
-                unsubscribe(self._rewire_telemetry)
-        self._telemetry = dispatcher
-        if dispatcher is not None:
-            subscribe = getattr(dispatcher, "subscribe_rewire", None)
-            if subscribe is not None:
-                subscribe(self._rewire_telemetry)
-        self._rewire_telemetry()
-        return dispatcher
-
-    def _rewire_telemetry(self) -> None:
-        """Point every emitter at the dispatcher, or at ``None`` if idle.
-
-        An idle dispatcher (no sinks) costs the hot paths nothing: the
-        emitters see ``tracer is None`` and skip building trace payloads
-        entirely.
-        """
-        dispatcher = getattr(self, "_telemetry", None)
-        active = dispatcher is not None and getattr(dispatcher, "active", True)
-        controller_hook = dispatcher.controller_hook if active else None
-        bus_hook = dispatcher.bus_hook if active else None
-        for controller in self.controllers:
-            controller.tracer = controller_hook
-        self.bus.observer = bus_hook
-        if hasattr(self.bus, "tracer"):
-            # The directory emits its own protocol events (lookups,
-            # forwards, deferral at home) through the controller channel.
-            self.bus.tracer = controller_hook
+        tracer = None
+        if dispatcher is not None and dispatcher.sinks:
+            tracer = dispatcher.tracer
+        for emitter in (*self.controllers, self.bus):
+            emitter.tracer = tracer
 
     def _memory_receiver(self, msg: Any) -> None:  # pragma: no cover
         raise RuntimeError(f"unexpected crossbar delivery to memory: {msg}")

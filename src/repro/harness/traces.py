@@ -3,11 +3,11 @@
 The paper's Figures 2, 3 and 4 are time-sequence diagrams of the
 baseline, delayed-response and IQOLB protocols.  This module replays the
 figures' scenarios on the unified telemetry backbone
-(:mod:`repro.telemetry`): a :class:`TraceRecorder` is simply an
-in-memory :class:`~repro.telemetry.sinks.TraceSink` with filtering and
-rendering helpers, attached — alongside any other sinks the caller
-supplies (JSONL, Chrome trace) — to the system's
-:class:`~repro.telemetry.tracer.TraceDispatcher`.
+(:mod:`repro.telemetry`): a :class:`TraceRecorder` is an in-memory
+:class:`~repro.telemetry.sinks.TraceSink` with filtering and rendering
+helpers, the first sink of the scenario's
+:class:`~repro.telemetry.tracer.TraceDispatcher`, ahead of any others
+the caller supplies (JSONL, Chrome trace).
 """
 
 from __future__ import annotations
@@ -23,32 +23,13 @@ from repro.telemetry import TelemetryEvent, TraceDispatcher, TraceSink
 
 
 class TraceRecorder(TraceSink):
-    """An in-memory sink with the filtering/rendering API tests use.
+    """An in-memory sink with the filtering/rendering API tests use."""
 
-    A recorder owns a :class:`TraceDispatcher` and attaches itself as the
-    first sink, so it can be used either standalone (call the hooks
-    directly) or as the hub other sinks join via ``attach``/``sinks=``.
-    """
-
-    def __init__(self, sinks: Iterable[TraceSink] = ()) -> None:
+    def __init__(self) -> None:
         self.events: List[TelemetryEvent] = []
-        self.dispatcher = TraceDispatcher()
-        self.dispatcher.attach(self)
-        for sink in sinks:
-            self.dispatcher.attach(sink)
 
-    # TraceSink interface -------------------------------------------------
     def emit(self, event: TelemetryEvent) -> None:
         self.events.append(event)
-
-    # hook signatures match CacheController.tracer and AddressBus.observer
-    def controller_hook(
-        self, event: str, time: int, node: int, line_addr: int, info: dict
-    ) -> None:
-        self.dispatcher.controller_hook(event, time, node, line_addr, info)
-
-    def bus_hook(self, time, txn, supplier, shared, deferred) -> None:
-        self.dispatcher.bus_hook(time, txn, supplier, shared, deferred)
 
     def filtered(
         self, line_addr: Optional[int] = None, kinds: Optional[List[str]] = None
@@ -91,9 +72,9 @@ def _traced_system(
     n_processors: int,
     sinks: Iterable[TraceSink] = (),
 ) -> Tuple[System, TraceRecorder]:
-    recorder = TraceRecorder(sinks=sinks)
+    recorder = TraceRecorder()
     system = System(SystemConfig(n_processors=n_processors, policy=policy))
-    system.attach_telemetry(recorder.dispatcher)
+    system.attach_telemetry(TraceDispatcher([recorder, *sinks]))
     return system, recorder
 
 

@@ -176,8 +176,8 @@ class AddressBus(ParkedSpinners):
         self._line_blocked: Dict[int, int] = {}
         #: transactions parked behind a blocked line, in arrival order
         self._line_wait: Dict[int, Deque[BusTransaction]] = {}
-        #: optional trace hook: observer(time, txn, supplier, shared, deferred)
-        self.observer: Optional[Callable[..., None]] = None
+        #: optional trace hook: tracer(kind, time, node, line_addr, info)
+        self.tracer: Optional[Callable[..., None]] = None
         #: per-bus transaction numbering, deterministic run to run
         self._next_txn_id = 0
         #: optional fault injector (repro.check.faults) — may stretch the
@@ -454,22 +454,19 @@ class AddressBus(ParkedSpinners):
             if txn.data is None:
                 raise RuntimeError(f"writeback {txn} carries no data")
             self.memory.write_line(txn.line_addr, txn.data)
-            self._notify_requester(txn, supplier, shared, deferred)
-            self._observe(txn, supplier, shared, deferred)
+            self._finish(txn, supplier, shared, deferred)
             return
 
         if txn.op is BusOp.UPGRADE:
             # Permission-only: sharers invalidated during snoop; no data.
-            self._notify_requester(txn, supplier, shared, deferred)
-            self._observe(txn, supplier, shared, deferred)
+            self._finish(txn, supplier, shared, deferred)
             return
 
         if supply_node is None and not deferred:
             self._supply_from_memory(txn, shared)
         # else: the owning controller supplies (now or deferred) — it
         # learned so from its own snoop return and schedules the send.
-        self._notify_requester(txn, supplier, shared, deferred)
-        self._observe(txn, supplier, shared, deferred)
+        self._finish(txn, supplier, shared, deferred)
 
     def _retry(self, txn: BusTransaction) -> None:
         """NACK: reissue the transaction after a short delay."""
@@ -487,26 +484,19 @@ class AddressBus(ParkedSpinners):
         self._queue.append(txn)
         self._pump()
 
-    def _notify_requester(
+    def _finish(
         self,
         txn: BusTransaction,
         supplier: Optional[int],
         shared: bool,
         deferred: bool,
     ) -> None:
+        """Tell the requester how its transaction resolved, then trace it."""
         client = self._clients.get(txn.requester)
         if client is not None:
             client.on_own_issue(txn, supplier, shared, deferred)
-
-    def _observe(
-        self,
-        txn: BusTransaction,
-        supplier: Optional[int],
-        shared: bool,
-        deferred: bool,
-    ) -> None:
-        if self.observer is not None:
-            self.observer(self.sim.now, txn, supplier, shared, deferred)
+        if self.tracer is not None:
+            txn.trace(self.tracer, self.sim.now, supplier, shared, deferred)
 
     def _supply_from_memory(self, txn: BusTransaction, shared: bool) -> None:
         """No cache owner: main memory provides the line."""

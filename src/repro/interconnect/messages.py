@@ -11,7 +11,7 @@ distributed queue of waiting requestors.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 
 class BusOp(enum.Enum):
@@ -73,6 +73,29 @@ class BusTransaction:
         self.cancelled = False
         #: times this transaction was NACKed and reissued
         self.retries = 0
+
+    def trace(
+        self,
+        tracer: Callable[..., None],
+        time: int,
+        supplier: Optional[int],
+        shared: bool,
+        deferred: bool,
+    ) -> None:
+        """Emit the resolved transaction as a ``bus:<op>`` event, on the
+        requester's track, whichever fabric resolved it."""
+        tracer(
+            f"bus:{self.op.value}",
+            time,
+            self.requester,
+            self.line_addr,
+            {
+                "txn_id": self.txn_id,
+                "supplier": supplier,
+                "shared": shared,
+                "deferred": deferred,
+            },
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -117,14 +117,15 @@ class ValidationReport:
 
     @property
     def ordering_agreement(self) -> float:
+        """Share of groups whose predicted ordering (strict taxonomy
+        order or not) matches the simulated one."""
         if not self.ordering:
             return 1.0
-        agree = sum(1 for g in self.ordering if g.predicted_ordered)
+        agree = sum(
+            1 for g in self.ordering
+            if g.predicted_ordered == g.observed_ordered
+        )
         return agree / len(self.ordering)
-
-    def worst(self, count: int = 5) -> List[ValidationCell]:
-        ranked = sorted(self.cells, key=lambda c: -abs(c.rel_error))
-        return ranked[:count]
 
     def payload(self) -> Dict[str, Any]:
         """The ``repro-predict-error/1`` artifact document."""

@@ -41,9 +41,7 @@ from repro.telemetry.schema import (
 from repro.telemetry.sinks import (
     ChromeTraceSink,
     JsonlSink,
-    RingBufferSink,
     TraceSink,
-    replay,
 )
 from repro.telemetry.tracer import TraceDispatcher
 
@@ -51,7 +49,6 @@ __all__ = [
     "CATEGORIES",
     "ChromeTraceSink",
     "JsonlSink",
-    "RingBufferSink",
     "RunManifest",
     "SchemaError",
     "TelemetryEvent",
@@ -61,7 +58,6 @@ __all__ = [
     "category_of",
     "infer_schema_path",
     "metrics_payload",
-    "replay",
     "stable_hash",
     "validate",
     "validate_file",

@@ -1,10 +1,9 @@
-"""Trace sinks: in-memory ring buffer, JSONL file, Chrome trace_event.
+"""Trace sinks: JSONL file, Chrome trace_event.
 
 Every sink consumes :class:`~repro.telemetry.events.TelemetryEvent`
-records from a :class:`~repro.telemetry.tracer.TraceDispatcher`:
+records from a :class:`~repro.telemetry.tracer.TraceDispatcher` (the
+in-memory sink is :class:`~repro.harness.traces.TraceRecorder`):
 
-* :class:`RingBufferSink` — bounded, in-memory; for tests and the CLI's
-  percentile reports.
 * :class:`JsonlSink` — one JSON object per line, streamed to disk; the
   machine-readable archive format (schema:
   ``tests/schemas/trace_jsonl.schema.json``).
@@ -18,8 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
-from typing import Any, Deque, Dict, IO, List, Tuple, Union
+from typing import Any, Dict, IO, List, Tuple, Union
 
 from repro.telemetry.events import TelemetryEvent
 
@@ -36,27 +34,6 @@ class TraceSink:
 
     def close(self) -> None:
         """Flush buffered output; idempotent.  Default: nothing to do."""
-
-
-class RingBufferSink(TraceSink):
-    """Keeps the most recent ``capacity`` events in memory (bounded)."""
-
-    def __init__(self, capacity: int = 65536) -> None:
-        self.capacity = capacity
-        self._events: Deque[TelemetryEvent] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def emit(self, event: TelemetryEvent) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
-
-    @property
-    def events(self) -> List[TelemetryEvent]:
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
 
 
 class JsonlSink(TraceSink):
@@ -188,12 +165,3 @@ class ChromeTraceSink(TraceSink):
         else:
             with open(self._target, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle)
-
-
-def replay(events, sink: TraceSink, close: bool = True) -> TraceSink:
-    """Feed recorded events through a sink (e.g. re-export a recording)."""
-    for event in events:
-        sink.emit(event)
-    if close:
-        sink.close()
-    return sink

@@ -1,113 +1,44 @@
-"""The tracing backbone: one dispatch point, pluggable sinks.
+"""The tracing backbone: one hook, one dispatch point, fixed sinks.
 
-The controller, bus, predictor and policies all emit through a single
-:class:`TraceDispatcher`, whose hook methods match the two existing
-instrumentation surfaces (``CacheController.tracer`` and
-``AddressBus.observer``).  Sinks attach and detach at will; events fan
-out to every attached sink in attach order.
+Every emitter — the cache controllers (and the policies through them),
+the address bus, the directory and the checker's fault injector — calls
+the same hook, ``tracer(kind, time, node, line_addr, info)``.
+:meth:`TraceDispatcher.tracer` is that hook: it wraps the call in a
+:class:`~repro.telemetry.events.TelemetryEvent` and fans it out to the
+sinks the dispatcher was built with, in order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Iterable
 
 from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.sinks import TraceSink
 
 
 class TraceDispatcher:
-    """Fans structured events out to attached sinks.
+    """Fans structured events out to the sinks it was built with.
 
-    Components hold a reference to the dispatcher's bound hook methods,
-    not to the sinks, so the sink set can change mid-run (e.g. a test
-    swapping a ring buffer in) without re-wiring the system.
-
-    With *no* sinks attached the dispatcher is a pre-resolved no-op:
-    hosts that register a rewire callback (``subscribe_rewire``) are told
-    whenever the sink set transitions between empty and non-empty, and
-    respond by pointing emitter hooks at ``None`` — so an idle dispatcher
-    costs the simulation hot paths nothing at all, not even the
-    "any sinks?" check.  The checks in the hook methods below remain as
-    a safety net for hosts that wire hooks unconditionally.
+    The sinks are fixed at construction, so
+    :meth:`~repro.harness.system.System.attach_telemetry` decides once
+    whether the emitters get :meth:`tracer` or ``None``: a dispatcher
+    with no sinks costs the hot paths nothing, not even a call.
     """
 
-    def __init__(self) -> None:
-        self._sinks: List[TraceSink] = []
+    def __init__(self, sinks: Iterable[TraceSink] = ()) -> None:
+        self.sinks = tuple(sinks)
         self.events_dispatched = 0
-        self._rewire_callbacks: List[Callable[[], None]] = []
-
-    # ------------------------------------------------------------------
-    # Sink management
-    # ------------------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """True when at least one sink would receive dispatched events."""
-        return bool(self._sinks)
-
-    def subscribe_rewire(self, callback: Callable[[], None]) -> None:
-        """Register to be called when :attr:`active` may have changed."""
-        if callback not in self._rewire_callbacks:
-            self._rewire_callbacks.append(callback)
-
-    def unsubscribe_rewire(self, callback: Callable[[], None]) -> None:
-        if callback in self._rewire_callbacks:
-            self._rewire_callbacks.remove(callback)
-
-    def _notify_rewire(self) -> None:
-        for callback in list(self._rewire_callbacks):
-            callback()
-
-    def attach(self, sink: TraceSink) -> TraceSink:
-        self._sinks.append(sink)
-        if len(self._sinks) == 1:
-            self._notify_rewire()
-        return sink
-
-    def detach(self, sink: TraceSink) -> None:
-        self._sinks.remove(sink)
-        if not self._sinks:
-            self._notify_rewire()
-
-    @property
-    def sinks(self) -> List[TraceSink]:
-        return list(self._sinks)
 
     def close(self) -> None:
-        """Flush and close every attached sink."""
-        for sink in self._sinks:
+        """Flush and close every sink."""
+        for sink in self.sinks:
             sink.close()
 
-    # ------------------------------------------------------------------
-    # Emit surfaces
-    # ------------------------------------------------------------------
-    def dispatch(self, event: TelemetryEvent) -> None:
-        self.events_dispatched += 1
-        for sink in self._sinks:
-            sink.emit(event)
-
-    def controller_hook(
+    def tracer(
         self, kind: str, time: int, node: int, line_addr: int, info: dict
     ) -> None:
-        """Signature-compatible with ``CacheController.tracer``."""
-        if not self._sinks:
-            return
-        self.dispatch(TelemetryEvent(time, node, kind, line_addr, dict(info)))
-
-    def bus_hook(self, time, txn, supplier, shared, deferred) -> None:
-        """Signature-compatible with ``AddressBus.observer``."""
-        if not self._sinks:
-            return
-        self.dispatch(
-            TelemetryEvent(
-                time,
-                txn.requester,
-                f"bus:{txn.op.value}",
-                txn.line_addr,
-                {
-                    "txn_id": txn.txn_id,
-                    "supplier": supplier,
-                    "shared": shared,
-                    "deferred": deferred,
-                },
-            )
-        )
+        """The emitters' hook.  ``info`` is each call's own fresh dict."""
+        self.events_dispatched += 1
+        event = TelemetryEvent(time, node, kind, line_addr, info)
+        for sink in self.sinks:
+            sink.emit(event)

@@ -5,13 +5,15 @@ import pytest
 from repro.cli import build_parser, main
 from repro.harness.diagram import render_sequence_diagram
 from repro.harness.traces import TraceRecorder, figure3_scenario
+from repro.telemetry import TraceDispatcher
 
 
 class TestDiagram:
     def test_renders_columns(self):
         recorder = TraceRecorder()
-        recorder.controller_hook("ll", 10, 0, 0x100, {"value": 1})
-        recorder.controller_hook("defer", 20, 1, 0x100, {"requester": 0})
+        trace = TraceDispatcher([recorder]).tracer
+        trace("ll", 10, 0, 0x100, {"value": 1})
+        trace("defer", 20, 1, 0x100, {"requester": 0})
         text = render_sequence_diagram(recorder, 0x100, 2)
         lines = text.splitlines()
         assert lines[0].strip().startswith("time")
@@ -21,16 +23,18 @@ class TestDiagram:
 
     def test_filters_other_lines(self):
         recorder = TraceRecorder()
-        recorder.controller_hook("ll", 10, 0, 0x100, {"value": 1})
-        recorder.controller_hook("ll", 11, 0, 0x200, {"value": 2})
+        trace = TraceDispatcher([recorder]).tracer
+        trace("ll", 10, 0, 0x100, {"value": 1})
+        trace("ll", 11, 0, 0x200, {"value": 2})
         text = render_sequence_diagram(recorder, 0x100, 1)
         assert "LL=1" in text
         assert "LL=2" not in text
 
     def test_collapses_spin_runs(self):
         recorder = TraceRecorder()
+        trace = TraceDispatcher([recorder]).tracer
         for t in range(5):
-            recorder.controller_hook(
+            trace(
                 "ll", 10 + t, 0, 0x100, {"value": 1}
             )
         text = render_sequence_diagram(recorder, 0x100, 1)
@@ -39,8 +43,9 @@ class TestDiagram:
 
     def test_no_collapse_option(self):
         recorder = TraceRecorder()
+        trace = TraceDispatcher([recorder]).tracer
         for t in range(3):
-            recorder.controller_hook("ll", 10 + t, 0, 0x100, {"value": 1})
+            trace("ll", 10 + t, 0, 0x100, {"value": 1})
         text = render_sequence_diagram(
             recorder, 0x100, 1, collapse_spins=False
         )
@@ -48,14 +53,16 @@ class TestDiagram:
 
     def test_sc_outcome_labels(self):
         recorder = TraceRecorder()
-        recorder.controller_hook("sc", 1, 0, 0x100, {"success": True, "pc": 0})
-        recorder.controller_hook("sc", 2, 0, 0x100, {"success": False, "pc": 0})
+        trace = TraceDispatcher([recorder]).tracer
+        trace("sc", 1, 0, 0x100, {"success": True, "pc": 0})
+        trace("sc", 2, 0, 0x100, {"success": False, "pc": 0})
         text = render_sequence_diagram(recorder, 0x100, 1)
         assert "SC ok" in text and "SC FAIL" in text
 
     def test_unknown_kind_falls_back(self):
         recorder = TraceRecorder()
-        recorder.controller_hook("mystery", 1, 0, 0x100, {})
+        trace = TraceDispatcher([recorder]).tracer
+        trace("mystery", 1, 0, 0x100, {})
         text = render_sequence_diagram(recorder, 0x100, 1)
         assert "mystery" in text
 
@@ -67,8 +74,9 @@ class TestDiagram:
 
     def test_limit(self):
         recorder = TraceRecorder()
+        trace = TraceDispatcher([recorder]).tracer
         for t in range(10):
-            recorder.controller_hook("store", t, 0, 0x100, {"value": t, "pc": 0})
+            trace("store", t, 0, 0x100, {"value": t, "pc": 0})
         text = render_sequence_diagram(recorder, 0x100, 1, limit=4)
         assert len(text.splitlines()) == 2 + 4
 

@@ -2,8 +2,9 @@
 
 Runs the real fit against the committed benchmark artifacts and holds
 the subsystem to the CI gates it advertises: mean relative error within
-bounds, taxonomy ordering preserved, artifact schema-clean (including
-through gzip), calibration round-trippable.
+bounds, predicted taxonomy ordering matching the simulated one,
+artifact schema-clean (including through gzip), calibration
+round-trippable.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.predict import (
     write_report,
 )
 from repro.predict.benches import ARTIFACTS, stored_signature
-from repro.predict.validate import SCHEMA
+from repro.predict.validate import SCHEMA, OrderingGroup, ValidationReport
 from repro.telemetry import (
     SchemaError,
     infer_schema_path,
@@ -122,6 +123,24 @@ class TestGates:
             report, max_mean_error=0.0, min_agreement=1.01
         )
         assert len(problems) == 2
+
+    def test_agreement_counts_matching_orderings(self):
+        """A group the simulation leaves unordered agrees only when the
+        model predicts it unordered too."""
+
+        def group(name, observed, predicted):
+            return OrderingGroup("synthetic", (name,), observed, predicted)
+
+        report = ValidationReport(cells=[], ordering=[
+            group("ordered", True, True),
+            group("unordered-predicted-ordered", False, True),
+            group("unordered-predicted-unordered", False, False),
+            group("ordered-predicted-unordered", True, False),
+        ])
+        assert report.ordering_agreement == 0.5
+        assert ValidationReport(cells=[], ordering=[
+            group("unordered-predicted-ordered", False, True),
+        ]).ordering_agreement == 0.0
 
     def test_observed_ordering_holds_everywhere(self, report):
         """The simulator itself satisfies tts > delayed > iqolb on every

@@ -3,6 +3,7 @@
 from conftest import build_system, run_programs
 from repro.cpu.ops import LL, SC, Compute, Read, Write
 from repro.harness.traces import TraceRecorder
+from repro.telemetry import TraceDispatcher
 
 
 def concurrent_rmw(system, addr, n, iters, window=30):
@@ -48,7 +49,7 @@ class TestQueueFormation:
         requests occurred' (paper §3.2)."""
         system = build_system(4, "delayed")
         recorder = TraceRecorder()
-        system.attach_telemetry(recorder.dispatcher)
+        system.attach_telemetry(TraceDispatcher([recorder]))
         addr = system.layout.alloc_line()
         concurrent_rmw(system, addr, 4, 3)
         line = system.amap.line_addr(addr)

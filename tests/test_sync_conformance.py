@@ -72,9 +72,7 @@ def _contended_run(
     token = system.layout.alloc_line()
     monitor = GrantOrderMonitor(fifo=spec.fifo)
     monitor.bind(system, system.amap.line_addr(lockset.lock_addr(0)))
-    dispatcher = TraceDispatcher()
-    dispatcher.attach(OracleSink([monitor]))
-    system.attach_telemetry(dispatcher)
+    system.attach_telemetry(TraceDispatcher([OracleSink([monitor])]))
 
     def worker(tid):
         if staggers is not None:

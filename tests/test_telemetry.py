@@ -1,8 +1,8 @@
 """Tests for the unified telemetry subsystem.
 
-Covers the tracer hook contracts (time-ordered, complete, deterministic
-event streams from the controller and bus surfaces), the sinks (ring
-buffer, JSONL, Chrome trace), run manifests, metrics export, and the
+Covers the tracer hook contract (time-ordered, complete, deterministic
+event streams from the controllers and both fabrics), the sinks (JSONL,
+Chrome trace), run manifests, metrics export, and the
 mini JSON-Schema validator that CI uses on emitted artifacts.
 """
 
@@ -11,24 +11,23 @@ import pathlib
 
 import pytest
 
+from repro.coherence.controller import CacheController
 from repro.cpu.ops import LL, SC, Compute, Read, Write
 from repro.harness.config import SystemConfig
 from repro.harness.experiment import run_workload
 from repro.harness.runner import app_cell, execute_cell
 from repro.harness.system import System
-from repro.harness.traces import figure4_scenario
+from repro.harness.traces import TraceRecorder, figure4_scenario
 from repro.sync.tts import TTSLock
 from repro.telemetry import (
     ChromeTraceSink,
     JsonlSink,
-    RingBufferSink,
     RunManifest,
     SchemaError,
     TelemetryEvent,
     TraceDispatcher,
     category_of,
     metrics_payload,
-    replay,
     stable_hash,
     summary_payload,
     validate,
@@ -43,8 +42,8 @@ SCHEMA_DIR = pathlib.Path(__file__).parent / "schemas"
 
 def _contended_system(n_processors=4, increments=6):
     """A small contended-lock workload on IQOLB with telemetry attached."""
-    dispatcher = TraceDispatcher()
-    ring = dispatcher.attach(RingBufferSink())
+    ring = TraceRecorder()
+    dispatcher = TraceDispatcher([ring])
     system = System(SystemConfig(n_processors=n_processors, policy="iqolb"))
     system.attach_telemetry(dispatcher)
     lock = TTSLock(system.layout.alloc_line())
@@ -134,25 +133,6 @@ class TestHookContracts:
         _, dispatcher, ring = _contended_system()
         assert dispatcher.events_dispatched == len(ring.events)
 
-    def test_detached_sink_stops_receiving(self):
-        dispatcher = TraceDispatcher()
-        ring = dispatcher.attach(RingBufferSink())
-        dispatcher.controller_hook("ll", 1, 0, 64, {})
-        dispatcher.detach(ring)
-        dispatcher.controller_hook("sc", 2, 0, 64, {})
-        assert [e.kind for e in ring.events] == ["ll"]
-
-
-class TestRingBufferSink:
-    def test_bounded(self):
-        ring = RingBufferSink(capacity=3)
-        for t in range(5):
-            ring.emit(TelemetryEvent(t, 0, "ll", 64, {}))
-        assert len(ring) == 3
-        assert ring.dropped == 2
-        assert [e.time for e in ring.events] == [2, 3, 4]
-
-
 class TestJsonlSink(object):
     def test_writes_schema_valid_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -209,16 +189,6 @@ class TestChromeTraceSink:
         first = path.read_text()
         sink.close()
         assert path.read_text() == first
-
-    def test_replay_from_recorder(self, tmp_path):
-        result = figure4_scenario(3, 2)
-        sink = replay(
-            result.recorder.events, ChromeTraceSink(tmp_path / "replay.json")
-        )
-        doc = json.loads((tmp_path / "replay.json").read_text())
-        assert len(doc["traceEvents"]) > len(result.recorder.events)
-        assert sink is not None
-
 
 class TestRunManifest:
     def test_run_workload_populates_manifest(self):
@@ -396,30 +366,67 @@ class TestOverhead:
     def test_untraced_run_attaches_no_hooks(self):
         system = System(SystemConfig(n_processors=2))
         assert all(c.tracer is None for c in system.controllers)
-        assert system.bus.observer is None
+        assert system.bus.tracer is None
 
     def test_attach_then_detach(self):
         system = System(SystemConfig(n_processors=2))
-        dispatcher = TraceDispatcher()
-        dispatcher.attach(RingBufferSink())
+        dispatcher = TraceDispatcher([TraceRecorder()])
         system.attach_telemetry(dispatcher)
-        assert system.bus.observer is not None
+        assert system.bus.tracer == dispatcher.tracer
+        assert all(c.tracer == dispatcher.tracer for c in system.controllers)
         system.attach_telemetry(None)
-        assert system.bus.observer is None
+        assert system.bus.tracer is None
         assert all(c.tracer is None for c in system.controllers)
 
     def test_sinkless_dispatcher_is_preresolved_noop(self):
-        # With no sinks attached the emitters' hooks stay None — dispatch
-        # is pre-resolved away, not checked per event — and snap live the
-        # moment a sink attaches (and back when it detaches).
+        # With no sinks the emitters' hooks stay None: dispatch is
+        # resolved away at attach time, not checked per event.
         system = System(SystemConfig(n_processors=2))
-        dispatcher = TraceDispatcher()
-        system.attach_telemetry(dispatcher)
-        assert system.bus.observer is None
+        system.attach_telemetry(TraceDispatcher())
+        assert system.bus.tracer is None
         assert all(c.tracer is None for c in system.controllers)
-        sink = dispatcher.attach(RingBufferSink())
-        assert system.bus.observer is not None
-        assert all(c.tracer is not None for c in system.controllers)
-        dispatcher.detach(sink)
-        assert system.bus.observer is None
-        assert all(c.tracer is None for c in system.controllers)
+
+
+@pytest.mark.parametrize("interconnect", ["bus", "directory"])
+def test_attach_telemetry_sets_every_emitter(interconnect):
+    """Every controller and the fabric get the dispatcher's one hook, and
+    ``None`` when given ``None`` or a dispatcher with no sinks."""
+    system = System(SystemConfig(n_processors=4, interconnect=interconnect))
+    emitters = [*system.controllers, system.bus]
+    live = TraceDispatcher([TraceRecorder()])
+    for idle in (None, TraceDispatcher()):
+        system.attach_telemetry(live)
+        assert all(emitter.tracer == live.tracer for emitter in emitters)
+        system.attach_telemetry(idle)
+        assert all(emitter.tracer is None for emitter in emitters)
+
+
+@pytest.mark.parametrize(
+    "interconnect, transactions", [("bus", 1709), ("directory", 1741)]
+)
+def test_both_fabrics_trace_every_transaction_through_one_hook(
+    interconnect, transactions, monkeypatch
+):
+    """Each resolved transaction is one ``bus:<op>`` event from the same
+    ``tracer`` hook the controllers and the directory call, on the
+    requester's track, with the same four payload keys on both fabrics."""
+    requester_of = {}
+    own_issue = CacheController.on_own_issue
+
+    def record_requester(self, txn, *args):
+        requester_of[txn.txn_id] = txn.requester
+        return own_issue(self, txn, *args)
+
+    monkeypatch.setattr(CacheController, "on_own_issue", record_requester)
+    recorder = TraceRecorder()
+    cell = app_cell("radiosity", "iqolb", 8, interconnect)
+    result = execute_cell(cell, telemetry=TraceDispatcher([recorder]))
+    assert result.bus_transactions == transactions
+    bus_events = [e for e in recorder.events if e.category == "bus"]
+    assert len(bus_events) == transactions
+    assert len({e.info["txn_id"] for e in bus_events}) == transactions
+    for event in bus_events:
+        assert set(event.info) == {"txn_id", "supplier", "shared", "deferred"}
+        assert event.node == requester_of[event.info["txn_id"]]
+    has_dir_events = any(e.kind.startswith("dir_") for e in recorder.events)
+    assert has_dir_events == (interconnect == "directory")
