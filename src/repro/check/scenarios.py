@@ -331,12 +331,12 @@ def _require_lock(workload: Workload, kind: str, mutation: str):
 
 def _mutate_mcs_drop_handoff(system: System, workload) -> None:
     """The MCS releaser "forgets" the successor's flag write (the one
-    store in ``McsLock.release_with``): the queued next waiter spins
+    store in ``McsLock.release``): the queued next waiter spins
     forever — the dropped next-pointer hand-off."""
     lock = _require_lock(workload, "mcs", "mcs_drop_handoff")
-    release_with = lock.release_with
-    lock.release_with = lambda node: _drop_ops(
-        release_with(node), lambda op: isinstance(op, Write)
+    release = lock.release
+    lock.release = lambda tid: _drop_ops(
+        release(tid), lambda op: isinstance(op, Write)
     )
 
 
@@ -347,10 +347,10 @@ def _mutate_recip_drop_terminal_signal(system: System, workload) -> None:
     lock = _require_lock(
         workload, "reciprocating", "recip_drop_terminal_signal"
     )
-    release_with = lock.release_with
+    release = lock.release
     line_bytes = system.amap.line_bytes
 
-    def mutated(*args):
+    def mutated(tid):
         detached = False
 
         def drop(op) -> bool:
@@ -365,9 +365,9 @@ def _mutate_recip_drop_terminal_signal(system: System, workload) -> None:
                 and op.addr % line_bytes == GATE_OFFSET
             )
 
-        return _drop_ops(release_with(*args), drop)
+        return _drop_ops(release(tid), drop)
 
-    lock.release_with = mutated
+    lock.release = mutated
 
 
 def _mutate_fissile_skip_anti_collapse(system: System, workload) -> None:

@@ -17,7 +17,7 @@ contenders (threads), as in Anderson's original design.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro.sync import qcore
 from repro.sync.primitives import Lock, synthetic_pc
@@ -33,9 +33,9 @@ class AndersonLock(Lock):
     """Array-based queue lock.
 
     ``tail_addr`` holds the next free slot index; ``slot_addrs`` are the
-    per-slot flag words (one cache line each).  Slot 0 must be
-    initialised to ``HAS_LOCK`` (the lock starts free); the system
-    builder or caller does that with ``initialise``.
+    per-slot flag words (one cache line each).  Slot 0 starts at
+    ``HAS_LOCK`` (the lock starts free), which :meth:`lay_out` writes
+    to memory.  A thread keeps its slot index from acquire to release.
     """
 
     name = "anderson"
@@ -47,30 +47,38 @@ class AndersonLock(Lock):
         self.tail_addr = tail_addr
         self.slot_addrs = slot_addrs
         self.n_slots = len(slot_addrs)
+        #: tid -> the slot it holds the lock in, until its release
+        self._slots: Dict[int, int] = {}
         self.pc_spin = synthetic_pc("anderson.spin")
 
-    def initialise(self, write_word) -> None:
-        """Set up initial memory state (slot 0 holds the lock)."""
-        write_word(self.slot_addrs[0], HAS_LOCK)
-        for addr in self.slot_addrs[1:]:
-            write_word(addr, MUST_WAIT)
-        write_word(self.tail_addr, 0)
+    @classmethod
+    def lay_out(cls, system, n_threads: int) -> AndersonLock:
+        """The tail word, then one slot line per thread (two at least)."""
+        layout = system.layout
+        lock = cls(
+            layout.alloc_line(),
+            [layout.alloc_line() for _ in range(max(2, n_threads))],
+        )
+        system.write_word(lock.slot_addrs[0], HAS_LOCK)
+        for addr in lock.slot_addrs[1:]:
+            system.write_word(addr, MUST_WAIT)
+        system.write_word(lock.tail_addr, 0)
+        return lock
 
     def is_free(self, read_word) -> bool:
         slot = read_word(self.tail_addr) % self.n_slots
         return read_word(self.slot_addrs[slot]) == HAS_LOCK
 
-    def acquire_slot(self):
-        """Generator: acquire; returns the slot index (keep for release)."""
+    def acquire(self, tid: int):
         ticket = yield from qcore.splice_count(self.tail_addr, "anderson.grab")
         slot = ticket % self.n_slots
         yield from qcore.wait_until(
             self.slot_addrs[slot], HAS_LOCK, pc=self.pc_spin
         )
-        return slot
+        self._slots[tid] = slot
 
-    def release_slot(self, slot: int):
-        """Generator: release from the given slot."""
+    def release(self, tid: int):
+        slot = self._slots.pop(tid)
         # Reset our slot for its next wrap-around use, then pass the
         # lock to the next slot.
         yield from qcore.signal(self.slot_addrs[slot], MUST_WAIT)

@@ -20,10 +20,13 @@ fronted by an MCS-style *outer* queue that throttles who may spin on it.
 
 Release is a single store clearing the inner word, whoever wins next.
 Fairness is long-term (bounded bypass via the bounded fast path), not
-FIFO.  The outer queue reuses the MCS node layout (``flag``/``next``).
+FIFO.  The outer queue reuses the MCS node layout (``flag``/``next``),
+one node per thread; release touches no node.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.sync import qcore
 from repro.sync.mcs import FLAG_OFFSET, NEXT_OFFSET
@@ -50,15 +53,28 @@ class FissileLock(Lock):
     name = "fissile"
 
     def __init__(self, inner_addr: int, tail_addr: int,
-                 max_backoff: int = 256) -> None:
+                 nodes: Sequence[int], max_backoff: int = 256) -> None:
         super().__init__(inner_addr)
+        if 0 in nodes:
+            raise ValueError("fissile node cannot live at address 0")
         self.inner_addr = inner_addr
         self.tail_addr = tail_addr
+        self.nodes = list(nodes)
         self.max_backoff = max_backoff
         self.pc_fast = synthetic_pc("fissile.fast")
         self.pc_queue = synthetic_pc("fissile.queue")
         self.pc_head = synthetic_pc("fissile.head")
         self.pc_release = synthetic_pc("fissile.release")
+
+    @classmethod
+    def lay_out(cls, system, n_threads: int) -> FissileLock:
+        """The inner word, the tail word, then one node line per thread."""
+        layout = system.layout
+        return cls(
+            layout.alloc_line(),
+            layout.alloc_line(),
+            [layout.alloc_line() for _ in range(n_threads)],
+        )
 
     def is_free(self, read_word) -> bool:
         return (
@@ -66,11 +82,10 @@ class FissileLock(Lock):
             and read_word(self.tail_addr) == 0
         )
 
-    def acquire_with(self, node_addr: int):
-        """Generator: acquire; ``node_addr`` is only touched on the
-        slow path and is free for reuse once this generator returns."""
-        if node_addr == 0:
-            raise ValueError("fissile node cannot live at address 0")
+    def acquire(self, tid: int):
+        """Generator: acquire; thread ``tid``'s node is only touched on
+        the slow path and is free for reuse once this generator returns."""
+        node_addr = self.nodes[tid]
         # Fast path: bounded barging on the inner word.
         backoff = SPIN_PAUSE
         for _attempt in range(FAST_ATTEMPTS):
@@ -117,7 +132,7 @@ class FissileLock(Lock):
             )
         yield from qcore.signal(next_node + FLAG_OFFSET, 1)
 
-    def release(self):
+    def release(self, tid: int = 0):
         """Generator: release — one store clearing the inner word."""
         yield from qcore.signal(
             self.inner_addr, UNLOCKED, pc=self.pc_release

@@ -8,11 +8,15 @@ flag.  This is the software analogue of what QOLB/IQOLB build in
 hardware, included for the wider primitive comparison benches.
 
 Addressing: nodes are identified by their base address; ``0`` means nil,
-so callers must never place a node at address 0.  Each node occupies two
-words: ``flag`` (base) and ``next`` (base + 4).
+so a node must never live at address 0.  Each node occupies two words:
+``flag`` (base) and ``next`` (base + 4), on a line of its own so
+spinners do not falsely share.  Thread ``tid`` queues with node
+``nodes[tid]``, laid out by :meth:`McsLock.lay_out_nodes`.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.mem.address import WORD_BYTES
 from repro.sync import qcore
@@ -27,15 +31,19 @@ class McsLock(Lock):
 
     name = "mcs"
 
-    def __init__(self, tail_addr: int) -> None:
+    def __init__(self, tail_addr: int, nodes: Sequence[int] = ()) -> None:
         super().__init__(tail_addr)
+        if 0 in nodes:
+            raise ValueError("MCS node cannot live at address 0")
         self.tail_addr = tail_addr
+        self.nodes = list(nodes)
         self.pc_spin = synthetic_pc("mcs.spin")
 
-    def acquire_with(self, node_addr: int):
-        """Acquire using the caller's queue node at ``node_addr``."""
-        if node_addr == 0:
-            raise ValueError("MCS node cannot live at address 0")
+    def lay_out_nodes(self, system, n_threads: int) -> None:
+        self.nodes = [system.layout.alloc_line() for _ in range(n_threads)]
+
+    def acquire(self, tid: int):
+        node_addr = self.nodes[tid]
         yield from qcore.signal(node_addr + NEXT_OFFSET, 0)
         yield from qcore.signal(node_addr + FLAG_OFFSET, 0)
         predecessor = yield from qcore.splice_swap(self.tail_addr, node_addr)
@@ -47,8 +55,8 @@ class McsLock(Lock):
             node_addr + FLAG_OFFSET, qcore.nonzero, pc=self.pc_spin
         )
 
-    def release_with(self, node_addr: int):
-        """Release using the same node that acquired."""
+    def release(self, tid: int):
+        node_addr = self.nodes[tid]
         next_node = yield from qcore.read_once(node_addr + NEXT_OFFSET)
         if next_node == 0:
             swapped = yield from qcore.unsplice(

@@ -29,7 +29,7 @@ class QolbLock(Lock):
         self.pc_acquire = synthetic_pc("qolb.acquire")
         self.pc_release = synthetic_pc("qolb.release")
 
-    def acquire(self):
+    def acquire(self, tid: int = 0):
         while True:
             value = yield EnQOLB(self.addr, pc=self.pc_acquire)
             if value == 0:
@@ -39,5 +39,5 @@ class QolbLock(Lock):
                 return
             yield Compute(SPIN_PAUSE)
 
-    def release(self):
+    def release(self, tid: int = 0):
         yield DeQOLB(self.addr, pc=self.pc_release)

@@ -33,14 +33,15 @@ its gate:
 
 Node layout (one line per node, fields collocated so the three hand-off
 stores ride one line transfer): ``gate`` (base), ``eos`` (base+4),
-``res`` (base+8).  A thread passes its splice predecessor and the
-conveyed pair from acquire to release in generator locals, like CLH's
-recycling protocol; nodes are reusable immediately after release (a
-released node is referenced by no live chain — boundary values are
-compared, never dereferenced).
+``res`` (base+8).  A thread keeps its splice predecessor and the
+conveyed pair from acquire to release; its node is reusable
+immediately after release (a released node is referenced by no live
+chain — boundary values are compared, never dereferenced).
 """
 
 from __future__ import annotations
+
+from typing import Dict, Sequence, Tuple
 
 from repro.mem.address import WORD_BYTES
 from repro.sync import qcore
@@ -67,25 +68,32 @@ class ReciprocatingLock(Lock):
 
     name = "reciprocating"
 
-    def __init__(self, arrivals_addr: int) -> None:
+    def __init__(self, arrivals_addr: int, nodes: Sequence[int]) -> None:
         super().__init__(arrivals_addr)
+        if FREE in nodes or LOCKED_EMPTY in nodes:
+            raise ValueError(
+                "reciprocating node cannot live at a reserved address"
+            )
         self.arrivals_addr = arrivals_addr
+        self.nodes = list(nodes)
+        #: tid -> (splice predecessor, eos, res), from acquire to release
+        self._held: Dict[int, Tuple[int, int, int]] = {}
         self.pc_gate = synthetic_pc("recip.gate")
+
+    @classmethod
+    def lay_out(cls, system, n_threads: int) -> ReciprocatingLock:
+        """The arrivals word, then one node line per thread."""
+        layout = system.layout
+        return cls(
+            layout.alloc_line(),
+            [layout.alloc_line() for _ in range(n_threads)],
+        )
 
     def is_free(self, read_word) -> bool:
         return read_word(self.arrivals_addr) == FREE
 
-    def acquire_with(self, node_addr: int):
-        """Generator: acquire using ``node_addr``.
-
-        Returns ``(pred, eos, res)`` — the splice predecessor and the
-        conveyed segment pair — which must be passed, with the same
-        node, to :meth:`release_with`.
-        """
-        if node_addr in (FREE, LOCKED_EMPTY):
-            raise ValueError(
-                "reciprocating node cannot live at a reserved address"
-            )
+    def acquire(self, tid: int):
+        node_addr = self.nodes[tid]
         # Close our gate before the splice publishes the node.
         yield from qcore.signal(node_addr + GATE_OFFSET, GATE_CLOSED)
         pred = yield from qcore.splice_swap(self.arrivals_addr, node_addr)
@@ -94,7 +102,8 @@ class ReciprocatingLock(Lock):
             # boundary; nothing arrived before us, so we are our own
             # segment's terminal holder (eos == pred == FREE) and the
             # residue to clear at release is our own node.
-            return pred, FREE, node_addr
+            self._held[tid] = (pred, FREE, node_addr)
+            return
         # Contended: wait for a holder to open our gate, then read the
         # conveyed segment pair off our own line.
         yield from qcore.wait_until(
@@ -102,7 +111,7 @@ class ReciprocatingLock(Lock):
         )
         eos = yield from qcore.read_once(node_addr + EOS_OFFSET)
         res = yield from qcore.read_once(node_addr + RES_OFFSET)
-        return pred, eos, res
+        self._held[tid] = (pred, eos, res)
 
     def _admit(self, succ: int, eos: int, res: int):
         """Convey the segment pair into ``succ``'s node, then open its
@@ -111,8 +120,8 @@ class ReciprocatingLock(Lock):
         yield from qcore.signal(succ + RES_OFFSET, res)
         yield from qcore.signal(succ + GATE_OFFSET, GATE_OPEN)
 
-    def release_with(self, node_addr: int, pred: int, eos: int, res: int):
-        """Generator: release the lock acquired via ``node_addr``."""
+    def release(self, tid: int):
+        pred, eos, res = self._held.pop(tid)
         if pred != eos:
             # Mid-segment: reciprocate — admit the thread that arrived
             # immediately *before* us.

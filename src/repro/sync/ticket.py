@@ -8,8 +8,8 @@ word is what separates it from Anderson/MCS/CLH — every waiter spins on
 the *same* line, so each hand-off invalidates all spinners (the storm
 the paper's taxonomy charges to centralized spinning).
 
-The two words are placed by the caller; putting them in different cache
-lines avoids the ticket-grab invalidating every spinner.
+The two words get a line each, so a ticket grab does not invalidate
+every spinner.
 """
 
 from __future__ import annotations
@@ -32,7 +32,12 @@ class TicketLock(Lock):
         self.pc_read = synthetic_pc("ticket.spin")
         self.pc_release = synthetic_pc("ticket.release")
 
-    def acquire(self):
+    @classmethod
+    def lay_out(cls, system, n_threads: int) -> TicketLock:
+        layout = system.layout
+        return cls(layout.alloc_line(), layout.alloc_line())
+
+    def acquire(self, tid: int = 0):
         my_ticket = yield from qcore.splice_count(
             self.ticket_addr, "ticket.grab"
         )
@@ -43,7 +48,7 @@ class TicketLock(Lock):
     def is_free(self, read_word) -> bool:
         return read_word(self.ticket_addr) == read_word(self.serving_addr)
 
-    def release(self):
+    def release(self, tid: int = 0):
         serving = yield from qcore.read_once(self.serving_addr, pc=self.pc_release)
         yield from qcore.signal(
             self.serving_addr, serving + 1, pc=self.pc_release

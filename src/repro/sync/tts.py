@@ -38,7 +38,7 @@ class TTSLock(Lock):
         self.pc_acquire = synthetic_pc("tts.acquire")
         self.pc_release = synthetic_pc("tts.release")
 
-    def acquire(self):
+    def acquire(self, tid: int = 0):
         while True:
             # Spin on the LL until the lock reads free (locally, when the
             # protocol gives us a cached or tear-off copy).
@@ -50,7 +50,7 @@ class TTSLock(Lock):
                 return
             yield Compute(SPIN_PAUSE)
 
-    def release(self):
+    def release(self, tid: int = 0):
         yield Write(self.addr, 0, pc=self.pc_release)
 
 
@@ -65,7 +65,7 @@ class TSLock(Lock):
         self.pc_acquire = synthetic_pc("ts.acquire")
         self.pc_release = synthetic_pc("ts.release")
 
-    def acquire(self):
+    def acquire(self, tid: int = 0):
         backoff = SPIN_PAUSE
         while True:
             old = yield Swap(self.addr, 1, pc=self.pc_acquire)
@@ -74,5 +74,5 @@ class TSLock(Lock):
             yield Compute(backoff)
             backoff = min(backoff * 2, self.max_backoff)
 
-    def release(self):
+    def release(self, tid: int = 0):
         yield Write(self.addr, 0, pc=self.pc_release)

@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from repro.cpu.ops import Compute, Read, Write
 from repro.harness.system import System
+from repro.mem.address import WORD_BYTES
 from repro.sync.fetchop import fetch_and_add
 from repro.workloads.base import LockSet, Workload
 
@@ -167,15 +168,9 @@ class CollocatedCriticalSection(Workload):
         # remaining words as the protected data (collocation).
         self.lockset = LockSet(self.lock_kind, system, 1, n)
         lock_addr = self.lockset.lock_addr(0)
-        word = 4
         self.data_addrs = [
-            lock_addr + word * (i + 1) for i in range(self.data_words)
+            lock_addr + WORD_BYTES * (i + 1) for i in range(self.data_words)
         ]
-        if self.lock_kind == "ticket":
-            # Ticket locks use two words; keep data clear of both.
-            self.data_addrs = [
-                lock_addr + word * (i + 2) for i in range(self.data_words)
-            ]
         self.expected = n * self.acquires_per_proc
         for node in range(n):
             system.load_program(node, self._program(node))

@@ -7,6 +7,8 @@ counterexample bit-identically from the saved schedule.
 """
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -32,6 +34,8 @@ from repro.core.registry import PRIMITIVE_SPECS
 from repro.workloads.micro import ContendedCounter, NullCriticalSection
 
 SMOKE = Budget(max_schedules=30, max_steps=80_000, max_depth=30)
+
+CI_WORKFLOW = pathlib.Path(__file__).parent.parent / ".github/workflows/ci.yml"
 
 #: every registered software queue lock, from the registry
 SWQUEUE_PRIMITIVES = [
@@ -208,6 +212,26 @@ class TestRegistries:
 
     def test_mutation_names_cover_registry(self):
         assert mutation_names() == sorted(MUTATIONS)
+
+    def test_ci_self_test_runs_every_mutation(self):
+        """CI's seeded-mutation step installs every registered mutation,
+        each on the (scenario, primitive) cell of its row above: a
+        mutation CI never runs proves nothing about the checker."""
+        step = CI_WORKFLOW.read_text().split(
+            "- name: Seeded-mutation self-test", 1
+        )[1].split("- name:", 1)[0]
+        cells = {}
+        for command in step.split("python -m repro check")[1:]:
+            mutation = re.search(r"--mutate (\S+)", command)
+            if mutation is not None:
+                scenario = re.search(r"--scenario (\S+)", command)
+                primitive = re.search(r"--primitives (\S+)", command)
+                cells[mutation.group(1)] = (
+                    scenario and scenario.group(1), primitive.group(1)
+                )
+        assert sorted(cells) == mutation_names()
+        for mutation, (cell, _acquires, _oracles) in MUTATION_CASES.items():
+            assert cells[mutation] == cell, mutation
 
     def test_unknown_scenario_error_lists_known(self):
         with pytest.raises(ValueError, match="unknown scenario") as excinfo:

@@ -34,7 +34,7 @@ from repro.check.oracles import GrantOrderMonitor, OracleSink
 from repro.core.registry import PRIMITIVE_SPECS
 from repro.cpu.ops import Compute, Read, Write
 from repro.telemetry.tracer import TraceDispatcher
-from repro.workloads.base import LOCK_ADAPTERS, LockSet
+from repro.workloads.base import LOCK_CLASSES, LockSet
 
 PRIMITIVE_NAMES = list(PRIMITIVE_SPECS)
 
@@ -45,13 +45,15 @@ FIFO_PRIMITIVES = [
 
 def test_registry_covers_every_lock_kind():
     """Loud coverage guard: a primitive registered with a lock kind the
-    workloads cannot build must fail here, not vanish from the sweep."""
+    workloads cannot build must fail here, not vanish from the sweep.
+    The kind table is keyed on each lock class's own name."""
     missing = {
         spec.lock_kind for spec in PRIMITIVE_SPECS.values()
-    } - set(LOCK_ADAPTERS)
+    } - set(LOCK_CLASSES)
     assert not missing, (
-        f"registered primitives with no LockSet adapter: {missing}"
+        f"registered primitives with no lock class: {missing}"
     )
+    assert all(name == cls.name for name, cls in LOCK_CLASSES.items())
 
 
 def _contended_run(

@@ -108,22 +108,20 @@ class TestMcsLock:
     @pytest.mark.parametrize("policy", ["baseline", "delayed", "iqolb"])
     def test_mutual_exclusion(self, policy):
         system = build_system(4, policy)
-        lock = McsLock(system.layout.alloc_line())
-        nodes = [system.layout.alloc_line() for _ in range(4)]
+        lock = McsLock.lay_out(system, 4)
+        lock.lay_out_nodes(system, 4)
         check_mutual_exclusion(
             system,
             lambda tid: (
-                lambda: lock.acquire_with(nodes[tid]),
-                lambda: lock.release_with(nodes[tid]),
+                lambda: lock.acquire(tid),
+                lambda: lock.release(tid),
             ),
             4,
         )
 
     def test_node_at_zero_rejected(self):
-        lock = McsLock(0x1000)
-        gen = lock.acquire_with(0)
         with pytest.raises(ValueError):
-            next(gen)
+            McsLock(0x1000, nodes=[0x1040, 0])
 
 
 class TestQolbLock:

@@ -1,9 +1,11 @@
 """Tests for the workload layer: micro-benchmarks and synthetic apps."""
 
+import re
+
 import pytest
 
 from conftest import build_system
-from repro.core.registry import get_primitive
+from repro.core.registry import PRIMITIVE_SPECS, get_primitive
 from repro.harness.config import SystemConfig
 from repro.harness.experiment import run_workload
 from repro.workloads.base import LOCK_KINDS, LockSet
@@ -13,6 +15,34 @@ from repro.workloads.micro import (
     NullCriticalSection,
 )
 from repro.workloads.splash import APP_MODELS, APP_ORDER, make_app
+
+#: collocated cells that never finish, by their symptom.  A node that
+#: read the collocated data sends an UPGRADE or GETX on the lock line;
+#: that breaks the retention queue down (``queue_breakdown``) though the
+#: policy keeps it, and the squashed waiter queues again behind a tail
+#: that is itself still waiting.  A protocol defect the checker's
+#: ``lock`` scenario (token on its own line) cannot reach; these cells
+#: keep it visible and start failing once it is fixed.
+COLLOCATED_WEDGED = {
+    ("bus", "delayed+retention"): "retried [0-9]+ times; wedged",
+    ("directory", "delayed+retention"): "3 threads never finished",
+    ("directory", "iqolb+retention"): "3 threads never finished",
+}
+
+
+def _collocated_cells():
+    for fabric in ("bus", "directory"):
+        for primitive in PRIMITIVE_SPECS:
+            symptom = COLLOCATED_WEDGED.get((fabric, primitive))
+            marks = () if symptom is None else pytest.mark.xfail(
+                strict=True,
+                raises=RuntimeError,
+                reason=f"retention queue broken down by a collocated "
+                f"write: {symptom}",
+            )
+            yield pytest.param(
+                fabric, primitive, marks=marks, id=f"{fabric}-{primitive}"
+            )
 
 
 class TestLockSet:
@@ -119,6 +149,19 @@ class TestMicroWorkloads:
         config = SystemConfig(n_processors=3, policy="iqolb")
         workload = CollocatedCriticalSection(lock_kind="tts", acquires_per_proc=6)
         run_workload(workload, config, primitive="iqolb")
+
+    @pytest.mark.parametrize("fabric,primitive", _collocated_cells())
+    def test_collocated_cs_every_primitive(self, fabric, primitive):
+        workload = CollocatedCriticalSection(
+            lock_kind=get_primitive(primitive).lock_kind, acquires_per_proc=6
+        )
+        config = SystemConfig(n_processors=4, interconnect=fabric)
+        try:
+            run_workload(workload, config, primitive=primitive)
+        except RuntimeError as err:
+            symptom = COLLOCATED_WEDGED.get((fabric, primitive))
+            assert symptom is not None and re.search(symptom, str(err)), err
+            raise
 
     def test_verify_catches_corruption(self):
         config = SystemConfig(n_processors=2, policy="baseline")
