@@ -6,9 +6,28 @@ built on the qcore substrate — the reciprocating lock (single-word
 palindromic admission) and the fissile lock (test&set fast path behind
 an MCS anti-collapse queue) — and runs the widened ladder on **both**
 fabrics at 16-128 processors, against TTS, MCS, delayed response, and
-IQOLB.
+IQOLB.  It is the repo's one 16-128p lock grid.
 
-Expected shape (the taxonomy's claim, extended):
+The paper claims its mechanisms "require no changes to the processor"
+and work "in systems with either a broadcast-based or a directory-based
+coherence protocol" (§3.2's generality argument).  The directory half
+of the ladder runs the home-node directory over the point-to-point mesh
+at machine sizes the broadcast bus cannot reach, and measures both
+halves of that story:
+
+* **Taxonomy transfers.**  The ordering the paper establishes on the
+  bus — baseline > delayed > IQOLB in contended-lock cost — holds
+  unchanged on the directory at every size up to 128 processors: the
+  distributed queue forms from home-node forwarding instead of
+  observed bus order.
+* **The bus saturates; the directory scales.**  IQOLB is
+  network-optimal (one line transfer per hand-off), so on the bus its
+  per-hand-off cost is *flat* until the broadcast medium itself
+  saturates — then it cliffs (every transaction still occupies the one
+  shared address bus).  On the mesh the same protocol keeps scaling:
+  hand-offs ride disjoint links.
+
+Expected shape of the software queues (the taxonomy's claim, extended):
 
 * TTS collapses super-linearly on both fabrics (invalidation storm).
 * Delayed response bounds the storm but keeps centralized spinning.
@@ -140,6 +159,18 @@ def test_lock_ladder(benchmark, smoke, jobs, result_cache):
         # software queues beat bounded centralized spinning.
         assert recip[-1] < delayed[-1]
         assert fissile[-1] < delayed[-1]
+
+    # IQOLB on the bus: flat while the broadcast medium has headroom...
+    bus_iqolb = results["bus/iqolb"]
+    dir_iqolb = results["directory/iqolb"]
+    assert bus_iqolb[2] < bus_iqolb[0] * 2  # 16p -> 64p
+    # ...then the bus itself saturates and the cost cliffs.
+    assert bus_iqolb[3] > bus_iqolb[2] * 5  # 64p -> 128p
+    # The directory has no shared medium to saturate: the same protocol
+    # degrades smoothly past the bus's cliff...
+    assert dir_iqolb[3] < dir_iqolb[2] * 4
+    # ...and is absolutely cheaper than the saturated bus at 128p.
+    assert dir_iqolb[3] < bus_iqolb[3]
 
     # On the bus the software queues are *flat*: one line ping-pongs
     # between two fixed nodes per hand-off, independent of machine

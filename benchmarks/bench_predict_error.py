@@ -1,8 +1,10 @@
 """Prediction-error bench: the analytical model vs. cached simulations.
 
-Replays every committed benchmark cell (directory scaling, Figure 1
-taxonomy, Table 3) through ``repro.predict`` — calibrating from those
-same artifacts, with zero simulator invocations — and publishes the
+Replays the committed benchmark cells (Figure 1 taxonomy, Table 3, and
+the lock ladder's 16-cell calibration envelope: TTS, delayed response
+and IQOLB on the directory, IQOLB on the bus) through ``repro.predict``
+— calibrating from those same cells, with zero simulator invocations —
+and publishes the
 ``BENCH_predict_error.summary.json`` artifact CI gates on: mean
 relative error <= 25%, and on >= 90% of comparable cell groups the
 predicted taxonomy ordering (tts > delayed > iqolb, or not) matches the

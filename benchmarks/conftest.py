@@ -16,7 +16,7 @@ Harness options (also used by the CI smoke step):
     Worker processes for sweep cells (default 1, serial).
 ``--no-cache``
     Ignore the on-disk result cache and re-simulate every cell.  CI runs
-    the directory-scaling bench this way and gates its per-cell cycles,
+    the lock-ladder bench this way and gates its per-cell cycles,
     bus transactions and event counts against golden values with
     ``tools/perf_gate.py`` (see docs/harness.md "Golden cycles").
 """

@@ -305,7 +305,6 @@ def run_once(
     schedule: Sequence[int],
     budget: Optional[Budget] = None,
     extra_sinks: Optional[List[Any]] = None,
-    record_tree: bool = True,
     track_conflicts: bool = False,
     sleep: FrozenSet[CandidateKey] = frozenset(),
 ) -> RunOutcome:
@@ -384,21 +383,16 @@ def run_once(
             # nothing (the DFS will not branch beyond max_depth).
             current_sleep.clear()
             return 0
-        if record_tree:
-            outcome.branching.append(len(ties))
-            outcome.fingerprints.append(_fingerprint(system, tracked))
-            if track_conflicts:
-                outcome.candidates.append(
-                    [_candidate_key(e, amap) for e in ties]
-                )
-                outcome.candidate_seqs.append([e.seq for e in ties])
-                # Snapshot the sleep set *before* this choice fires, so
-                # the DFS can seed siblings with exactly what slept here.
-                outcome.sleep_at.append(frozenset(current_sleep))
-            if depth >= len(schedule):
-                outcome.observed.append(choice)
-        else:
-            outcome.branching.append(len(ties))
+        outcome.branching.append(len(ties))
+        outcome.fingerprints.append(_fingerprint(system, tracked))
+        if track_conflicts:
+            outcome.candidates.append([_candidate_key(e, amap) for e in ties])
+            outcome.candidate_seqs.append([e.seq for e in ties])
+            # Snapshot the sleep set *before* this choice fires, so
+            # the DFS can seed siblings with exactly what slept here.
+            outcome.sleep_at.append(frozenset(current_sleep))
+        if depth >= len(schedule):
+            outcome.observed.append(choice)
         return choice
 
     def on_step():

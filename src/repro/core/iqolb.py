@@ -34,9 +34,6 @@ from repro.core.predictor import HeldLockTable, LockPredictor
 from repro.interconnect.messages import BusTransaction
 from repro.mem.line import CacheLine
 
-#: Entries in each node's held-lock table.
-HELD_CAPACITY = 8
-
 #: Data lines Generalized IQOLB remembers per lock; the oldest goes first.
 PROTECTED_CAPACITY = 4
 
@@ -56,7 +53,7 @@ class IqolbPolicy(DelayedResponsePolicy):
 
     def bind(self, ctrl) -> None:  # type: ignore[override]
         super().bind(ctrl)
-        self.held = HeldLockTable(ctrl.amap, capacity=HELD_CAPACITY)
+        self.held = HeldLockTable(ctrl.amap)
 
     # ------------------------------------------------------------------
     # Snoop side

@@ -23,6 +23,15 @@ from typing import Dict, Optional
 
 from repro.mem.address import AddressMap
 
+#: PCs the lock predictor tracks; the least recently used goes first.
+PREDICTOR_CAPACITY = 256
+#: An entry whose accuracy drops below this is switched off...
+DISABLE_THRESHOLD = 0.5
+#: ...once it has seen at least this many outcomes.
+MIN_SAMPLES = 4
+#: Entries in each node's held-lock table.
+HELD_CAPACITY = 8
+
 
 class PredictorEntry:
     """Per-PC prediction state with a confidence shut-off."""
@@ -39,21 +48,13 @@ class PredictorEntry:
 class LockPredictor:
     """PC-indexed lock/Fetch&Phi predictor."""
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        disable_threshold: float = 0.5,
-        min_samples: int = 4,
-    ) -> None:
-        self.capacity = capacity
-        self.disable_threshold = disable_threshold
-        self.min_samples = min_samples
+    def __init__(self) -> None:
         self._entries: "OrderedDict[int, PredictorEntry]" = OrderedDict()
 
     def _entry(self, pc: int) -> PredictorEntry:
         entry = self._entries.get(pc)
         if entry is None:
-            if len(self._entries) >= self.capacity:
+            if len(self._entries) >= PREDICTOR_CAPACITY:
                 self._entries.popitem(last=False)
             entry = PredictorEntry()
             self._entries[pc] = entry
@@ -81,8 +82,8 @@ class LockPredictor:
     def record_misprediction(self, pc: int) -> None:
         """The speculation for ``pc`` went wrong (e.g. timeout while held).
 
-        After ``min_samples`` outcomes, entries whose accuracy drops below
-        ``disable_threshold`` are switched off ("the pathological case can
+        After ``MIN_SAMPLES`` outcomes, entries whose accuracy drops below
+        ``DISABLE_THRESHOLD`` are switched off ("the pathological case can
         be detected by determining the accuracy of prediction and turning
         the predictor off", paper §3.4).
         """
@@ -91,9 +92,9 @@ class LockPredictor:
             return
         entry.wrong += 1
         total = entry.correct + entry.wrong
-        if total >= self.min_samples:
+        if total >= MIN_SAMPLES:
             accuracy = entry.correct / total
-            if accuracy < self.disable_threshold:
+            if accuracy < DISABLE_THRESHOLD:
                 entry.enabled = False
 
     def stats(self) -> Dict[str, int]:
@@ -128,45 +129,23 @@ class HeldLockTable:
     oldest speculation is discarded (paper §3.3).
     """
 
-    def __init__(self, amap: AddressMap, capacity: int = 8) -> None:
+    def __init__(self, amap: AddressMap) -> None:
         self.amap = amap
-        self.capacity = capacity
         self._by_addr: "OrderedDict[int, HeldLock]" = OrderedDict()
-        self._line_count: Dict[int, int] = {}
 
     def insert(self, addr: int, pc: int, now: int) -> Optional[HeldLock]:
         """Record a held lock; returns any entry discarded for capacity."""
         discarded: Optional[HeldLock] = None
-        if addr in self._by_addr:
-            self._remove(addr)
-        if len(self._by_addr) >= self.capacity:
+        self._by_addr.pop(addr, None)
+        if len(self._by_addr) >= HELD_CAPACITY:
             oldest_addr = next(iter(self._by_addr))
-            discarded = self._remove(oldest_addr)
-        entry = HeldLock(addr, pc, now)
-        self._by_addr[addr] = entry
-        line = self.amap.line_addr(addr)
-        self._line_count[line] = self._line_count.get(line, 0) + 1
+            discarded = self._by_addr.pop(oldest_addr)
+        self._by_addr[addr] = HeldLock(addr, pc, now)
         return discarded
 
     def release(self, addr: int) -> Optional[HeldLock]:
         """A store to ``addr`` completed; pop and return the entry."""
-        if addr not in self._by_addr:
-            return None
-        return self._remove(addr)
-
-    def _remove(self, addr: int) -> HeldLock:
-        entry = self._by_addr.pop(addr)
-        line = self.amap.line_addr(addr)
-        remaining = self._line_count.get(line, 0) - 1
-        if remaining <= 0:
-            self._line_count.pop(line, None)
-        else:
-            self._line_count[line] = remaining
-        return entry
-
-    def contains_line(self, line_addr: int) -> bool:
-        """Is any lock in this cache line currently held?"""
-        return line_addr in self._line_count
+        return self._by_addr.pop(addr, None)
 
     def most_recent(self) -> Optional[HeldLock]:
         """The most recently inserted held lock, or None."""

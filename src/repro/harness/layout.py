@@ -22,12 +22,6 @@ class MemoryLayout:
             raise ValueError("layout base must be line-aligned")
         self._next = base
 
-    def alloc_word(self) -> int:
-        """Next word, packed sequentially (may share lines)."""
-        addr = self._next
-        self._next += WORD_BYTES
-        return addr
-
     def alloc_line(self) -> int:
         """A fresh, exclusively-held cache line; returns its first word."""
         self._align_to_line()
@@ -45,10 +39,6 @@ class MemoryLayout:
         addrs = [self._next + i * WORD_BYTES for i in range(count)]
         self._next += self.amap.line_bytes
         return addrs
-
-    def alloc_lines(self, count: int) -> List[int]:
-        """``count`` line-separated words (no false sharing)."""
-        return [self.alloc_line() for _ in range(count)]
 
     def alloc_array(self, n_words: int) -> List[int]:
         """A dense array of words starting on a line boundary."""

@@ -29,10 +29,3 @@ class AddressMap:
     def word_index(self, addr: int) -> int:
         """Index of the word within its line (0..words_per_line-1)."""
         return (addr & self._offset_mask) // WORD_BYTES
-
-    def word_addr(self, line_addr: int, word_index: int) -> int:
-        """Inverse of :meth:`word_index`."""
-        return line_addr + word_index * WORD_BYTES
-
-    def same_line(self, addr_a: int, addr_b: int) -> bool:
-        return self.line_addr(addr_a) == self.line_addr(addr_b)

@@ -43,8 +43,8 @@ from typing import Optional
 from repro.cpu.ops import Accept, Compute, Read, Spin, Swap, Write
 from repro.sync.fetchop import compare_and_swap, fetch_and_add
 
-#: default cycles of local pause between failed wait tests (branch +
-#: loop cost) — shared by every composed lock, as before the refactor
+#: cycles of local pause between failed lock tests (branch + loop
+#: cost), shared by every lock in :mod:`repro.sync` but the barrier
 SPIN_PAUSE = 24
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from repro.cpu.ops import Compute, DeQOLB, EnQOLB, Write
 from repro.sync.primitives import Lock, synthetic_pc
-
-SPIN_PAUSE = 24
+from repro.sync.qcore import SPIN_PAUSE
 
 
 class QolbLock(Lock):

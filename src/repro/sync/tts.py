@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from repro.cpu.ops import SC, Compute, Spin, Swap, Write
 from repro.sync.primitives import Lock, synthetic_pc
-
-#: cycles of local pause between failed lock tests (branch + loop cost)
-SPIN_PAUSE = 24
+from repro.sync.qcore import SPIN_PAUSE
 
 
 class TTSLock(Lock):

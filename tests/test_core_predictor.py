@@ -2,7 +2,14 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core.predictor import HeldLockTable, LockPredictor
+from repro.core.predictor import (
+    DISABLE_THRESHOLD,
+    HELD_CAPACITY,
+    MIN_SAMPLES,
+    PREDICTOR_CAPACITY,
+    HeldLockTable,
+    LockPredictor,
+)
 from repro.mem.address import AddressMap
 
 
@@ -17,25 +24,30 @@ class TestLockPredictor:
         assert not predictor.predict_lock(0x404)
 
     def test_capacity_eviction(self):
-        predictor = LockPredictor(capacity=2)
-        predictor.train_lock(1)
-        predictor.train_lock(2)
-        predictor.train_lock(3)  # evicts pc=1 (LRU)
+        predictor = LockPredictor()
+        for pc in range(PREDICTOR_CAPACITY):
+            predictor.train_lock(pc)
+        predictor.train_lock(0)  # touch pc=0: pc=1 is now the LRU entry
+        predictor.train_lock(PREDICTOR_CAPACITY)  # evicts pc=1
         assert not predictor.predict_lock(1)
-        assert predictor.predict_lock(2)
-        assert predictor.predict_lock(3)
+        assert predictor.predict_lock(0)
+        assert predictor.predict_lock(PREDICTOR_CAPACITY)
+        assert predictor.stats()["entries"] == PREDICTOR_CAPACITY
 
     def test_pathological_disable(self):
-        predictor = LockPredictor(min_samples=4, disable_threshold=0.6)
+        predictor = LockPredictor()
         predictor.train_lock(0x400)  # 1 correct
-        for _ in range(3):
+        for _ in range(MIN_SAMPLES - 2):
             predictor.record_misprediction(0x400)
-        # 1 correct / 4 samples = 0.25 < 0.6 -> disabled
+        # one outcome short of MIN_SAMPLES: still on, however inaccurate
+        assert predictor.predict_lock(0x400)
+        predictor.record_misprediction(0x400)
+        assert 1 / MIN_SAMPLES < DISABLE_THRESHOLD
         assert not predictor.predict_lock(0x400)
         assert predictor.stats()["disabled"] == 1
 
     def test_accurate_entries_stay_enabled(self):
-        predictor = LockPredictor(min_samples=4, disable_threshold=0.6)
+        predictor = LockPredictor()
         predictor.train_lock(0x400)
         for _ in range(10):
             predictor.record_correct(0x400)
@@ -54,8 +66,8 @@ class TestLockPredictor:
         assert stats == {"entries": 1, "lock_entries": 1, "disabled": 0}
 
 
-def make_table(capacity=4):
-    return HeldLockTable(AddressMap(64), capacity=capacity)
+def make_table():
+    return HeldLockTable(AddressMap(64))
 
 
 class TestHeldLockTable:
@@ -73,31 +85,23 @@ class TestHeldLockTable:
         assert table.release(0x104) is None  # same line, different word
         assert table.release(0x100) is not None
 
-    def test_contains_line(self):
-        table = make_table()
-        table.insert(0x104, pc=7, now=0)
-        assert table.contains_line(0x100)
-        assert not table.contains_line(0x140)
-        table.release(0x104)
-        assert not table.contains_line(0x100)
-
     def test_two_locks_one_line(self):
         table = make_table()
         table.insert(0x100, pc=1, now=0)
         table.insert(0x104, pc=2, now=1)
         table.release(0x100)
-        assert table.contains_line(0x100)  # 0x104 still held
+        assert table.lookup_line(0x100).addr == 0x104  # 0x104 still held
         table.release(0x104)
-        assert not table.contains_line(0x100)
+        assert table.lookup_line(0x100) is None
 
     def test_capacity_discards_oldest(self):
-        table = make_table(capacity=2)
-        table.insert(0x100, pc=1, now=0)
-        table.insert(0x140, pc=2, now=1)
-        discarded = table.insert(0x180, pc=3, now=2)
+        table = make_table()
+        for i in range(HELD_CAPACITY):
+            assert table.insert(0x100 + 0x40 * i, pc=i, now=i) is None
+        discarded = table.insert(0x1000, pc=99, now=99)
         assert discarded is not None and discarded.addr == 0x100
         assert table.release(0x100) is None
-        assert len(table) == 2
+        assert len(table) == HELD_CAPACITY
 
     def test_reinsert_same_addr_replaces(self):
         table = make_table()
@@ -112,6 +116,9 @@ class TestHeldLockTable:
         table.insert(0x108, pc=9, now=0)
         entry = table.lookup_line(0x100)
         assert entry is not None and entry.pc == 9
+        assert table.lookup_line(0x140) is None
+        table.release(0x108)
+        assert table.lookup_line(0x100) is None
 
     def test_timed_out_flag_defaults_false(self):
         table = make_table()
@@ -119,9 +126,9 @@ class TestHeldLockTable:
         assert table.lookup_line(0x100).timed_out is False
 
     @given(st.lists(st.integers(min_value=0, max_value=30), max_size=40))
-    def test_line_count_invariant(self, word_indices):
-        """contains_line always agrees with the set of held entries."""
-        table = make_table(capacity=8)
+    def test_lookup_line_agrees_with_held_entries(self, word_indices):
+        """lookup_line finds a held entry in exactly the held lines."""
+        table = make_table()
         amap = AddressMap(64)
         for i, w in enumerate(word_indices):
             addr = w * 4
@@ -132,8 +139,10 @@ class TestHeldLockTable:
             held_lines = {
                 amap.line_addr(e.addr) for e in table._by_addr.values()
             }
-            for line in held_lines:
-                assert table.contains_line(line)
             for line in {amap.line_addr(w * 4) for w in word_indices}:
-                if line not in held_lines:
-                    assert not table.contains_line(line)
+                entry = table.lookup_line(line)
+                if line in held_lines:
+                    assert entry is not None
+                    assert amap.line_addr(entry.addr) == line
+                else:
+                    assert entry is None

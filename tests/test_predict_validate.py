@@ -69,7 +69,7 @@ class TestObservedCells:
                 assert sig.primitive == cell["primitive"]
                 assert sig.n_processors == cell["n_processors"]
                 assert sig.workload == cell["workload"]
-                if name == "directory_scaling":
+                if name == "lock_ladder":
                     assert [sig.fabric, sig.primitive, sig.n_processors] == (
                         cell["key"]
                     )
@@ -94,14 +94,35 @@ class TestObservedCells:
         results = tmp_path / "results"
         results.mkdir()
         write_metrics_archive(
-            results / "BENCH_directory_scaling.json",
+            results / "BENCH_lock_ladder.json",
             {("directory", "iqolb", 2): result},
         )
-        artifacts = {"directory_scaling": ARTIFACTS["directory_scaling"]}
+        artifacts = {"lock_ladder": ARTIFACTS["lock_ladder"]}
         (cell,) = load_observed_cells(tmp_path, artifacts)
         sig = cell.signature
         assert (sig.total_ops, sig.local_compute) == (6, 17)
         assert cell.observed_cycles == result.cycles
+
+    def test_ladder_reader_keeps_only_the_calibration_envelope(self):
+        """Of the 48 committed ladder cells the fit reads 16: the
+        taxonomy on the directory and IQOLB on the bus."""
+        spec = ARTIFACTS["lock_ladder"]
+        cells = json.loads((ROOT / spec.path).read_text())["cells"]
+        kept = {
+            tuple(cell["key"])
+            for cell in cells
+            if spec.build_signature(cell) is not None
+        }
+        sizes = (16, 32, 64, 128)
+        envelope = {
+            ("directory", primitive, n)
+            for primitive in ("tts", "delayed", "iqolb")
+            for n in sizes
+        } | {("bus", "iqolb", n) for n in sizes}
+        assert len(cells) == 48
+        assert kept == envelope
+        observed = load_observed_cells(ROOT, {"lock_ladder": spec})
+        assert {cell.key for cell in observed} == envelope
 
     def test_cell_without_signature_names_its_artifact(self, tmp_path):
         path = tmp_path / ARTIFACTS["table3"].path

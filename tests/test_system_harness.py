@@ -172,15 +172,9 @@ class TestMemoryLayout:
     def make(self):
         return MemoryLayout(AddressMap(64), base=0x10000)
 
-    def test_alloc_word_packs(self):
-        layout = self.make()
-        a = layout.alloc_word()
-        b = layout.alloc_word()
-        assert b == a + 4
-
     def test_alloc_line_is_aligned_and_exclusive(self):
         layout = self.make()
-        layout.alloc_word()
+        layout.alloc_array(1)  # leaves the next free word mid-line
         line = layout.alloc_line()
         assert line % 64 == 0
         next_one = layout.alloc_line()
@@ -200,7 +194,7 @@ class TestMemoryLayout:
     def test_alloc_lines_do_not_false_share(self):
         layout = self.make()
         amap = AddressMap(64)
-        addrs = layout.alloc_lines(5)
+        addrs = [layout.alloc_line() for _ in range(5)]
         assert len({amap.line_addr(a) for a in addrs}) == 5
 
     def test_alloc_array_dense(self):
