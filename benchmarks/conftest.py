@@ -3,7 +3,9 @@
 Each bench regenerates one table or figure of the paper (see DESIGN.md's
 experiment index).  Simulated runs are deterministic and expensive, so
 every bench executes exactly once per session (``once``) and both prints
-its artefact and writes it under ``results/``.
+its artefact and writes it under ``results/`` (``smoke-results/`` under
+``--smoke``, so a smoke run never overwrites the committed exports the
+predictor and the golden gates read).
 
 Harness options (also used by the CI smoke step):
 
@@ -11,7 +13,8 @@ Harness options (also used by the CI smoke step):
     Tiny machine sizes and short workloads: every driver still runs
     end-to-end (catching protocol regressions that only appear under
     sweeps), but the paper-calibrated quantitative assertions are
-    skipped — they only hold at paper scale.
+    skipped — they only hold at paper scale.  Artefacts go to
+    ``smoke-results/``.
 ``--jobs N``
     Worker processes for sweep cells (default 1, serial).
 ``--no-cache``
@@ -34,7 +37,11 @@ from repro.telemetry import (
     write_metrics_archive,
 )
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: where this session's artefacts go: ``results/``, or ``smoke-results/``
+#: under ``--smoke`` (set by ``pytest_configure``, before any bench
+#: module imports it)
+RESULTS_DIR = ROOT / "results"
 
 #: The paper's Table 3 (TTS absolute, QOLB relative, IQOLB relative).
 PAPER_TABLE3 = {
@@ -68,13 +75,19 @@ def pytest_addoption(parser):
     )
 
 
+def pytest_configure(config):
+    global RESULTS_DIR
+    if config.getoption("--smoke"):
+        RESULTS_DIR = ROOT / "smoke-results"
+
+
 def once(benchmark, fn, *args, **kwargs):
     """Run a deterministic, expensive experiment exactly once."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
 def publish(name: str, text: str) -> None:
-    """Print an artefact and persist it under results/."""
+    """Print an artefact and persist it under ``RESULTS_DIR``."""
     print()
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -82,7 +95,7 @@ def publish(name: str, text: str) -> None:
 
 
 def publish_metrics(name, results, runner_stats=None, archive=False) -> pathlib.Path:
-    """Persist a machine-readable metrics document under results/.
+    """Persist a machine-readable metrics document under ``RESULTS_DIR``.
 
     ``results`` is a grid (key -> RunResult) or an iterable of
     RunResults; the artefact conforms to
@@ -104,7 +117,8 @@ def publish_metrics(name, results, runner_stats=None, archive=False) -> pathlib.
 
 
 def publish_chrome_trace(name, events) -> pathlib.Path:
-    """Persist recorded telemetry events as a Chrome trace under results/."""
+    """Persist recorded telemetry events as a Chrome trace under
+    ``RESULTS_DIR``."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.trace.json"
     sink = ChromeTraceSink(path)

@@ -523,7 +523,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             row = (p.signature.fabric, p.signature.primitive)
             by_row.setdefault(row, {})[p.signature.n_processors] = p
         rows = [
-            [f"{fabric}/{primitive}"]
+            [f"{fabric}/{primitive}",
+             by_row[(fabric, primitive)][procs_list[0]].curve_source]
             + [f"{by_row[(fabric, primitive)][n].throughput:.2f}"
                for n in procs_list]
             for fabric in fabrics
@@ -531,7 +532,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         ]
         print(
             render_table(
-                ["fabric/primitive"] + [str(n) for n in procs_list],
+                ["fabric/primitive", "curve"] + [str(n) for n in procs_list],
                 rows,
                 title=(
                     f"Predicted throughput (ops/kcycle), {workload} — "
@@ -548,13 +549,14 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                 f"{p.handoff_cycles:,.0f}",
                 f"{p.effective_waiters:.1f}",
                 p.regime,
+                p.curve_source,
             ]
             for p in predictions
         ]
         print(
             render_table(
                 ["fabric/primitive", "ops/kcycle", "cycles/op",
-                 "hand-off", "waiters", "regime"],
+                 "hand-off", "waiters", "regime", "curve"],
                 rows,
                 title=(
                     f"Predicted throughput, {workload}, "

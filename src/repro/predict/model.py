@@ -43,14 +43,19 @@ directory has no shared medium and no knee.
 
 Everything here is arithmetic on a
 :class:`~repro.harness.signature.WorkloadSignature` — no simulation, no
-event queue; a full 5-primitive x 2-fabric x 128-machine-size grid
-evaluates in milliseconds.
+event queue.  The MVA recursion for ``n`` processors passes through
+every smaller machine, so :func:`_mva` keeps each queueing network's
+rows in one population-indexed trajectory that every machine size and
+repeated query of that network reads (at most :data:`MVA_TABLE_CAP`
+networks); every registered primitive on both fabrics at every size
+from 1 to 128 evaluates in tens of milliseconds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.registry import PRIMITIVE_SPECS
@@ -183,9 +188,13 @@ class CalibrationParams:
 
     # -- lookup ---------------------------------------------------------
 
-    def curve_for(self, sig: WorkloadSignature) -> CostCurve:
+    def fitted_curve(self, sig: WorkloadSignature) -> Optional[CostCurve]:
+        """The calibrated curve for ``sig``'s combination, if one was fitted."""
         table = self.rmw_curves if sig.kind == KIND_RMW else self.lock_curves
-        curve = table.get((sig.fabric, sig.primitive))
+        return table.get((sig.fabric, sig.primitive))
+
+    def curve_for(self, sig: WorkloadSignature) -> CostCurve:
+        curve = self.fitted_curve(sig)
         if curve is not None:
             return curve
         return derived_curve(sig.fabric, sig.primitive, sig.kind, self)
@@ -336,6 +345,10 @@ class Prediction:
     effective_waiters: float
     #: "compute-bound" | "lock-bound"
     regime: str
+    #: "fitted" if the cost curve came from the calibration's
+    #: ``lock_curves``/``rmw_curves``, "derived" if from
+    #: :func:`derived_curve`
+    curve_source: str
     #: additive term breakdown (cycles), for tables and debugging
     terms: Dict[str, float] = dataclasses.field(default_factory=dict)
 
@@ -377,6 +390,35 @@ def _think(sig: WorkloadSignature, params: CalibrationParams) -> float:
     )
 
 
+#: networks :func:`_mva` keeps a population trajectory for; past this
+#: many, the oldest entry is dropped first
+MVA_TABLE_CAP = 4096
+
+
+class _Trajectory:
+    """One network's MVA rows for populations ``m = 0..M``.
+
+    ``x``, ``q_hot`` and ``s_hot`` hold each population's throughput,
+    hot-lock queue and hot-lock service as doubles; ``q_rest`` is the
+    queue at the other locks at ``m = M``, the rest of the recursion's
+    carry.
+    """
+
+    __slots__ = ("x", "q_hot", "s_hot", "q_rest")
+
+    def __init__(self, x: float, s_hot: float) -> None:
+        self.x = array("d", (x,))
+        self.q_hot = array("d", (0.0,))
+        self.s_hot = array("d", (s_hot,))
+        self.q_rest = 0.0
+
+
+#: network -> its trajectory, keyed on the numbers the recursion reads
+#: (never on a ``CalibrationParams``, which the fit mutates in place);
+#: insertion order makes the first key the oldest
+_TRAJECTORIES: Dict[Tuple[Any, ...], _Trajectory] = {}
+
+
 def _mva(
     n: int,
     think: float,
@@ -409,16 +451,50 @@ def _mva(
     waiters at unrelated locks still pay part of its cost.  Queued and
     deferred primitives, and everything on the directory, see only
     their own lock's queue (``couple = 0``).
+
+    Solving for ``n`` customers solves every smaller population on the
+    way, so each network keeps its rows in a shared trajectory
+    (:class:`_Trajectory`, at most :data:`MVA_TABLE_CAP` networks).  A
+    query inside the trajectory is a lookup; one beyond it extends the
+    recursion from the last row (:func:`_extend`), so every answer is
+    bit for bit the one a cold solve gives.  The key is the arguments'
+    values: ``-0.0`` keys like ``0.0``, a sign :func:`equilibrium`
+    never passes.
     """
     c0, a, p = curve.c0, curve.a, curve.p
+    key = (think, f0, n_locks, c0, a, p, sat_mult, delta, couple)
+    trajectory = _TRAJECTORIES.get(key)
+    if trajectory is None:
+        if len(_TRAJECTORIES) >= MVA_TABLE_CAP:
+            del _TRAJECTORIES[next(iter(_TRAJECTORIES))]
+        trajectory = _TRAJECTORIES[key] = _Trajectory(
+            1.0 / max(1.0, think),
+            (c0 + a * 0.0 ** p) * sat_mult + delta,  # S(1)
+        )
+    if n >= len(trajectory.x):
+        _extend(trajectory, n, key)
+    x = trajectory.x[n]
+    s_hot = trajectory.s_hot[n]
+    return _Equilibrium(
+        x_items=x,
+        q_hot=trajectory.q_hot[n],
+        s_hot=s_hot,
+        utilization=min(1.0, x * f0 * s_hot),
+    )
+
+
+def _extend(
+    trajectory: _Trajectory, n: int, key: Tuple[Any, ...]
+) -> None:
+    """Add the MVA rows after ``trajectory``'s last, through ``n``."""
+    think, f0, n_locks, c0, a, p, sat_mult, delta, couple = key
     think = max(1.0, think)
     rest_locks = max(0, n_locks - 1)
     f_rest = max(0.0, 1.0 - f0) if rest_locks else 0.0
-    q_hot = 0.0
-    q_rest = 0.0
-    x = 1.0 / think
-    s_hot = (c0 + a * 0.0 ** p) * sat_mult + delta  # S(1)
-    for m in range(1, n + 1):
+    xs, q_hots, s_hots = trajectory.x, trajectory.q_hot, trajectory.s_hot
+    q_hot = q_hots[-1]
+    q_rest = trajectory.q_rest
+    for m in range(len(xs), n + 1):
         w_hot = q_hot + 1.0 + couple * q_rest
         s_hot = (c0 + a * max(0.0, w_hot - 1.0) ** p) * sat_mult + delta
         r_hot = s_hot * (1.0 + q_hot)
@@ -435,12 +511,10 @@ def _mva(
         x = m / r_cycle
         q_hot = x * f0 * r_hot
         q_rest = x * f_rest * r_rest
-    return _Equilibrium(
-        x_items=x,
-        q_hot=q_hot,
-        s_hot=s_hot,
-        utilization=min(1.0, x * f0 * s_hot),
-    )
+        xs.append(x)
+        q_hots.append(q_hot)
+        s_hots.append(s_hot)
+    trajectory.q_rest = q_rest
 
 
 def _storm_coupled(sig: WorkloadSignature) -> bool:
@@ -453,7 +527,8 @@ def equilibrium(
 ) -> _Equilibrium:
     """The closed network's steady state for ``sig`` (see :func:`_mva`).
 
-    This is the expensive half of :func:`predict`.  It reads the cost
+    This is the expensive half of :func:`predict` whenever ``sig``'s
+    network is new to the trajectory table.  It reads the cost
     curves, the saturation, the compute globals and ``storm_couple``,
     never ``straggle`` or ``barrier_per_proc``: those enter only in
     :func:`_app_cycles`, after the equilibrium.
@@ -524,6 +599,7 @@ def predict(
         raise ValueError(f"phases must be at least 1, got {sig.phases}")
     if params is None:
         params = default_params()
+    curve_source = "derived" if params.fitted_curve(sig) is None else "fitted"
 
     if sig.n_processors == 1:
         # Uncontended: every primitive converges to the same rate — the
@@ -539,6 +615,7 @@ def predict(
             handoff_cycles=0.0,
             effective_waiters=0.0,
             regime="compute-bound",
+            curve_source=curve_source,
             terms={"think": think, "serial": float(sig.serial_compute)},
         )
 
@@ -562,5 +639,6 @@ def predict(
         handoff_cycles=max(0.0, eq.s_hot - _cs_body(sig, params)),
         effective_waiters=eq.q_hot,
         regime="lock-bound" if eq.utilization >= 0.9 else "compute-bound",
+        curve_source=curve_source,
         terms=terms,
     )

@@ -12,21 +12,34 @@ arithmetic, so these run in milliseconds with no simulator.
 from __future__ import annotations
 
 import dataclasses
+import json
+import pathlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.cli import main
 from repro.harness.signature import KIND_LOCK, WorkloadSignature
-from repro.predict import CalibrationParams, default_params, predict
+from repro.predict import (
+    CalibrationParams,
+    default_params,
+    load_calibration,
+    model,
+    predict,
+)
 from repro.predict.model import (
     PRIMITIVE_CLASS,
     CostCurve,
+    Saturation,
     _app_cycles,
     _Equilibrium,
     _mva,
     equilibrium,
 )
 from repro.workloads.splash import APP_MODELS, APP_ORDER
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CALIBRATION = ROOT / "results" / "PREDICT_calibration.json"
 
 #: model arithmetic is fast — allow more examples than the simulator suite
 model_settings = settings(max_examples=60, deadline=None)
@@ -264,3 +277,166 @@ class TestImpossibleMachines:
         sig = splash_signature("barnes", "iqolb", "bus", n).with_(phases=0)
         with pytest.raises(ValueError, match="phases"):
             predict(sig)
+
+
+def bits(eq):
+    return tuple(float.hex(v) for v in dataclasses.astuple(eq))
+
+
+def cold_predict(sig, params):
+    """``predict`` with no shared trajectory to read from."""
+    model._TRAJECTORIES.clear()
+    return predict(sig, params)
+
+
+#: (c0, a, p, sat_mult, delta, n_locks, f0, think, couple)
+networks = st.tuples(
+    st.floats(0.0, 2000.0, **finite),
+    st.floats(0.0, 500.0, **finite),
+    st.floats(0.05, 2.0, **finite),
+    st.floats(1.0, 100.0, **finite),
+    st.floats(0.0, 500.0, **finite),
+    st.integers(1, 64),
+    st.floats(0.0, 1.0, **finite),
+    st.floats(0.0, 5000.0, **finite),
+    st.floats(0.0, 1.0, **finite),
+)
+
+
+def query_order(order, sizes, n_networks):
+    """``(network, n)`` queries over every network, in ``order``."""
+    if order == "ascending":
+        sizes = sorted(sizes)
+    elif order == "descending":
+        sizes = sorted(sizes, reverse=True)
+    elif order == "repeated":
+        sizes = sizes + sizes[::-1] + sizes
+    if order == "interleaved":
+        return [(i, n) for n in sizes for i in range(n_networks)]
+    return [(i, n) for i in range(n_networks) for n in sizes]
+
+
+class TestSharedTrajectory:
+    """``_mva`` answers from a per-network population trajectory shared
+    by every query; each answer must be the cold solve's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "order", ["ascending", "descending", "repeated", "interleaved"]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nets=st.lists(networks, min_size=1, max_size=3),
+        sizes=st.lists(st.integers(1, 128), min_size=1, max_size=6),
+    )
+    def test_every_query_order_matches_reference(self, order, nets, sizes):
+        model._TRAJECTORIES.clear()
+        for i, n in query_order(order, sizes, len(nets)):
+            c0, a, p, sat_mult, delta, n_locks, f0, think, couple = nets[i]
+            curve = CostCurve(c0, a, p)
+
+            def cost(w):
+                return curve.cost(w) * sat_mult + delta
+
+            expected = reference_mva(n, think, f0, n_locks, cost, couple)
+            got = _mva(n, think, f0, n_locks, curve, sat_mult, delta, couple)
+            assert bits(got) == bits(expected), (order, i, n)
+
+    def test_table_never_outgrows_its_cap(self, monkeypatch):
+        monkeypatch.setattr(model, "MVA_TABLE_CAP", 8)
+        model._TRAJECTORIES.clear()
+        curve = CostCurve(40.0, 3.0, 1.1)
+        for think in range(1, 30):
+            _mva(16, float(think), 1.0, 1, curve, 1.0, 0.0, 0.0)
+            assert len(model._TRAJECTORIES) <= 8
+        # the oldest networks went first; an evicted one solves afresh
+        thinks = [key[0] for key in model._TRAJECTORIES]
+        assert thinks == [float(t) for t in range(22, 30)]
+        got = _mva(16, 1.0, 1.0, 1, curve, 1.0, 0.0, 0.0)
+        expected = reference_mva(
+            16, 1.0, 1.0, 1, lambda w: curve.cost(w) * 1.0 + 0.0, 0.0
+        )
+        assert bits(got) == bits(expected)
+        assert len(model._TRAJECTORIES) == 8
+
+    def test_in_place_fit_mutations_never_serve_stale_answers(self):
+        """``calibrate.fit`` rewrites a ``CalibrationParams`` in place:
+        curves, ``storm_couple`` and the bus saturation.  Each answer
+        after a mutation must be the cold one, and must have moved."""
+        params = load_calibration(CALIBRATION)
+        sigs = [
+            splash_signature("radiosity", "tts", "bus", 32),
+            lock_signature("tts", "bus", 128),
+            lock_signature("iqolb", "directory", 64),
+        ]
+
+        def set_curve():
+            curve = params.lock_curves[("bus", "tts")]
+            params.lock_curves[("bus", "tts")] = CostCurve(
+                curve.c0 * 1.1, curve.a * 0.9, curve.p
+            )
+
+        def set_couple():
+            params.storm_couple = 0.7
+
+        def set_saturation():
+            sat = params.saturation["bus"]
+            params.saturation["bus"] = Saturation(sat.knee, sat.k * 2, sat.q)
+
+        moved = {set_curve: sigs[:2], set_couple: sigs[:1],
+                 set_saturation: sigs[1:2]}
+        for mutate, changed in moved.items():
+            before = [predict(sig, params).to_dict() for sig in sigs]
+            mutate()
+            after = [predict(sig, params).to_dict() for sig in sigs]
+            cold = [cold_predict(sig, params).to_dict() for sig in sigs]
+            assert after == cold, mutate.__name__
+            for sig, old, new in zip(sigs, before, after):
+                assert (old != new) == (sig in changed), mutate.__name__
+
+    def test_cli_grid_equals_cold_cells(self, capsys):
+        """``repro predict --grid`` shares trajectories across its cells;
+        every registered primitive on both fabrics must still read what
+        a cold ``predict`` of the cell gives."""
+        model._TRAJECTORIES.clear()
+        assert main([
+            "predict", "--grid", "procs=1..128", "--format", "json",
+            "--calibration", str(CALIBRATION), "--primitive", *PRIMITIVES,
+        ]) == 0
+        grid = json.loads(capsys.readouterr().out)
+        assert len(grid) == len(PRIMITIVES) * len(FABRICS) * 8
+        params = load_calibration(CALIBRATION)
+        for cell in grid:
+            sig = WorkloadSignature.from_dict(cell["signature"])
+            cold = cold_predict(sig, params).to_dict()
+            assert json.dumps(cell, sort_keys=True) == json.dumps(
+                cold, sort_keys=True
+            )
+
+
+class TestCurveProvenance:
+    """Each prediction says whether its cost curve was fitted or derived."""
+
+    def test_fitted_and_derived_primitives(self, capsys):
+        params = load_calibration(CALIBRATION)
+        assert ("bus", "tts") in params.lock_curves
+        assert ("bus", "mcs") not in params.lock_curves
+        for n in (1, 16):
+            assert predict(
+                lock_signature("tts", "bus", n), params
+            ).curve_source == "fitted"
+            assert predict(
+                lock_signature("mcs", "bus", n), params
+            ).curve_source == "derived"
+
+        argv = ["predict", "--primitive", "tts", "mcs", "--fabric", "bus",
+                "--calibration", str(CALIBRATION)]
+        assert main(argv + ["--format", "json"]) == 0
+        cells = json.loads(capsys.readouterr().out)
+        assert [c["curve_source"] for c in cells] == ["fitted", "derived"]
+        for extra in ([], ["--grid", "procs=1..4"]):
+            assert main(argv + extra) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert "curve" in lines[1].split()
+            rows = {line.split()[0]: line.split() for line in lines[3:]}
+            assert "fitted" in rows["bus/tts"]
+            assert "derived" in rows["bus/mcs"]
