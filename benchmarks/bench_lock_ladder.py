@@ -49,6 +49,7 @@ Expected shape of the software queues (the taxonomy's claim, extended):
 import functools
 
 from conftest import once, publish, publish_metrics
+from repro.core.registry import INTERCONNECTS
 from repro.harness.sweep import sweep
 from repro.harness.tables import render_table
 from repro.workloads.micro import NullCriticalSection
@@ -56,7 +57,6 @@ from repro.workloads.micro import NullCriticalSection
 SIZES = [16, 32, 64, 128]
 SMOKE_SIZES = [4, 8]
 PRIMS = ["tts", "delayed", "iqolb", "mcs", "reciprocating", "fissile"]
-FABRICS = ["bus", "directory"]
 ACQUIRES = 4
 
 factory = functools.partial(
@@ -68,7 +68,7 @@ def measure(sizes, n_jobs=1, cache=None):
     """Per-hand-off cost for the widened ladder on both fabrics."""
     results = {}
     export = {}
-    for fabric in FABRICS:
+    for fabric in INTERCONNECTS:
         grid = sweep(
             factory,
             PRIMS,
@@ -109,7 +109,7 @@ def test_lock_ladder(benchmark, smoke, jobs, result_cache):
         assert all(all(c > 0 for c in cycles) for cycles in results.values())
         return
 
-    for fabric in FABRICS:
+    for fabric in INTERCONNECTS:
         tts = results[f"{fabric}/tts"]
         delayed = results[f"{fabric}/delayed"]
         iqolb = results[f"{fabric}/iqolb"]

@@ -4,11 +4,11 @@ Replays the committed benchmark cells (Figure 1 taxonomy, Table 3, and
 the lock ladder's 16-cell calibration envelope: TTS, delayed response
 and IQOLB on the directory, IQOLB on the bus) through ``repro.predict``
 — calibrating from those same cells, with zero simulator invocations —
-and publishes the
-``BENCH_predict_error.summary.json`` artifact CI gates on: mean
-relative error <= 25%, and on >= 90% of comparable cell groups the
-predicted taxonomy ordering (tts > delayed > iqolb, or not) matches the
-simulated ordering.
+and publishes ``BENCH_predict_error.summary.json``, the one writer of
+that file.  It asserts the gates CI's ``repro predict --validate`` run
+applies: mean relative error <= 25%, and on >= 90% of comparable cell
+groups the predicted taxonomy ordering (tts > delayed > iqolb, or not)
+matches the simulated ordering.
 
 Unlike the other benches this one needs no ``--smoke`` split: the whole
 validation is closed-form arithmetic and finishes in seconds.
@@ -16,7 +16,7 @@ validation is closed-form arithmetic and finishes in seconds.
 
 import pathlib
 
-from conftest import RESULTS_DIR, once, publish
+from conftest import once, publish, result_path
 from repro.harness.tables import render_table
 from repro.predict import check_gates, validate_artifacts, write_report
 
@@ -30,7 +30,7 @@ def run_validation():
 def test_predict_error(benchmark):
     report = once(benchmark, run_validation)
 
-    write_report(report, RESULTS_DIR / "BENCH_predict_error.summary.json")
+    write_report(report, result_path("BENCH_predict_error.summary.json"))
 
     rows = [
         (

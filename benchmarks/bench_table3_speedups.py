@@ -14,7 +14,7 @@ paper's qualitative claims:
   reproduction's different substrate.
 """
 
-from conftest import PAPER_TABLE3, RESULTS_DIR, once, publish
+from conftest import PAPER_TABLE3, once, publish, result_path
 from repro.harness.experiment import table3
 from repro.harness.tables import render_table3
 
@@ -27,18 +27,17 @@ SMOKE_MODEL = {"total_work": 320}
 def test_table3_regenerates(benchmark, smoke, jobs, result_cache):
     n_procs = SMOKE_PROCS if smoke else 32
     overrides = SMOKE_MODEL if smoke else None
-    RESULTS_DIR.mkdir(exist_ok=True)
-    rows, stats = once(
+    rows, _ = once(
         benchmark,
         table3,
         n_procs,
         n_jobs=jobs,
         cache=result_cache,
         model_overrides=overrides,
-        metrics_out=str(RESULTS_DIR / "BENCH_table3.json"),
+        metrics_out=str(result_path("BENCH_table3.json")),
     )
     text = render_table3(rows, n_processors=n_procs)
-    lines = [text, "", stats.summary(), "", "paper-vs-measured:"]
+    lines = [text, "", "paper-vs-measured:"]
     for row in rows:
         paper_abs, paper_qolb, paper_iqolb = PAPER_TABLE3[row.benchmark]
         lines.append(

@@ -5,7 +5,9 @@ experiment index).  Simulated runs are deterministic and expensive, so
 every bench executes exactly once per session (``once``) and both prints
 its artefact and writes it under ``results/`` (``smoke-results/`` under
 ``--smoke``, so a smoke run never overwrites the committed exports the
-predictor and the golden gates read).
+predictor and the golden gates read).  Every write goes through
+``result_path``, which refuses a file name that the table of committed
+results (``tools/results.py``) does not claim.
 
 Harness options (also used by the CI smoke step):
 
@@ -26,6 +28,7 @@ Harness options (also used by the CI smoke step):
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 
 import pytest
@@ -42,6 +45,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: under ``--smoke`` (set by ``pytest_configure``, before any bench
 #: module imports it)
 RESULTS_DIR = ROOT / "results"
+
+_SPEC = importlib.util.spec_from_file_location(
+    "results_table", ROOT / "tools" / "results.py"
+)
+results_table = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(results_table)
 
 #: The paper's Table 3 (TTS absolute, QOLB relative, IQOLB relative).
 PAPER_TABLE3 = {
@@ -86,12 +95,19 @@ def once(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
+def result_path(name: str) -> pathlib.Path:
+    """Where the artefact ``name`` goes under ``RESULTS_DIR``; refuses a
+    name that ``tools/results.py`` does not claim."""
+    results_table.claim(name)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    return RESULTS_DIR / name
+
+
 def publish(name: str, text: str) -> None:
     """Print an artefact and persist it under ``RESULTS_DIR``."""
     print()
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    result_path(f"{name}.txt").write_text(text + "\n")
 
 
 def publish_metrics(name, results, runner_stats=None, archive=False) -> pathlib.Path:
@@ -106,12 +122,12 @@ def publish_metrics(name, results, runner_stats=None, archive=False) -> pathlib.
     a committed compact digest (``BENCH_<name>.summary.json``,
     ``tests/schemas/metrics_summary.schema.json``).
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
     if archive:
-        base = RESULTS_DIR / f"BENCH_{name}.json"
+        summary = result_path(f"BENCH_{name}.summary.json")
+        base = result_path(f"BENCH_{name}.json.gz").with_suffix("")
         write_metrics_archive(base, results, runner_stats)
-        return RESULTS_DIR / f"BENCH_{name}.summary.json"
-    path = RESULTS_DIR / f"BENCH_{name}.json"
+        return summary
+    path = result_path(f"BENCH_{name}.json")
     write_metrics(path, results, runner_stats)
     return path
 
@@ -119,8 +135,7 @@ def publish_metrics(name, results, runner_stats=None, archive=False) -> pathlib.
 def publish_chrome_trace(name, events) -> pathlib.Path:
     """Persist recorded telemetry events as a Chrome trace under
     ``RESULTS_DIR``."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.trace.json"
+    path = result_path(f"{name}.trace.json")
     sink = ChromeTraceSink(path)
     for event in events:
         sink.emit(event)

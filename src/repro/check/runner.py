@@ -15,7 +15,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.check.explore import Budget, RunSpec, explore
 from repro.check.faults import FaultPlan
-from repro.check.scenarios import FABRICS, LADDER
+from repro.check.scenarios import LADDER
+from repro.core.registry import INTERCONNECTS
 from repro.harness.runner import map_parallel
 
 
@@ -99,7 +100,7 @@ def smoke_jobs(
     which the injector's own eligibility predicate enforces).
     """
     prims = primitives if primitives is not None else list(LADDER)
-    fabrics = interconnects if interconnects is not None else list(FABRICS)
+    fabrics = interconnects if interconnects is not None else list(INTERCONNECTS)
     budget = Budget(
         max_schedules=max_schedules,
         max_steps=max_steps,

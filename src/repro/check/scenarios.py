@@ -33,9 +33,6 @@ from repro.workloads.micro import ContendedCounter, NullCriticalSection
 #: the policy ladder the smoke matrix sweeps (5 primitives)
 LADDER = ("tts", "delayed", "iqolb", "iqolb+retention", "qolb")
 
-#: both coherence fabrics
-FABRICS = ("bus", "directory")
-
 
 class BarrierEpochs(Workload):
     """Sense-reversing barrier (``sync/barrier.py``), N nodes x R rounds.

@@ -13,6 +13,7 @@ Gives the paper's experiments a front door::
     python -m repro policies              # list protocol policies
     python -m repro check --smoke -j 8    # bounded model check the ladder
     python -m repro check --replay ce.json --trace ce.trace.json
+    python -m repro predict --grid procs=1..128  # analytical model, no sim
 
 Tables and reports go to **stdout**; progress/cache diagnostics go to
 **stderr**, so stdout can be piped into files or ``jq`` cleanly.
@@ -499,7 +500,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
     params = _predict_params(args)
     primitives = args.primitive or list(PREDICT_LADDER)
-    fabrics = args.fabric or ["bus", "directory"]
+    fabrics = args.fabric or interconnect_names()
     procs_list = _parse_grid(args.grid) if args.grid else [args.processors]
 
     predictions = [

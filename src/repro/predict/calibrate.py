@@ -35,6 +35,7 @@ import pathlib
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.registry import INTERCONNECTS
 from repro.harness.config import SystemConfig
 from repro.harness.signature import KIND_APP, KIND_RMW
 from repro.predict.benches import ObservedCell, load_observed_cells
@@ -347,7 +348,7 @@ def fit(
     params = CalibrationParams(
         transfer={
             fabric: _derived_transfer(fabric, config)
-            for fabric in ("bus", "directory")
+            for fabric in INTERCONNECTS
         },
         fitted_from=fitted_from,
     )

@@ -58,7 +58,7 @@ import math
 from array import array
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.registry import PRIMITIVE_SPECS
+from repro.core.registry import INTERCONNECTS, PRIMITIVE_SPECS
 from repro.harness.config import SystemConfig
 from repro.harness.signature import KIND_APP, KIND_RMW, WorkloadSignature
 
@@ -318,7 +318,7 @@ def default_params() -> CalibrationParams:
         },
         transfer={
             fabric: _derived_transfer(fabric, config)
-            for fabric in ("bus", "directory")
+            for fabric in INTERCONNECTS
         },
     )
 

@@ -6,7 +6,6 @@ from repro.workloads.micro import (
     ContendedCounter,
     NullCriticalSection,
 )
-from repro.workloads.pipeline import ProducerConsumer, ReaderHeavy
 from repro.workloads.splash import (
     APP_MODELS,
     APP_ORDER,
@@ -24,8 +23,6 @@ __all__ = [
     "LOCK_KINDS",
     "LockSet",
     "NullCriticalSection",
-    "ProducerConsumer",
-    "ReaderHeavy",
     "SyntheticApp",
     "Workload",
     "make_app",

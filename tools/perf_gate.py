@@ -17,8 +17,8 @@ goldens), but never ``events_total``.
 FRESH is a metrics summary (``repro-metrics-summary/1``, e.g.
 ``results/BENCH_lock_ladder.summary.json``) or a full metrics export
 (``repro-metrics/1``, e.g. ``results/BENCH_table3.json``, whose cells
-carry the event counts in their manifest).  The golden file is either
-of those or the checked-in ``results/PERF_baseline.json``
+carry the event counts in their manifest), gzipped or not.  The golden
+file is either of those or the checked-in ``results/PERF_baseline.json``
 (``repro-perf-baseline/2``, the smoke cells).
 
 Usage::
@@ -33,6 +33,7 @@ gating.
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
 import sys
 from typing import Any, Dict, Optional
@@ -64,16 +65,21 @@ def index_cells(payload: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
     return cells
 
 
+def read_json(path: str) -> Dict[str, Any]:
+    """A JSON document, gunzipped first when ``path`` ends in ``.gz``."""
+    opener = gzip.open if path.endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def load_cells(path: str) -> Dict[str, Dict[str, Any]]:
     """The cells of a metrics document, keyed like ``bus/iqolb/8``."""
-    with open(path, encoding="utf-8") as handle:
-        return index_cells(json.load(handle))
+    return index_cells(read_json(path))
 
 
 def load_golden(path: str) -> Dict[str, Dict[str, Any]]:
     """Golden cells from a baseline or a metrics summary."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = read_json(path)
     schema = payload.get("schema")
     if schema == BASELINE_SCHEMA:
         return payload["cells"]
