@@ -14,6 +14,7 @@ paper's bounded-delay argument rests on.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
@@ -202,6 +203,9 @@ class StatsRegistry:
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
         if counter is None:
+            # one string object per counter name in the process, shared
+            # with the results the result cache decodes
+            name = sys.intern(name)
             counter = Counter(name)
             self._counters[name] = counter
         return counter

@@ -25,6 +25,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import sys
 import tempfile
 from typing import Any, Optional
 
@@ -59,13 +60,21 @@ def result_to_dict(result: RunResult) -> dict:
 
 
 def result_from_dict(data: dict) -> RunResult:
+    """The :class:`RunResult` a decoded entry holds.
+
+    JSON object keys are already strings; interning them makes every
+    served result share one string object per counter name, with each
+    other and with the names :class:`~repro.engine.stats.StatsRegistry`
+    interns for simulated results.
+    """
+    stats = data["stats"]
     return RunResult(
         workload=data["workload"],
         primitive=data["primitive"],
         n_processors=data["n_processors"],
         cycles=data["cycles"],
         bus_transactions=data["bus_transactions"],
-        stats={str(k): v for k, v in data["stats"].items()},
+        stats=dict(zip(map(sys.intern, stats), stats.values())),
         wall_time_s=data.get("wall_time_s", 0.0),
         histograms=data.get("histograms") or {},
         manifest=RunManifest.from_dict(data.get("manifest")),
@@ -100,8 +109,8 @@ class ResultCache:
             }
         )
 
-    def _path(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return os.path.join(self.root, key[:2], f"{key}.json")
 
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for *key*, or None.
@@ -111,7 +120,8 @@ class ResultCache:
         """
         path = self._path(key)
         try:
-            data = json.loads(path.read_text())
+            with open(path) as handle:
+                data = json.load(handle)
             if data.get("schema") != ENTRY_SCHEMA or data.get("key") != key:
                 raise ValueError("cache entry schema mismatch")
             result = result_from_dict(data["result"])
@@ -134,24 +144,23 @@ class ResultCache:
     def put(self, key: str, result: RunResult) -> None:
         """Store *result* under *key* (atomic replace; last writer wins)."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        shard = os.path.dirname(path)
+        os.makedirs(shard, exist_ok=True)
         payload = json.dumps(
             {"schema": ENTRY_SCHEMA, "key": key, "result": result_to_dict(result)},
             sort_keys=True,
         )
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
-        )
+        fd, tmp = tempfile.mkstemp(dir=shard, prefix=".tmp-", suffix=".json")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(payload)
             os.replace(tmp, path)
         except OSError:
-            self._discard(pathlib.Path(tmp))
+            self._discard(tmp)
 
     @staticmethod
-    def _discard(path: pathlib.Path) -> None:
+    def _discard(path: str) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass

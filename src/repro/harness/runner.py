@@ -239,19 +239,23 @@ def run_cells(
     stats = RunnerStats(total=len(specs), n_jobs=max(1, n_jobs))
     start = time.perf_counter()
     results: Dict[Tuple[Any, ...], RunResult] = {}
-    pending: List[CellSpec] = []
+    pending: List[Tuple[CellSpec, Optional[str]]] = []
     for spec in specs:
-        cached = cache.get(cache.key(spec.describe())) if cache else None
+        cache_key = cache.key(spec.describe()) if cache else None
+        cached = cache.get(cache_key) if cache else None
         if cached is not None:
             results[spec.key] = cached
             stats.cache_hits += 1
         else:
-            pending.append(spec)
+            pending.append((spec, cache_key))
     if pending:
-        for spec, result in zip(pending, map_parallel(execute_cell, pending, n_jobs)):
+        cells = [spec for spec, _ in pending]
+        for (spec, cache_key), result in zip(
+            pending, map_parallel(execute_cell, cells, n_jobs)
+        ):
             results[spec.key] = result
             stats.executed += 1
             if cache:
-                cache.put(cache.key(spec.describe()), result)
+                cache.put(cache_key, result)
     stats.wall_time_s = time.perf_counter() - start
     return {spec.key: results[spec.key] for spec in specs}, stats

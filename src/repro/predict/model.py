@@ -185,6 +185,12 @@ class CalibrationParams:
     transfer: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: provenance: which artifacts the fit consumed (informational)
     fitted_from: Tuple[str, ...] = ()
+    #: derived curves already built, keyed on every input
+    #: :func:`derived_curve` reads, the transfer cost included, so a
+    #: ``transfer`` rewritten in place builds a fresh curve
+    _derived: Dict[Tuple[str, str, str, float], CostCurve] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- lookup ---------------------------------------------------------
 
@@ -197,7 +203,12 @@ class CalibrationParams:
         curve = self.fitted_curve(sig)
         if curve is not None:
             return curve
-        return derived_curve(sig.fabric, sig.primitive, sig.kind, self)
+        key = (sig.fabric, sig.primitive, sig.kind, self.transfer_for(sig.fabric))
+        curve = self._derived.get(key)
+        if curve is None:
+            curve = derived_curve(sig.fabric, sig.primitive, sig.kind, self)
+            self._derived[key] = curve
+        return curve
 
     def saturation_for(self, fabric: str) -> Optional[Saturation]:
         return self.saturation.get(fabric)

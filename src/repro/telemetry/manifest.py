@@ -19,7 +19,13 @@ import hashlib
 import json
 import platform
 import socket
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
+
+
+#: exact types :func:`canonical` passes through unchanged
+_ATOMS = frozenset((str, int, float, bool, type(None)))
+#: dataclass type -> (qualname, field names), read once per class
+_DATACLASS_SHAPES: Dict[type, Tuple[str, Tuple[str, ...]]] = {}
 
 
 def canonical(obj: Any) -> Any:
@@ -28,27 +34,45 @@ def canonical(obj: Any) -> Any:
     Dataclasses become tagged dicts, mappings are key-sorted, callables
     are named by module + qualname, and anything else falls back to
     ``repr``.  The encoding only needs to be *stable*, not invertible.
+
+    The exact built-in types are tested first and each dataclass's field
+    names are read once per class; subclasses (enums included) take the
+    general checks below in their original order, so every encoding, and
+    every cache key and config hash built on it, is unchanged.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = {
-            f.name: canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-        return {"__dataclass__": type(obj).__qualname__, **fields}
+    cls = type(obj)
+    if cls in _ATOMS:
+        return obj
+    if cls is dict:
+        return _canonical_dict(obj)
+    if cls is list or cls is tuple:
+        return [canonical(item) for item in obj]
+    shape = _DATACLASS_SHAPES.get(cls)
+    if shape is None and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names = tuple(f.name for f in dataclasses.fields(obj))
+        shape = _DATACLASS_SHAPES[cls] = (cls.__qualname__, names)
+    if shape is not None:
+        qualname, names = shape
+        fields = {name: canonical(getattr(obj, name)) for name in names}
+        return {"__dataclass__": qualname, **fields}
     if isinstance(obj, dict):
-        return {
-            str(key): canonical(value)
-            for key, value in sorted(obj.items(), key=lambda kv: str(kv[0]))
-        }
+        return _canonical_dict(obj)
     if isinstance(obj, (list, tuple)):
         return [canonical(item) for item in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
+    if isinstance(obj, (str, int, float)):  # subclasses, enums included
         return obj
     if callable(obj):
         module = getattr(obj, "__module__", "?")
         qualname = getattr(obj, "__qualname__", repr(obj))
         return f"{module}.{qualname}"
     return repr(obj)
+
+
+def _canonical_dict(obj: Dict[Any, Any]) -> Dict[str, Any]:
+    return {
+        str(key): canonical(value)
+        for key, value in sorted(obj.items(), key=lambda kv: str(kv[0]))
+    }
 
 
 def stable_hash(payload: Any) -> str:

@@ -107,6 +107,22 @@ class TestCache:
             assert hit.manifest.signature == miss.manifest.signature
             assert hit.manifest.signature["primitive"] == key[0]
 
+    def test_each_cell_is_keyed_once(self, tmp_path):
+        """A missed cell's key serves both the lookup and the store."""
+
+        class CountingCache(ResultCache):
+            keyed = 0
+
+            def key(self, description):
+                self.keyed += 1
+                return super().key(description)
+
+        cache = CountingCache(tmp_path)
+        first = sweep(fast_factory, ["tts", "iqolb"], [2], cache=cache)
+        assert first.runner_stats.executed == 2 and cache.keyed == 2
+        again = sweep(fast_factory, ["tts", "iqolb"], [2], cache=cache)
+        assert again.runner_stats.cache_hits == 2 and cache.keyed == 4
+
     def test_key_changes_with_config_field(self):
         cache = ResultCache()
         base = make_spec()
