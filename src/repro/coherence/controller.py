@@ -122,10 +122,12 @@ class CacheController(BusClient):
         #: this node's processor while its spin loop is parked on an L1
         #: line (see :meth:`quiet_line`); woken by any install here, by
         #: the fabric serializing a transaction that changes a coherent
-        #: copy, and by the MSHR behind a tear-off copy closing
+        #: copy, by this node's timeout or discharge of an obligation on
+        #: the line, and by the MSHR behind a tear-off copy closing
         self.spinner: Optional[Any] = None
-        #: the parked copy is a tear-off (kept out of the fabric's table)
-        self.spinner_on_tearoff = False
+        #: the state of the copy it parked on (a tear-off stays out of
+        #: the fabric's table); the copy must keep it until the wake
+        self.spinner_state: Optional[State] = None
 
         # LL/SC architectural state: the link flag and locked physical
         # address register (paper §2), plus the PC of the live LL for the
@@ -246,16 +248,20 @@ class CacheController(BusClient):
         """May a spinner park on this node's copy of ``line_addr``?
 
         Only while re-reading it could not change anything.  A coherent
-        copy in the L1 is quiet while this node holds no MSHR,
-        obligation, successor, loan or push on it and the fabric has no
-        transaction that would change the copy between its serialization
-        and its snoop; from then on only an install here or the fabric
-        serializing such a transaction can touch it, and both wake the
-        spinner before it changes.  A tear-off copy in the L1 is quiet
-        while its MSHR is open and the line is not borrowed, lent out or
-        pushed: snoops never touch a tear-off, so only an install here
-        or the MSHR closing can change what an LL on it returns, and
-        both wake the spinner first (:meth:`park`).
+        copy in the L1 is quiet while this node holds no MSHR, loan or
+        push on it, no obligation or successor unless it owns the line
+        under an obligation, and the fabric has no transaction in flight
+        to it that would change the copy between its serialization and
+        its snoop (:meth:`keeps_copy`).  From then on only three things
+        can touch it: an install here, the fabric serializing such a
+        transaction, and this node's own timeout or discharge of the
+        obligation (which ends in :meth:`discharge`); each wakes the
+        spinner before the copy changes.
+        A tear-off copy in the L1 is quiet while its MSHR is open and the
+        line is not borrowed, lent out or pushed: snoops never touch a
+        tear-off, so only an install here or the MSHR closing can change
+        what an LL on it returns, and both wake the spinner first
+        (:meth:`park`).
         """
         line = self.hierarchy.l1.index.get(line_addr)
         if line is None:
@@ -267,15 +273,39 @@ class CacheController(BusClient):
                 and line_addr not in self.on_loan
                 and line_addr not in self.forwarded
             )
+        if line_addr in self.obligations:
+            if not line.is_owner:
+                return False
+        elif line_addr in self.successor:
+            return False
         return (
             line.readable
             and line_addr not in self.mshrs
-            and line_addr not in self.obligations
-            and line_addr not in self.successor
             and line_addr not in self.loan_return_to
             and line_addr not in self.on_loan
             and line_addr not in self.forwarded
-            and not self.bus.in_flight(line_addr, line.is_owner)
+            and not self.bus.in_flight(line_addr, self)
+        )
+
+    def keeps_copy(self, txn: BusTransaction) -> bool:
+        """Does this node's snoop of ``txn``, an LPRFO or QOLB_ENQ, leave
+        its parked coherent copy of the line as it is?
+
+        Yes when the node owns the line under an obligation and its
+        policy defers ``txn`` (every policy that creates obligations
+        defers such a request while one is held): the deferral only
+        chains a successor and may send a tear-off.  Anything else a
+        snoop does to an owner, or to a copy without an obligation, may
+        change it.
+        """
+        line_addr = txn.line_addr
+        if line_addr not in self.obligations:
+            return False
+        line = self.hierarchy.peek(line_addr)
+        return (
+            line is not None
+            and line.is_owner
+            and self.policy.should_defer(txn, line).defer
         )
 
     def park(self, spinner: Any) -> None:
@@ -285,33 +315,36 @@ class CacheController(BusClient):
         and every queued request would otherwise wake every waiter."""
         line_addr = spinner.parked_line
         self.spinner = spinner
-        if self.hierarchy.peek(line_addr).state is State.TEAROFF:
-            self.spinner_on_tearoff = True
-        else:
+        state = self.hierarchy.peek(line_addr).state
+        self.spinner_state = state
+        if state is not State.TEAROFF:
             self.bus.park(line_addr, spinner)
 
     def unpark(self, spinner: Any) -> None:
-        """``spinner`` wakes.  A tear-off park must wake before its copy
-        changes: while the line is still the tear-off and its MSHR is
-        still open.  A wake that finds otherwise came after a change
-        that should have woken it, and raises."""
+        """``spinner`` wakes.  It must wake before its copy changes:
+        while the line is still in the state it parked on and, for a
+        tear-off, its MSHR is still open.  A wake that finds otherwise
+        came after a change that should have woken it, and raises."""
         line_addr = spinner.parked_line
-        if self.spinner_on_tearoff:
-            line = self.hierarchy.peek(line_addr)
-            if line is None or line.state is not State.TEAROFF:
+        state = self.spinner_state
+        line = self.hierarchy.peek(line_addr)
+        if line is None or line.state is not state:
+            if state is State.TEAROFF:
                 lost = "an install replaced its tear-off"
-            elif line_addr not in self.mshrs:
-                lost = "its tear-off's MSHR closed"
             else:
-                lost = None
-            if lost is not None:
-                raise SimulationError(
-                    f"{spinner.describe_state()}: {lost} without waking it"
-                )
-            self.spinner_on_tearoff = False
+                lost = f"its {state.name} copy changed"
+        elif state is State.TEAROFF and line_addr not in self.mshrs:
+            lost = "its tear-off's MSHR closed"
         else:
+            lost = None
+        if lost is not None:
+            raise SimulationError(
+                f"{spinner.describe_state()}: {lost} without waking it"
+            )
+        if state is not State.TEAROFF:
             self.bus.unpark(line_addr, spinner)
         self.spinner = None
+        self.spinner_state = None
 
     def replay_lls(self, op: Op, count: int) -> None:
         """Charge ``count`` LLs a parked linked spin skipped on its quiet
@@ -556,12 +589,17 @@ class CacheController(BusClient):
         mshr.issued = False
         self.bus.request(txn)
 
-    def _close_mshr(self, line_addr: int) -> None:
-        """Remove ``line_addr``'s MSHR.  A tear-off copy is readable only
-        while its MSHR is open, so a spinner parked on one wakes first."""
+    def _wake_spinner_on(self, line_addr: int) -> None:
+        """Wake this node's spinner if it is parked on ``line_addr``:
+        a local event is about to change its copy or what may change it."""
         spinner = self.spinner
         if spinner is not None and spinner.parked_line == line_addr:
             spinner.wake()
+
+    def _close_mshr(self, line_addr: int) -> None:
+        """Remove ``line_addr``'s MSHR.  A tear-off copy is readable only
+        while its MSHR is open, so a spinner parked on one wakes first."""
+        self._wake_spinner_on(line_addr)
         mshr = self.mshrs.pop(line_addr, None)
         if mshr is not None and mshr.queued:
             self._note_line(line_addr)
@@ -625,23 +663,28 @@ class CacheController(BusClient):
         line_addr = txn.line_addr
         line = self.hierarchy.peek(line_addr)
         spinner = self.spinner
+        deferring = False
         if (
             spinner is not None
             and spinner.parked_line == line_addr
-            and not self.spinner_on_tearoff
+            and self.spinner_state is not State.TEAROFF
             and (txn.op is not BusOp.GETS or line.is_owner)
         ):
             # The fabric wakes a spinner when it serializes a transaction
             # that will change its coherent copy (a GETS changes only an
-            # owner's), a cycle or more before the snoop.  No snoop
-            # changes a tear-off.
-            raise SimulationError(
-                f"{txn!r} reached {spinner.describe_state()}: the fabric "
-                f"serialized it without waking the spinner"
-            )
+            # owner's), a cycle or more before the snoop.  It leaves it
+            # parked only for an LPRFO or QOLB_ENQ that an obligated
+            # owner defers (:meth:`keeps_copy`).  No snoop changes a
+            # tear-off.
+            if txn.op not in DEFERRABLE_OPS or line_addr not in self.obligations:
+                raise SimulationError(
+                    f"{txn!r} reached {spinner.describe_state()}: the fabric "
+                    f"serialized it without waking the spinner"
+                )
+            deferring = True
         mshr = self.mshrs.get(line_addr)
         if (
-            line is None
+            (line is None or line.state is State.TEAROFF)
             and (
                 mshr is None
                 or not (mshr.queued or mshr.bus_op is BusOp.UPGRADE)
@@ -652,7 +695,8 @@ class CacheController(BusClient):
         ):
             # Nothing here to supply, defer, retry, invalidate or squash
             # (claiming a successor needs a queued MSHR or an obligation;
-            # a miss that is merely open answers nothing either).
+            # a miss that is merely open answers nothing either, and a
+            # tear-off is no coherent copy).
             return NO_STATE
 
         # Distributed-queue bookkeeping: the tail of the queue claims the
@@ -662,7 +706,17 @@ class CacheController(BusClient):
 
         if txn.op is BusOp.GETS:
             return self._snoop_gets(txn, line)
-        return self._snoop_ownership(txn, line)
+        reply = self._snoop_ownership(txn, line)
+        if deferring and (
+            not reply.defer
+            or self.hierarchy.peek(line_addr) is not line
+            or line.state is not self.spinner_state
+        ):
+            raise SimulationError(
+                f"{txn!r} changed the copy of {spinner.describe_state()}: "
+                f"the fabric left it parked for a deferral"
+            )
+        return reply
 
     def _maybe_claim_successor(self, txn: BusTransaction) -> None:
         line_addr = txn.line_addr
@@ -975,6 +1029,9 @@ class CacheController(BusClient):
 
     def discharge(self, line_addr: int, reason: str) -> None:
         """Forward line ownership to the successor, if any is waiting."""
+        # A spinner parked on the line wakes first: the hand-off takes
+        # its copy, and without the obligation any request changes it.
+        self._wake_spinner_on(line_addr)
         obligation = self.obligations.get(line_addr)
         if obligation is not None and obligation.suspended:
             obligation.fire_on_resume = True

@@ -357,7 +357,7 @@ class DirectoryInterconnect(ParkedSpinners):
         self._trace("dir_forward", self.home(txn.line_addr), txn.line_addr,
                     target=target, role=role, op=txn.op.value)
         home = self.home(txn.line_addr)
-        self.serialize(txn.line_addr, txn.op, target)
+        self.serialize(txn, target)
         self.network.route(
             home,
             target,
@@ -367,7 +367,7 @@ class DirectoryInterconnect(ParkedSpinners):
         )
 
     def _forward_arrived(self, txn: BusTransaction, target: int, role: str) -> None:
-        self.deliver(txn.line_addr, txn.op)
+        self.deliver(txn, target)
         entry = self._entry(txn.line_addr)
         if txn.cancelled:
             self._drop_cancelled(txn)
@@ -490,7 +490,7 @@ class DirectoryInterconnect(ParkedSpinners):
 
         def make_inval(node: int) -> Callable[[], None]:
             def inval() -> None:
-                self.deliver(txn.line_addr, txn.op)
+                self.deliver(txn, node)
                 self._clients[node].snoop(txn)
                 self.network.route(
                     node, home, line=False, vc=VC_REQ, callback=ack
@@ -503,7 +503,7 @@ class DirectoryInterconnect(ParkedSpinners):
                 done()
 
         for node in targets:
-            self.serialize(txn.line_addr, txn.op, node)
+            self.serialize(txn, node)
             self.network.route(
                 home, node, line=False, vc=VC_REQ, callback=make_inval(node)
             )

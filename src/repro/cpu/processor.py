@@ -24,15 +24,22 @@ controller reports the line quiet
 processor *parks*: it schedules nothing, because every further test
 would re-read the same value from the same L1 copy.  The copy may be a
 coherent one or IQOLB's tear-off, backed by the queued request's open
-MSHR.  What wakes it is what can change the copy.  For a coherent copy,
-that is the fabric serializing a transaction that will change it
+MSHR.  A coherent copy may be one this node owns under an obligation:
+the delayed-response waiter that a timeout hand-off passed a lock still
+held spins on its own M copy.  What wakes it is what can change the
+copy.  For a coherent copy, that is the fabric serializing a
+transaction that will change it
 (:class:`~repro.interconnect.bus.ParkedSpinners`: the bus issuing it,
-the directory sending an invalidation or forward; its snoop is at
-least a cycle later).  No snoop touches a tear-off; its MSHR closing
-does, since the tear-off is readable only while the MSHR is open.  Any
-install into this node's caches wakes either kind.  A miss that merely
-opens on the line, like the GETS refills that keep a saturated bus
-busy, or another node's request joining the queue, wakes nobody.  On
+the directory sending an invalidation or forward to this node; its
+snoop is at least a cycle later), and for an obligated owner also its
+node's own timeout or discharge of the obligation, which wake it before
+the line moves on.  An LPRFO or QOLB_ENQ that the obligated owner
+defers only chains a successor and wakes nobody.  No snoop touches a
+tear-off; its MSHR closing does, since the tear-off is readable only
+while the MSHR is open.  Any install into this node's caches wakes
+either kind.  A miss that merely opens on the line, like the GETS
+refills that keep a saturated bus busy, or another node's request
+joining the queue, wakes nobody.  On
 waking it charges the tests the loop would have run so far — ops,
 ``mem_ops``, L1 hits and LRU touches, backoff, and for a linked spin
 ``ll_ops`` and the link register
@@ -64,9 +71,10 @@ register and its read of its copy.  Against a serialization wake no
 outcome depends on the ties: the copy changes a cycle or more later, so
 the loop event commutes with any event of another node, and what does
 not commute, two loops' misses reaching the bus together, is ordered by
-the walk.  An install or an MSHR closing changes the copy in the waking
-event itself; there the check is ``tests/test_spin_park.py``, which
-holds every outcome to a loop that never parks.
+the walk.  An install, an MSHR closing, a timeout or a discharge changes
+the copy in the waking event itself; there the check is
+``tests/test_spin_park.py``, which holds every outcome to a loop that
+never parks.
 """
 
 from __future__ import annotations

@@ -187,6 +187,14 @@ class WindowedCounter:
         }
 
 
+def shared_names(values: Dict[str, object]) -> Dict[str, object]:
+    """``values`` keyed by the process's one string object per name: the
+    names :class:`StatsRegistry` interns, shared by every result that
+    arrives as a copy (decoded from the result cache, or unpickled from
+    a worker process)."""
+    return dict(zip(map(sys.intern, values), values.values()))
+
+
 class StatsRegistry:
     """Flat namespace of counters and histograms, keyed by dotted names.
 

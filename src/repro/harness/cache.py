@@ -25,11 +25,11 @@ import dataclasses
 import json
 import os
 import pathlib
-import sys
 import tempfile
 from typing import Any, Optional
 
 import repro
+from repro.engine.stats import shared_names
 from repro.harness.experiment import RunResult
 from repro.telemetry.manifest import RunManifest, stable_hash
 
@@ -67,14 +67,13 @@ def result_from_dict(data: dict) -> RunResult:
     other and with the names :class:`~repro.engine.stats.StatsRegistry`
     interns for simulated results.
     """
-    stats = data["stats"]
     return RunResult(
         workload=data["workload"],
         primitive=data["primitive"],
         n_processors=data["n_processors"],
         cycles=data["cycles"],
         bus_transactions=data["bus_transactions"],
-        stats=dict(zip(map(sys.intern, stats), stats.values())),
+        stats=shared_names(data["stats"]),
         wall_time_s=data.get("wall_time_s", 0.0),
         histograms=data.get("histograms") or {},
         manifest=RunManifest.from_dict(data.get("manifest")),

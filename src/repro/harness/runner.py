@@ -24,6 +24,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from repro.core.registry import get_primitive
+from repro.engine.stats import shared_names
 from repro.harness.cache import ResultCache
 from repro.harness.config import SystemConfig
 from repro.harness.experiment import RunResult, run_workload
@@ -253,6 +254,10 @@ def run_cells(
         for (spec, cache_key), result in zip(
             pending, map_parallel(execute_cell, cells, n_jobs)
         ):
+            if n_jobs > 1:
+                # A worker's result arrives through pickle with its own
+                # copy of every counter name.
+                result.stats = shared_names(result.stats)
             results[spec.key] = result
             stats.executed += 1
             if cache:

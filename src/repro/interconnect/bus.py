@@ -34,7 +34,7 @@ distributed queue can form (paper 3.2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.engine.simulator import Simulator
 from repro.engine.stats import Counter, StatsRegistry
@@ -69,14 +69,18 @@ class ParkedSpinners:
     the transaction will change, and :meth:`deliver` just before the
     snoop.  Delivery is at least an address phase (or one network hop)
     later, so every woken spinner is back on real events a cycle or more
-    before its copy can change.  A GETS changes only an owner's copy (it
-    supplies and downgrades); every other snooped transaction changes
-    any coherent copy.  A miss merely opening, or waiting for
-    arbitration, changes nothing and wakes nobody.  Spinners parked on
-    IQOLB tear-off copies never enter the table: no snoop changes a
-    tear-off, and their own node wakes them (an install, or the MSHR
-    behind the tear-off closing), so a queued request does not wake
-    every waiter in the queue.
+    before its copy can change.  A bus transaction is bound for every
+    node; a directory forward or invalidation only for its target, so
+    a forward to the queue's tail neither wakes nor blocks the owner.
+    A GETS changes only an owner's copy (it supplies and downgrades).
+    An LPRFO or QOLB_ENQ that an obligated owner defers changes nothing
+    of its copy (:meth:`~repro.coherence.controller.CacheController.keeps_copy`);
+    every other snooped transaction changes any coherent copy.  A miss
+    merely opening, or waiting for arbitration, changes nothing and
+    wakes nobody.  Spinners parked on IQOLB tear-off copies never enter
+    the table: no snoop changes a tear-off, and their own node wakes
+    them (an install, or the MSHR behind the tear-off closing), so a
+    queued request does not wake every waiter in the queue.
     """
 
     def __init__(self) -> None:
@@ -84,16 +88,18 @@ class ParkedSpinners:
         self._spinners: Dict[int, List[Any]] = {}
         #: line -> the one of them whose copy owns the line
         self._owners: Dict[int, Any] = {}
-        #: line -> serialized, undelivered transactions other than GETS
-        self._writes: Dict[int, int] = {}
-        #: line -> serialized, undelivered GETS
-        self._reads: Dict[int, int] = {}
+        #: line -> serialized, undelivered transactions, each with the
+        #: node it is bound for (None: every node)
+        self._in_flight: Dict[
+            int, List[Tuple[BusTransaction, Optional[int]]]
+        ] = {}
 
     def park(self, line_addr: int, spinner: Any) -> None:
         self._spinners.setdefault(line_addr, []).append(spinner)
         if spinner.controller.hierarchy.peek(line_addr).is_owner:
             # One copy at most owns the line, and it stays the owner
-            # while parked: only a snoop, which wakes it first, changes it.
+            # while parked: only a snoop or a discharge, which wake it
+            # first, change it.
             self._owners[line_addr] = spinner
 
     def unpark(self, line_addr: int, spinner: Any) -> None:
@@ -105,36 +111,52 @@ class ParkedSpinners:
         if self._owners.get(line_addr) is spinner:
             del self._owners[line_addr]
 
-    def in_flight(self, line_addr: int, owner: bool) -> bool:
-        """Is a transaction that would change a copy of ``line_addr``
-        (an owner's copy, when ``owner``) serialized but undelivered?"""
-        return line_addr in self._writes or (owner and line_addr in self._reads)
+    def in_flight(self, line_addr: int, client: Any) -> bool:
+        """Is a transaction that would change ``client``'s copy of
+        ``line_addr`` serialized but not yet delivered to it?"""
+        pending = self._in_flight.get(line_addr)
+        if pending is None:
+            return False
+        node = client.node_id
+        for txn, target in pending:
+            if target is not None and target != node:
+                continue
+            op = txn.op
+            if op is BusOp.GETS:
+                if client.hierarchy.peek(line_addr).is_owner:
+                    return True
+            elif op not in DEFERRABLE_OPS or not client.keeps_copy(txn):
+                return True
+        return False
 
-    def serialize(
-        self, line_addr: int, op: BusOp, node: Optional[int] = None
-    ) -> None:
-        """``op`` on ``line_addr`` reached its coherence point, bound for
-        ``node``'s copy (every copy when None): count it in flight and
-        wake the spinners whose copies it will change."""
+    def serialize(self, txn: BusTransaction, node: Optional[int] = None) -> None:
+        """``txn`` reached its coherence point, bound for ``node``'s copy
+        (every copy when None): count it in flight and wake the spinners
+        whose copies it will change."""
+        line_addr = txn.line_addr
+        self._in_flight.setdefault(line_addr, []).append((txn, node))
+        op = txn.op
         if op is BusOp.GETS:
-            self._reads[line_addr] = self._reads.get(line_addr, 0) + 1
             owner = self._owners.get(line_addr)
             woken = () if owner is None else (owner,)
         else:
-            self._writes[line_addr] = self._writes.get(line_addr, 0) + 1
             woken = tuple(self._spinners.get(line_addr, ()))
+        deferrable = op in DEFERRABLE_OPS
         for spinner in woken:
-            if node is None or spinner.node_id == node:
-                spinner.wake()
+            if node is not None and spinner.node_id != node:
+                continue
+            if deferrable and spinner.controller.keeps_copy(txn):
+                continue
+            spinner.wake()
 
-    def deliver(self, line_addr: int, op: BusOp) -> None:
-        """A transaction :meth:`serialize` counted reaches its snoop."""
-        counts = self._reads if op is BusOp.GETS else self._writes
-        left = counts[line_addr] - 1
-        if left:
-            counts[line_addr] = left
-        else:
-            del counts[line_addr]
+    def deliver(self, txn: BusTransaction, node: Optional[int] = None) -> None:
+        """A transaction :meth:`serialize` counted for ``node`` reaches
+        its snoop there."""
+        line_addr = txn.line_addr
+        pending = self._in_flight[line_addr]
+        pending.remove((txn, node))
+        if not pending:
+            del self._in_flight[line_addr]
 
 
 class AddressBus(ParkedSpinners):
@@ -285,7 +307,7 @@ class AddressBus(ParkedSpinners):
         if txn.op is not BusOp.WRITEBACK:
             # The coherence point: spinners whose copies the snoop will
             # change go back to real events an address phase before it.
-            self.serialize(txn.line_addr, txn.op)
+            self.serialize(txn)
         # Snoop resolution happens after the address access latency.  A
         # fault injector may stretch individual address phases, but the
         # bus resolves strictly in issue order — that *is* the coherence
@@ -366,7 +388,7 @@ class AddressBus(ParkedSpinners):
     def _resolve(self, txn: BusTransaction) -> None:
         """Broadcast the snoop and determine the data supplier."""
         if txn.op is not BusOp.WRITEBACK:
-            self.deliver(txn.line_addr, txn.op)
+            self.deliver(txn)
         if txn.cancelled:
             # Withdrawn after issue (e.g. an UPGRADE whose SC already
             # failed): it must not reach the snoopers — a stale upgrade
@@ -528,7 +550,8 @@ class BusClient:
     :data:`~repro.interconnect.messages.NO_STATE` (and has no side
     effect), and the bus stops snooping it there until it registers
     again; an open miss counts as no state unless it is queued or an
-    UPGRADE, which a winning snoop must squash.  Wherever its state for
+    UPGRADE, which a winning snoop must squash, and so does a tear-off
+    copy, which no snoop changes.  Wherever its state for
     a line changes, a client also reports through ``note_reply``
     whether its reply is a plain ``shared`` to a GETS or a plain
     ``defer`` to an LPRFO or QOLB_ENQ; those ops then skip it.

@@ -19,13 +19,15 @@ import hashlib
 import json
 import platform
 import socket
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 
 #: exact types :func:`canonical` passes through unchanged
 _ATOMS = frozenset((str, int, float, bool, type(None)))
 #: dataclass type -> (qualname, field names), read once per class
 _DATACLASS_SHAPES: Dict[type, Tuple[str, Tuple[str, ...]]] = {}
+#: manifest class -> its field names, for :meth:`RunManifest.from_dict`
+_FIELD_NAMES: Dict[type, FrozenSet[str]] = {}
 
 
 def canonical(obj: Any) -> Any:
@@ -118,7 +120,11 @@ class RunManifest:
     def from_dict(cls, data: Optional[Dict[str, Any]]) -> Optional["RunManifest"]:
         if data is None:
             return None
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = _FIELD_NAMES.get(cls)
+        if known is None:
+            known = _FIELD_NAMES[cls] = frozenset(
+                f.name for f in dataclasses.fields(cls)
+            )
         return cls(**{k: v for k, v in data.items() if k in known})
 
     @classmethod

@@ -232,6 +232,44 @@ def test_every_skipped_snoop_gives_the_predicted_reply(monkeypatch, primitive):
     assert _outputs(_null_cs(primitive, 4, 20)) == plain
 
 
+def test_squashed_tearoff_holders_match_shadow_and_broadcast(monkeypatch):
+    """IQOLB without retention: a regular RFO breaks the queue down and
+    each waiter reissues its LPRFO.  Until the reissue is deferred again
+    its MSHR is open but unqueued, and the tear-off it spins on stays
+    installed.  Such a node answers every snoop empty: the bus stops
+    snooping it at its first ``NO_STATE``, the shadow bus checks every
+    later snoop it skips answers the same, and the full broadcast agrees
+    on every output."""
+    replies = []
+    snoop = CacheController.snoop
+
+    def watched(self, txn):
+        line = self.hierarchy.peek(txn.line_addr)
+        mshr = self.mshrs.get(txn.line_addr)
+        reply = snoop(self, txn)
+        if (
+            line is not None
+            and line.state is State.TEAROFF
+            and mshr is not None
+            and not mshr.queued
+        ):
+            replies.append(reply)
+        return reply
+
+    monkeypatch.setattr(CacheController, "snoop", watched)
+    plain = _outputs(_null_cs("iqolb", 16, 20))
+    assert sum(
+        value
+        for name, value in plain["counters"].items()
+        if name.endswith(".squashes")
+    ) > 0
+    assert replies and all(reply is NO_STATE for reply in replies)
+    monkeypatch.setattr(experiment, "System", ShadowSystem)
+    assert _outputs(_null_cs("iqolb", 16, 20)) == plain
+    monkeypatch.setattr(experiment, "System", System)
+    _check(monkeypatch, lambda: _null_cs("iqolb", 16, 20))
+
+
 def _skip_reply_notes_in(monkeypatch, method):
     """Seed a mutation: ``method`` no longer tells the bus its replies."""
     original = getattr(CacheController, method)

@@ -1,12 +1,15 @@
 """Served results share their counter-name strings, and hold less memory.
 
 :func:`repro.harness.cache.result_from_dict` interns the counter names
-it decodes, and :class:`~repro.engine.stats.StatsRegistry` interns each
-name it registers, so every result in the process, served or simulated,
-holds one string object per name.  The reference decode below is the
-one it replaced: a per-entry copy of every name.
+it decodes, :func:`repro.harness.runner.run_cells` those of results
+simulated in worker processes, and
+:class:`~repro.engine.stats.StatsRegistry` each name it registers, so
+every result in the process, served or simulated, holds one string
+object per name.  The reference decode below is the one it replaced: a
+per-entry copy of every name.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -86,3 +89,38 @@ def test_served_grids_retain_under_sixty_percent_of_the_rekeyed_decode(
     assert shared < 0.6 * rekeyed, (
         f"{shared / 2**20:.2f} MiB shared vs {rekeyed / 2**20:.2f} MiB rekeyed"
     )
+
+
+def test_results_from_worker_processes_share_every_counter_name():
+    """A worker's result arrives through pickle with its own copy of
+    every counter name; the runner shares them with the process's."""
+    specs = [app_cell(app, primitive, 8) for app, primitive in CELLS]
+    grid, _ = run_cells(specs, n_jobs=2)
+    first, second = (grid[spec.key].stats for spec in specs)
+    names = {name: name for name in first}
+    common = [name for name in second if name in names]
+    assert len(common) > 100
+    assert all(names[name] is name for name in common)
+
+
+def test_manifest_decode_reads_its_field_names_once(monkeypatch):
+    """``RunManifest.from_dict`` keeps one set of field names per class;
+    a decoded manifest, unknown keys dropped, equals the original."""
+    manifest = RunManifest(
+        config_hash="abc",
+        version="1",
+        seed=7,
+        signature={"n": 4},
+        events_fired=10,
+        events_skipped=2,
+        host={"python": "3"},
+    )
+    data = dict(manifest.to_dict(), retired_field=1)
+    assert RunManifest.from_dict(data) == manifest
+
+    def no_fields(cls):
+        raise AssertionError("field names read again")
+
+    monkeypatch.setattr(dataclasses, "fields", no_fields)
+    assert RunManifest.from_dict(data) == manifest
+    assert RunManifest.from_dict(None) is None

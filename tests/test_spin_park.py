@@ -29,9 +29,9 @@ from repro.harness.experiment import run_workload
 from repro.harness.runner import app_cell, execute_cell
 from repro.harness.system import System
 from repro.interconnect.bus import AddressBus, ParkedSpinners
-from repro.interconnect.messages import BusOp
 from repro.mem.line import State
 from repro.sync import qcore
+from repro.sync.tts import TTSLock
 from repro.workloads.micro import NullCriticalSection
 
 SWQUEUES = ["ticket", "mcs", "anderson", "clh", "reciprocating", "fissile"]
@@ -98,13 +98,25 @@ def _skipped_tests(system):
     return sum(processor.tests_skipped for processor in system.processors)
 
 
-def _null_cs(primitive, n_processors, interconnect, acquires=20):
+def _null_cs(
+    primitive,
+    n_processors,
+    interconnect,
+    acquires=20,
+    think_cycles=80,
+    timeout_cycles=None,
+):
     spec = PRIMITIVE_SPECS[primitive]
     workload = NullCriticalSection(
-        lock_kind=spec.lock_kind, acquires_per_proc=acquires, think_cycles=80
+        lock_kind=spec.lock_kind,
+        acquires_per_proc=acquires,
+        think_cycles=think_cycles,
     )
     config = SystemConfig(
-        n_processors=n_processors, policy=spec.policy, interconnect=interconnect
+        n_processors=n_processors,
+        policy=spec.policy,
+        interconnect=interconnect,
+        timeout_cycles=timeout_cycles,
     )
     return run_workload(workload, config, primitive=primitive)
 
@@ -113,12 +125,18 @@ def _null_cs(primitive, n_processors, interconnect, acquires=20):
 def test_every_primitive_matches_reference(monkeypatch, interconnect, primitive):
     """Software-queue waiters and TTS-style LL spinners on a coherent L1
     copy skip tests, and so do IQOLB's queued waiters on their tear-off
-    copies (asserted at 8p below); a delayed waiter's LL blocks on its
-    deferred request's MSHR, with no copy to spin on."""
+    copies (asserted at 8p below).  A delayed waiter's LL blocks on its
+    deferred request's MSHR, with no copy to spin on, until the line
+    arrives with the lock still held; it then spins on its own copy,
+    under an obligation once a request queues behind it, and skips
+    tests there."""
     parked = _compare(
         monkeypatch, lambda: _null_cs(primitive, 4, interconnect)
     )
-    if PRIMITIVE_SPECS[primitive].taxonomy == "swqueue" or primitive == "tts":
+    if PRIMITIVE_SPECS[primitive].taxonomy == "swqueue" or primitive in (
+        "tts",
+        "delayed",
+    ):
         assert _skipped_tests(parked) > 0
     elif primitive in L1_SPINNERS:
         # At 4p on the bus every adaptive park is woken inside its first
@@ -153,7 +171,8 @@ def test_queued_waiters_at_8p_match_reference(
     """IQOLB's queued waiters park on their tear-off copies and skip
     whole tests; QOLB's ``EnQOLB`` loop is not a ``Spin`` and must only
     agree.  (On the directory, iqolb+retention's queue never forms in
-    this cell: one deferral, then loans, and no tear-off to spin on.)"""
+    this cell: one deferral, then loans, and no tear-off to spin on; its
+    skipped tests are those of owners spinning under an obligation.)"""
     parked = _compare(
         monkeypatch, lambda: _null_cs(primitive, 8, interconnect)
     )
@@ -163,8 +182,70 @@ def test_queued_waiters_at_8p_match_reference(
             for name, value in parked.stats.snapshot().items()
             if name.endswith(".tearoffs_received")
         )
-        assert (_skipped_tests(parked) > 0) == (tearoffs > 0)
+        assert _skipped_tests(parked) > 0
         assert tearoffs > 0 or primitive == "iqolb+retention"
+
+
+#: the policies whose owners defer requests under an obligation
+DEFERRING = ["delayed", "delayed+retention", "iqolb", "iqolb+retention"]
+
+
+def _watch_obligated_parks(monkeypatch):
+    """Count the parks on a copy the node owns under an obligation, and
+    the tests they skip; returns the live counts."""
+    seen = {"parks": 0, "tests": 0}
+    obligated = set()
+    original_park = CacheController.park
+    original_wake = Processor.wake
+
+    def park(self, spinner):
+        if spinner.parked_line in self.obligations:
+            assert self.hierarchy.peek(spinner.parked_line).is_owner
+            seen["parks"] += 1
+            obligated.add(spinner)
+        original_park(self, spinner)
+
+    def wake(self):
+        before = self.tests_skipped
+        original_wake(self)
+        if self in obligated:
+            obligated.discard(self)
+            seen["tests"] += self.tests_skipped - before
+
+    monkeypatch.setattr(CacheController, "park", park)
+    monkeypatch.setattr(Processor, "wake", wake)
+    return seen
+
+
+@pytest.mark.parametrize("n_processors, timeout_cycles", [(8, 60), (16, 100)])
+@pytest.mark.parametrize("primitive", DEFERRING)
+def test_obligated_owners_match_reference(
+    monkeypatch, interconnect, primitive, n_processors, timeout_cycles
+):
+    """A timeout hand-off passes a lock still held down the queue, and
+    its receiver spins on its own M copy, holding an obligation and a
+    successor.  It parks: the LPRFOs and QOLB_ENQs it defers meanwhile
+    wake nobody, and its own timeout or discharge wakes it before the
+    line moves on.  Short timeouts and 20-cycle think times make
+    timeouts frequent at 8 and 16p."""
+    seen = _watch_obligated_parks(monkeypatch)
+    parked = _compare(
+        monkeypatch,
+        lambda: _null_cs(
+            primitive,
+            n_processors,
+            interconnect,
+            think_cycles=20,
+            timeout_cycles=timeout_cycles,
+        ),
+    )
+    counters = parked.stats.snapshot()
+    assert sum(
+        value for name, value in counters.items() if name.endswith(".timeouts")
+    ) > 0
+    assert seen["parks"] > 0 and seen["tests"] > 0
+    if primitive.startswith("delayed"):
+        assert _skipped_tests(parked) > 0
 
 
 @pytest.mark.parametrize("n_processors", [8, 16])
@@ -278,9 +359,10 @@ def test_serialization_wakes_the_line_before_its_snoop(
     woken_at = []
     original_serialize = ParkedSpinners.serialize
 
-    def watched_serialize(self, line_addr, op, node=None):
+    def watched_serialize(self, txn, node=None):
+        line_addr = txn.line_addr
         before = line_addr in self._spinners
-        original_serialize(self, line_addr, op, node)
+        original_serialize(self, txn, node)
         if before and line_addr not in self._spinners:
             woken_at.append(self.sim.now)
 
@@ -311,9 +393,8 @@ def test_dropped_serialization_wake_fails_loudly(
     wakes nobody.  The snoop that reaches the parked copy raises, naming
     the spinner and the transaction."""
 
-    def count_only(self, line_addr, op, node=None):
-        counts = self._reads if op is BusOp.GETS else self._writes
-        counts[line_addr] = counts.get(line_addr, 0) + 1
+    def count_only(self, txn, node=None):
+        self._in_flight.setdefault(txn.line_addr, []).append((txn, node))
 
     fabric = AddressBus if interconnect == "bus" else DirectoryInterconnect
     monkeypatch.setattr(fabric, "serialize", count_only)
@@ -337,7 +418,7 @@ def test_mshr_closing_under_a_parked_tearoff_wakes_it(
 
     def park_then_close(self, spinner):
         original_park(self, spinner)
-        if self.spinner_on_tearoff and not closing:
+        if self.spinner_state is State.TEAROFF and not closing:
             closing.append(self.mshrs[spinner.parked_line])
             self.sim.schedule(50, self._retire_mshr, closing[0])
 
@@ -361,7 +442,7 @@ def test_dropped_tearoff_install_wake_fails_loudly(monkeypatch, interconnect):
     original = CacheController._install_line
 
     def no_tearoff_wake(self, line_addr, state, data):
-        if not self.spinner_on_tearoff:
+        if self.spinner_state is not State.TEAROFF:
             return original(self, line_addr, state, data)
         spinner, self.spinner = self.spinner, None
         try:
@@ -375,6 +456,70 @@ def test_dropped_tearoff_install_wake_fails_loudly(monkeypatch, interconnect):
     message = str(exc.value)
     assert "parked on 0x" in message and "tests skipped" in message
     assert "an install replaced its tear-off without waking it" in message
+
+
+def _timeout_handoff(interconnect):
+    """Delayed response, TTS lock: P0 holds it 5,000 cycles.  P1's
+    request takes the held line and P1 spins on its M copy; P2's request
+    queues behind P1, which defers it and owes P2 the line; P1's timeout
+    then hands the line, lock still held, to P2."""
+
+    def build(cls):
+        system = cls(
+            SystemConfig(
+                n_processors=3, policy="delayed", interconnect=interconnect
+            )
+        )
+        lock = TTSLock(LOCK)
+
+        def holder():
+            yield from lock.acquire(0)
+            yield Compute(5000)
+            yield from lock.release(0)
+
+        def waiter(tid):
+            yield Compute(100 * tid)
+            yield from lock.acquire(tid)
+            yield from lock.release(tid)
+
+        system.load_program(0, holder())
+        system.load_program(1, waiter(1))
+        system.load_program(2, waiter(2))
+        return system
+
+    return build
+
+
+def test_obligated_owner_wakes_on_its_own_timeout(monkeypatch, interconnect):
+    """P1 parks on its M copy; P2's request wakes it (P1 owes nobody
+    yet) and is deferred.  P1 parks again, now under the obligation to
+    P2, and its timeout wakes it before the hand-off takes the line."""
+    fired = []
+    original = CacheController._timeout_fired
+
+    def watched(self, line_addr):
+        spinner = self.spinner
+        parked = (
+            spinner is not None
+            and spinner.parked_line == line_addr
+            and line_addr in self.obligations
+            and self.successor.get(line_addr) == 2
+        )
+        skipped = 0 if spinner is None else spinner.tests_skipped
+        original(self, line_addr)
+        charged = 0 if spinner is None else spinner.tests_skipped - skipped
+        fired.append((self.node_id, parked, self.spinner, charged))
+
+    monkeypatch.setattr(CacheController, "_timeout_fired", watched)
+    parked = _run_pair(_timeout_handoff(interconnect))
+    # The parked run's first timeout is P1's, parked under the
+    # obligation: it wakes P1, charging the tests it skipped, and hands
+    # the line on.
+    node, was_parked, spinner_after, charged = fired[0]
+    assert (node, was_parked, spinner_after) == (1, True, None)
+    assert charged > 0
+    assert parked.stats.value("ctrl1.handoff_timeout") >= 1
+    assert parked.stats.value("ctrl1.deferrals") >= 1
 
 
 def _history_high_water(processor_class, fabric, primitive, n_processors):
